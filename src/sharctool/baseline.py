@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, TokenizedText, derive_label, dumps_record, tokenize
+from .corpus import ClassLabel, Instance, TokenizedText, corpus_pass, derive_label, dumps_record, tokenize
 from .evaluate import evaluate
 from .markers import BASIC_STOPWORDS, lcs_match
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
@@ -248,22 +248,23 @@ def predict_corpus(
     structures: dict[str, RuleStructure] = {}
     stats = PolicyStats()
     predictions: list[Prediction] = []
-    for instance in corpus:
-        structure = structures.get(instance.rule_text)
-        if structure is None:
-            structure = parse_rule(instance.rule_text, cues)
-            structures[instance.rule_text] = structure
-        output, ordinal, step = _decide(_features(instance, structure), params)
-        stats.logic_counts[structure.logic.value] = stats.logic_counts.get(structure.logic.value, 0) + 1
-        stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
-        predictions.append(
-            Prediction(
-                utterance_id=instance.utterance_id,
-                output=output,
-                predicted_class=derive_label(output),
-                asked_clause_ordinal=ordinal,
+    with corpus_pass():
+        for instance in corpus:
+            structure = structures.get(instance.rule_text)
+            if structure is None:
+                structure = parse_rule(instance.rule_text, cues)
+                structures[instance.rule_text] = structure
+            output, ordinal, step = _decide(_features(instance, structure), params)
+            stats.logic_counts[structure.logic.value] = stats.logic_counts.get(structure.logic.value, 0) + 1
+            stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
+            predictions.append(
+                Prediction(
+                    utterance_id=instance.utterance_id,
+                    output=output,
+                    predicted_class=derive_label(output),
+                    asked_clause_ordinal=ordinal,
+                )
             )
-        )
     return predictions, stats
 
 
@@ -305,31 +306,34 @@ def tune(
     Features (coverage fractions, overlaps, templated follow-ups) are
     computed once; every grid point reuses them through the same decision
     path as :func:`predict`, so tuning cannot drift from live prediction.
-    Ties keep the first grid point in iteration order.
+    All grid points score inside one pass, so each distinct (output, gold)
+    pair's BLEU statistics are counted once. Ties keep the first grid point
+    in iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
     structures: dict[str, RuleStructure] = {}
     features: list[_Features] = []
-    for instance in corpus:
-        structure = structures.get(instance.rule_text)
-        if structure is None:
-            structure = parse_rule(instance.rule_text, cues)
-            structures[instance.rule_text] = structure
-        features.append(_features(instance, structure))
-
     names = list(grid)
     best: Optional[PolicyParams] = None
     best_score = float("-inf")
     trials: list[dict] = []
-    for values in itertools.product(*(grid[name] for name in names)):
-        params = replace(PolicyParams(), **dict(zip(names, values)))
-        outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
-        report = evaluate(corpus, outputs)
-        score = report.combined if report.combined is not None else -1.0
-        trials.append({"params": params.to_dict(), "combined": score, "micro": report.micro_accuracy})
-        if score > best_score:
-            best = params
-            best_score = score
+    with corpus_pass():
+        for instance in corpus:
+            structure = structures.get(instance.rule_text)
+            if structure is None:
+                structure = parse_rule(instance.rule_text, cues)
+                structures[instance.rule_text] = structure
+            features.append(_features(instance, structure))
+
+        for values in itertools.product(*(grid[name] for name in names)):
+            params = replace(PolicyParams(), **dict(zip(names, values)))
+            outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
+            report = evaluate(corpus, outputs)
+            score = report.combined if report.combined is not None else -1.0
+            trials.append({"params": params.to_dict(), "combined": score, "micro": report.micro_accuracy})
+            if score > best_score:
+                best = params
+                best_score = score
     assert best is not None, "empty parameter grid"
     return TuneResult(
         best_params=best,
@@ -352,12 +356,28 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
-    """Read a predictions file into a {utterance_id: answer} map."""
+    """Read a predictions file into a {utterance_id: answer} map.
+
+    Raises ``ValueError`` naming ``<path>:<line>`` for a line that is not a
+    JSON object with string ``utterance_id`` and ``answer``, and for an
+    ``utterance_id`` that occurs twice.
+    """
     outputs: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: record is not an object")
+        for key in ("utterance_id", "answer"):
+            if not isinstance(record.get(key), str):
+                raise ValueError(f"{where}: field {key!r} is missing or not a string")
+        if record["utterance_id"] in outputs:
+            raise ValueError(f"{where}: duplicate utterance_id {record['utterance_id']!r}")
         outputs[record["utterance_id"]] = record["answer"]
     return outputs
 
@@ -367,5 +387,21 @@ def write_params(path: str | Path, params: PolicyParams) -> None:
 
 
 def load_params(path: str | Path) -> PolicyParams:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a parameter file; keys it omits keep their defaults.
+
+    Raises ``ValueError`` naming the path for anything but a JSON object of
+    known parameter names with numeric values.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: parameter file is not a JSON object")
+    known = PolicyParams().to_dict()
+    for key, value in data.items():
+        if key not in known:
+            raise ValueError(f"{path}: unknown parameter {key!r} (want one of {', '.join(known)})")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: parameter {key!r} must be a number, got {value!r}")
     return PolicyParams(**data)

@@ -102,7 +102,8 @@ class _Manifest:
         return path
 
 
-def _load_checked(path: str, expect_digest: Optional[str], manifest: Optional[_Manifest]):
+def _check_input(path: str, expect_digest: Optional[str]) -> Path:
+    """Resolve an input path and verify its sha256 before anything reads it."""
     resolved = _resolve_input(path)
     if not resolved.exists():
         raise FileNotFoundError(f"input not found: {path}")
@@ -110,6 +111,11 @@ def _load_checked(path: str, expect_digest: Optional[str], manifest: Optional[_M
         actual = _sha256(resolved)
         if actual != expect_digest:
             raise ValueError(f"digest mismatch for {resolved}: expected {expect_digest}, got {actual}")
+    return resolved
+
+
+def _load_checked(path: str, expect_digest: Optional[str], manifest: Optional[_Manifest]):
+    resolved = _check_input(path, expect_digest)
     if manifest is not None:
         manifest.add_input(resolved)
     return load_corpus(resolved)
@@ -134,7 +140,7 @@ def _parse_targets(spec: str) -> dict[ClassLabel, float]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    resolved = _resolve_input(args.infile)
+    resolved = _check_input(args.infile, args.expect_digest)
     strictness = "strict" if args.strict else "lenient"
     instances, audit = load_corpus_audited(resolved, strictness)
     print(_render_audit(resolved, audit))
@@ -144,11 +150,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         write_corpus(args.out, instances)
         manifest.add_output(Path(args.out))
         manifest.write(Path(args.out))
-    if args.expect_digest:
-        actual = _sha256(resolved)
-        if actual != args.expect_digest:
-            print(f"digest mismatch: expected {args.expect_digest}, got {actual}", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -362,8 +363,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--expect-digest", default=None, help="require this sha256 of the main input")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallelism cap (commands are currently single-threaded)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as error:
+    except (ValueError, OSError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

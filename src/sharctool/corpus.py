@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "ClassLabel",
@@ -27,10 +28,12 @@ __all__ = [
     "Token",
     "TokenizedText",
     "content_hash",
+    "corpus_pass",
     "derive_label",
     "instance_to_record",
     "load_corpus",
     "load_corpus_audited",
+    "pass_memo",
     "tokenize",
     "write_corpus",
 ]
@@ -64,6 +67,42 @@ def derive_label(answer: str) -> ClassLabel:
     question and therefore labelled ``More``.
     """
     return _CLASS_WORDS.get(answer.strip().lower(), ClassLabel.MORE)
+
+
+# --------------------------------------------------------------------------
+# Pass-scoped memo
+# --------------------------------------------------------------------------
+
+# One table per memoized computation, alive only while a corpus pass runs.
+# Outside a pass this is None and every function computes from scratch, so
+# one-off calls neither pay for nor fill a cache that would outlive its use.
+_memo: Optional[dict[str, dict]] = None
+
+
+@contextmanager
+def corpus_pass() -> Iterator[None]:
+    """Memoize ``tokenize``, ``lcs_match`` and BLEU pair statistics for one pass.
+
+    A pass over a corpus sees the same rule texts, questions and
+    (candidate, reference) pairs again and again; inside the ``with`` block
+    each is computed once. The memo is dropped when the block exits, also on
+    an exception. A nested pass shares the outer pass's memo. The memo is
+    process-wide, so passes must not run in concurrent threads.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {"tokenize": {}, "lcs_match": {}, "bleu": {}}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def pass_memo(kind: str) -> Optional[dict]:
+    """The active pass's table for ``kind``, or None outside a pass."""
+    return None if _memo is None else _memo[kind]
 
 
 # --------------------------------------------------------------------------
@@ -117,8 +156,14 @@ def tokenize(text: str) -> TokenizedText:
     and the spans are strictly increasing and non-overlapping, so the source
     string can be reconstructed from the tokens plus the gaps between them.
     Markdown markers (``##``, ``*``) become their own tokens whose normalized
-    form is empty.
+    form is empty. Inside a :func:`corpus_pass`, equal texts share one
+    (immutable) result.
     """
+    memo = pass_memo("tokenize")
+    if memo is not None:
+        cached = memo.get(text)
+        if cached is not None:
+            return cached
     tokens = [
         Token(
             surface=m.group(),
@@ -128,7 +173,10 @@ def tokenize(text: str) -> TokenizedText:
         )
         for m in _TOKEN_RE.finditer(text)
     ]
-    return TokenizedText(text=text, tokens=tuple(tokens))
+    result = TokenizedText(text=text, tokens=tuple(tokens))
+    if memo is not None:
+        memo[text] = result
+    return result
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, derive_label, tokenize
+from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
 
 __all__ = [
     "SCORING_NOTES",
@@ -116,6 +116,29 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
+# Orders kept per pair in a pass's BLEU memo: enough for BLEU-1 and BLEU-4.
+_MEMO_ORDERS = 4
+
+
+def _pair_stats(candidate_text: str, reference_text: str, max_order: int) -> tuple[int, ...]:
+    """Sufficient statistics of one pair for corpus BLEU.
+
+    ``(cand_len, ref_len, match_1, total_1, ..., match_n, total_n)``: the
+    token lengths, then per order the clipped n-gram matches and the
+    candidate n-gram count. Corpus BLEU sums these over pairs, so a pair's
+    statistics can be computed once and reused for any lower order.
+    """
+    candidate = _bleu_tokens(candidate_text)
+    reference = _bleu_tokens(reference_text)
+    stats = [len(candidate), len(reference)]
+    for order in range(1, max_order + 1):
+        cand_ngrams = _ngram_counts(candidate, order)
+        ref_ngrams = _ngram_counts(reference, order)
+        stats.append(sum(min(count, ref_ngrams[gram]) for gram, count in cand_ngrams.items()))
+        stats.append(sum(cand_ngrams.values()))
+    return tuple(stats)
+
+
 def bleu(
     candidates_and_references: Sequence[tuple[str, str]],
     max_order: int = 4,
@@ -133,6 +156,10 @@ def bleu(
 
     ``sentence_average`` instead scores each pair alone and returns the
     arithmetic mean — useful for diagnostics, never for headline numbers.
+
+    Inside a :func:`~sharctool.corpus.corpus_pass`, each distinct pair's
+    statistics are computed once; the pooled counts are integers, so the
+    score is the same float either way.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -142,27 +169,23 @@ def bleu(
         scores = [bleu([pair], max_order) for pair in candidates_and_references]
         return sum(scores) / len(scores)
 
-    matches = [0] * max_order
-    totals = [0] * max_order
-    cand_len = 0
-    ref_len = 0
+    memo = pass_memo("bleu") if max_order <= _MEMO_ORDERS else None
+    rows = []
     for candidate_text, reference_text in candidates_and_references:
-        candidate = _bleu_tokens(candidate_text)
-        reference = _bleu_tokens(reference_text)
-        cand_len += len(candidate)
-        ref_len += len(reference)
-        for order in range(1, max_order + 1):
-            cand_ngrams = _ngram_counts(candidate, order)
-            if not cand_ngrams:
-                continue
-            ref_ngrams = _ngram_counts(reference, order)
-            totals[order - 1] += sum(cand_ngrams.values())
-            matches[order - 1] += sum(min(count, ref_ngrams[gram]) for gram, count in cand_ngrams.items())
+        if memo is None:
+            stats = _pair_stats(candidate_text, reference_text, max_order)
+        else:
+            key = (candidate_text, reference_text)
+            stats = memo.get(key)
+            if stats is None:
+                stats = memo[key] = _pair_stats(candidate_text, reference_text, _MEMO_ORDERS)
+        rows.append(stats)
+    cand_len, ref_len, *counts = [sum(column) for column in zip(*rows)][: 2 + 2 * max_order]
 
     if cand_len == 0:
         return 0.0
     log_precisions = []
-    for match, total in zip(matches, totals):
+    for match, total in zip(counts[0::2], counts[1::2]):
         if total == 0:
             continue  # vacuous order: no candidate was long enough
         if match == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, tokenize
+from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, pass_memo, tokenize
 
 __all__ = [
     "AnnotationStats",
@@ -114,11 +114,23 @@ def lcs_match(
     Matching runs over normalized token forms by default (raw surfaces when
     ``use_normalized`` is false); tokens whose normalized form is empty —
     pure punctuation and markdown markers — never participate. Returned
-    indices address the *full* token sequences of both inputs.
+    indices address the *full* token sequences of both inputs. Inside a
+    :func:`~sharctool.corpus.corpus_pass`, each distinct input is matched once.
     """
+    memo = pass_memo("lcs_match")
+    if memo is not None:
+        # Keying on the texts is sound because inside a pass every
+        # TokenizedText comes from tokenize(text), so its text fixes its tokens.
+        key = (rule.text, utterance.text, use_normalized, stopwords)
+        cached = memo.get(key)
+        if cached is not None:
+            return list(cached)
     rule_idx, rule_sym = _matchable_indices(rule, use_normalized, stopwords)
     utt_idx, utt_sym = _matchable_indices(utterance, use_normalized, stopwords)
-    return [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
+    pairs = [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
+    if memo is not None:
+        memo[key] = tuple(pairs)
+    return pairs
 
 
 def annotate_history(
@@ -243,37 +255,38 @@ def annotate_corpus(
     """
     annotations: list[MarkerAnnotation] = []
     stats = AnnotationStats()
-    for instance in corpus:
-        rule = tokenize(instance.rule_text)
-        history_marker, turn_index = annotate_history(
-            rule, instance.history, use_normalized=use_normalized, stopwords=stopwords
-        )
-        scenario_marker = annotate_scenario(
-            rule, instance.evidence, use_normalized=use_normalized, stopwords=stopwords
-        )
-        gold_span = None
-        flags: list[str] = []
-        if instance.label is ClassLabel.MORE:
-            stats.more_instances += 1
-            gold_span = extract_gold_span(
-                rule, instance.gold_answer, use_normalized=use_normalized, stopwords=stopwords
+    with corpus_pass():
+        for instance in corpus:
+            rule = tokenize(instance.rule_text)
+            history_marker, turn_index = annotate_history(
+                rule, instance.history, use_normalized=use_normalized, stopwords=stopwords
             )
-            if gold_span is None:
-                flags.append("empty_gold_span")
-            else:
-                stats.more_with_span += 1
-        for flag in flags:
-            stats.flag_counts[flag] = stats.flag_counts.get(flag, 0) + 1
-        annotations.append(
-            MarkerAnnotation(
-                utterance_id=instance.utterance_id,
-                tokens=rule.surfaces,
-                history_marker=history_marker,
-                turn_index=turn_index,
-                scenario_marker=scenario_marker,
-                gold_span=gold_span,
-                flags=flags,
+            scenario_marker = annotate_scenario(
+                rule, instance.evidence, use_normalized=use_normalized, stopwords=stopwords
             )
-        )
-        stats.instances += 1
+            gold_span = None
+            flags: list[str] = []
+            if instance.label is ClassLabel.MORE:
+                stats.more_instances += 1
+                gold_span = extract_gold_span(
+                    rule, instance.gold_answer, use_normalized=use_normalized, stopwords=stopwords
+                )
+                if gold_span is None:
+                    flags.append("empty_gold_span")
+                else:
+                    stats.more_with_span += 1
+            for flag in flags:
+                stats.flag_counts[flag] = stats.flag_counts.get(flag, 0) + 1
+            annotations.append(
+                MarkerAnnotation(
+                    utterance_id=instance.utterance_id,
+                    tokens=rule.surfaces,
+                    history_marker=history_marker,
+                    turn_index=turn_index,
+                    scenario_marker=scenario_marker,
+                    gold_span=gold_span,
+                    flags=flags,
+                )
+            )
+            stats.instances += 1
     return annotations, stats

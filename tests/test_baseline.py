@@ -222,6 +222,51 @@ def test_params_file_round_trip(tmp_path):
     assert load_params(path) == params
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ('{"rho": 0.5, "threads": 4}', "unknown parameter 'threads'"),
+        ('{"rho": "high"}', "parameter 'rho' must be a number"),
+        ("[0.5]", "not a JSON object"),
+        ('{"rho": ', "invalid JSON"),
+    ],
+)
+def test_load_params_names_the_path_and_the_problem(tmp_path, body, message):
+    path = tmp_path / "params.json"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_params(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"utterance_id": "b", "answer": ', "invalid JSON"),
+        ('{"utterance_id": "b"}', "field 'answer' is missing"),
+        ('{"utterance_id": "b", "answer": 3}', "field 'answer' is missing or not a string"),
+        ('["b", "Yes"]', "record is not an object"),
+    ],
+)
+def test_load_predictions_names_the_path_and_line(tmp_path, line, message):
+    path = tmp_path / "predictions.jsonl"
+    path.write_text('{"utterance_id": "a", "answer": "Yes"}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_predictions(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")
+    assert message in str(excinfo.value)
+
+
+def test_load_predictions_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+    path.write_text(
+        '{"utterance_id": "a", "answer": "Yes"}\n{"utterance_id": "a", "answer": "No"}\n', encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r":2: duplicate utterance_id 'a'"):
+        load_predictions(path)
+
+
 # --------------------------------------------------------------------------
 # tuning
 # --------------------------------------------------------------------------

@@ -64,6 +64,15 @@ def test_validate_missing_input_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_checks_the_digest_before_writing(corpus_file, tmp_path, capsys):
+    out = tmp_path / "canonical.jsonl"
+    code = main(["validate", "--in", str(corpus_file), "--out", str(out), "--expect-digest", "0" * 64])
+    assert code == 1
+    assert "digest mismatch" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "canonical.jsonl.manifest.json").exists()
+
+
 # --------------------------------------------------------------------------
 # probe
 # --------------------------------------------------------------------------
@@ -254,6 +263,48 @@ def test_report_side_by_side_for_evals(corpus_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "micro accuracy" in text
     assert "BLEU-4" in text
+
+
+# --------------------------------------------------------------------------
+# bad files and paths: one error line, exit 1
+# --------------------------------------------------------------------------
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["validate", "probe", "annotate"])
+def test_out_pointing_at_a_directory_is_one_error_line(corpus_file, tmp_path, capsys, command):
+    assert main([command, "--in", str(corpus_file), "--out", str(tmp_path)]) == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+def test_bad_params_file_is_one_error_line(corpus_file, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text('{"rho": 0.5, "bogus": 1}', encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert main(["baseline", "--in", str(corpus_file), "--params", str(params), "--out", str(out)]) == 1
+    assert f"{params}: unknown parameter 'bogus'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "second_line,message",
+    [
+        ('{"utterance_id": "x"}', ":2: field 'answer' is missing"),
+        ('{"utterance_id": "x", "answer": "No"}', ":2: duplicate utterance_id 'x'"),
+    ],
+)
+def test_bad_predictions_file_is_one_error_line(corpus_file, tmp_path, capsys, second_line, message):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"utterance_id": "x", "answer": "Yes"}\n' + second_line + "\n", encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--gold", str(corpus_file), "--pred", str(pred), "--out", str(out)]) == 1
+    assert f"{pred}{message}" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,167 @@
+"""The pass-scoped memo: same results inside a pass as outside, nothing kept after."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from sharctool.baseline import PolicyParams, predict, predict_corpus, tune
+from sharctool.corpus import ClassLabel, corpus_pass, pass_memo, tokenize
+from sharctool.evaluate import bleu, evaluate
+from sharctool.markers import (
+    BASIC_STOPWORDS,
+    annotate_corpus,
+    annotate_history,
+    annotate_scenario,
+    extract_gold_span,
+    lcs_match,
+)
+from sharctool.ruleparse import parse_rule
+from sharctool.synthcorpus import SplitSpec, generate_split
+
+MEMO_SPEC = SplitSpec(
+    name="memotoy",
+    seed=23,
+    class_counts={
+        ClassLabel.IRRELEVANT: 10,
+        ClassLabel.YES: 30,
+        ClassLabel.NO: 30,
+        ClassLabel.MORE: 30,
+    },
+    tree_count=40,
+)
+KINDS = ("tokenize", "lcs_match", "bleu")
+SMALL_GRID = {"tau_irr": (0.1, 0.3), "rho": (0.4, 0.8), "l_max": (3, 8)}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_split(MEMO_SPEC)
+
+
+def _memo_is_empty():
+    return all(pass_memo(kind) is None for kind in KINDS)
+
+
+# --------------------------------------------------------------------------
+# lifetime
+# --------------------------------------------------------------------------
+
+
+def test_memo_exists_only_inside_a_pass():
+    assert _memo_is_empty()
+    assert tokenize("a b") is not tokenize("a b")
+    with corpus_pass():
+        assert tokenize("a b") is tokenize("a b")
+        assert "a b" in pass_memo("tokenize")
+    assert _memo_is_empty()
+
+
+def test_memo_is_dropped_when_the_pass_raises():
+    with pytest.raises(AttributeError):
+        annotate_corpus([object()])
+    assert _memo_is_empty()
+    with pytest.raises(RuntimeError):
+        with corpus_pass():
+            lcs_match(tokenize("a b"), tokenize("b"))
+            raise RuntimeError("boom")
+    assert _memo_is_empty()
+
+
+def test_nested_pass_shares_and_keeps_the_outer_memo():
+    with corpus_pass():
+        outer = tokenize("x y")
+        with corpus_pass():
+            assert tokenize("x y") is outer
+        assert pass_memo("tokenize")["x y"] is outer
+    assert _memo_is_empty()
+
+
+def test_memoized_lcs_match_returns_a_fresh_list_per_call():
+    rule, question = tokenize("you live in England"), tokenize("Do you live in England?")
+    with corpus_pass():
+        first = lcs_match(rule, question)
+        first.clear()
+        assert lcs_match(rule, question) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_lcs_modes_do_not_share_entries():
+    rule, question = tokenize("Do you live in England"), tokenize("do YOU live in england?")
+    modes = [
+        {},
+        {"use_normalized": False},
+        {"stopwords": BASIC_STOPWORDS},
+        {"use_normalized": False, "stopwords": BASIC_STOPWORDS},
+    ]
+    outside = [lcs_match(rule, question, **mode) for mode in modes]
+    with corpus_pass():
+        inside = [lcs_match(rule, question, **mode) for mode in modes]
+    assert inside == outside
+    assert len({tuple(pairs) for pairs in outside}) > 1
+
+
+# --------------------------------------------------------------------------
+# corpus passes agree with the per-instance functions
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mode", [{}, {"use_normalized": False}, {"stopwords": BASIC_STOPWORDS}], ids=["default", "raw", "stopwords"]
+)
+def test_annotate_corpus_matches_per_instance_annotators(corpus, mode):
+    annotations, _ = annotate_corpus(corpus, **mode)
+    assert _memo_is_empty()
+    for instance, annotation in zip(corpus, annotations, strict=True):
+        rule = tokenize(instance.rule_text)
+        assert annotation.tokens == rule.surfaces
+        assert (annotation.history_marker, annotation.turn_index) == annotate_history(rule, instance.history, **mode)
+        assert annotation.scenario_marker == annotate_scenario(rule, instance.evidence, **mode)
+        if instance.label is ClassLabel.MORE:
+            assert annotation.gold_span == extract_gold_span(rule, instance.gold_answer, **mode)
+
+
+def test_predict_corpus_matches_predict(corpus):
+    params = PolicyParams(tau_irr=0.3, rho=0.4, rho_s=0.6, l_max=3)
+    predictions, _ = predict_corpus(corpus, params)
+    assert _memo_is_empty()
+    assert predictions == [predict(instance, parse_rule(instance.rule_text), params) for instance in corpus]
+
+
+def test_tune_matches_evaluate_outside_a_pass(corpus):
+    result = tune(corpus, grid=SMALL_GRID)
+    assert _memo_is_empty()
+    assert len(result.trials) == 8
+    for trial in result.trials:
+        params = PolicyParams(**trial["params"])
+        outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in corpus}
+        report = evaluate(corpus, outputs)
+        assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
+
+
+# --------------------------------------------------------------------------
+# BLEU statistics
+# --------------------------------------------------------------------------
+
+_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "?", "## *", "...", "Do you live in England?", "do you live in england"]),
+    st.text(alphabet="ab .?#'", max_size=16),
+    st.lists(st.sampled_from("you live in England over 60 ?".split()), max_size=8).map(" ".join),
+)
+_PAIRS = st.lists(st.tuples(_TEXTS, _TEXTS), min_size=1, max_size=6)
+
+
+def _scores(pairs):
+    return (
+        bleu(pairs, max_order=1),
+        bleu(pairs),
+        bleu(pairs, max_order=6),
+        bleu(pairs, sentence_average=True),
+        bleu(pairs, max_order=1, sentence_average=True),
+    )
+
+
+@given(_PAIRS)
+def test_bleu_is_the_same_float_inside_and_outside_a_pass(pairs):
+    doubled = pairs + pairs
+    outside = (_scores(pairs), _scores(doubled))
+    with corpus_pass():
+        inside = (_scores(pairs), _scores(doubled))  # the second set reads the memo
+    assert inside == outside
