@@ -330,12 +330,29 @@ def _fmt_cell(value: object) -> str:
     return str(value)
 
 
+def _load_report(path: str) -> tuple[dict, str]:
+    """Read a report and tell its kind: ``probe`` or ``eval``."""
+    try:
+        report = json.loads(_resolve_input(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if isinstance(report, dict):
+        if "class_distribution" in report:
+            return report, "probe"
+        if "micro_accuracy" in report:
+            return report, "eval"
+    raise ValueError(f"{path}: neither a probe report nor an eval report")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    original = json.loads(_resolve_input(args.original).read_text(encoding="utf-8"))
-    augmented = json.loads(_resolve_input(args.augmented).read_text(encoding="utf-8"))
-    is_probe = "class_distribution" in original
+    original, kind = _load_report(args.original)
+    augmented, augmented_kind = _load_report(args.augmented)
+    if augmented_kind != kind:
+        raise ValueError(
+            f"{args.augmented}: a {augmented_kind!r} report cannot be compared with the {kind!r} report {args.original}"
+        )
     lines = [f"{'':28}{'original':>14}{'augmented':>14}"]
-    if is_probe:
+    if kind == "probe":
         for label in ("Irrelevant", "Yes", "No", "More"):
             row = (
                 _dig(original, ("class_distribution", label)),

@@ -55,6 +55,56 @@ SCORING_NOTES = (
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _GoldView:
+    """What scoring reads from a gold corpus, in corpus order."""
+
+    ids: frozenset[str]
+    labels: tuple[tuple[str, ClassLabel], ...]  # (utterance_id, gold class)
+    followups: tuple[tuple[str, str], ...]  # (utterance_id, gold answer) of the More instances
+
+
+def _gold_view(gold: Sequence[Instance]) -> _GoldView:
+    """Collect the gold ids, classes and follow-ups; raise on duplicate ids.
+
+    Inside a :func:`~sharctool.corpus.corpus_pass` the view is built once per
+    gold corpus object, so scoring many prediction sets against one corpus
+    (as ``tune`` does) derives each gold class once. The corpus must not
+    change while the pass runs.
+    """
+    memo = pass_memo("gold")
+    if memo is not None:
+        entry = memo.get(id(gold))
+        if entry is not None and entry[0] is gold:
+            return entry[1]
+    ids = frozenset(inst.utterance_id for inst in gold)
+    if len(ids) != len(gold):
+        raise ValueError("gold corpus contains duplicate utterance ids")
+    view = _GoldView(
+        ids=ids,
+        labels=tuple((inst.utterance_id, inst.label) for inst in gold),
+        followups=tuple((inst.utterance_id, inst.gold_answer) for inst in gold if inst.label is ClassLabel.MORE),
+    )
+    if memo is not None:
+        memo[id(gold)] = (gold, view)  # holding gold keeps its id from being reused
+    return view
+
+
+def _confusion(gold: _GoldView, predictions: Mapping[str, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
+    missing = gold.ids - predictions.keys()
+    extra = predictions.keys() - gold.ids
+    if missing:
+        raise ValueError(f"predictions missing {len(missing)} ids (e.g. {sorted(missing)[:3]})")
+    if extra:
+        raise ValueError(f"predictions contain {len(extra)} unknown ids (e.g. {sorted(extra)[:3]})")
+    matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
+    # Outputs repeat heavily, so each distinct (gold class, output) is mapped once.
+    pairs = Counter((label, predictions[uid]) for uid, label in gold.labels)
+    for (label, output), count in pairs.items():
+        matrix[label][derive_label(output)] += count
+    return matrix
+
+
 def confusion_matrix(
     gold: Sequence[Instance], predictions: Mapping[str, str]
 ) -> dict[ClassLabel, dict[ClassLabel, int]]:
@@ -62,19 +112,7 @@ def confusion_matrix(
 
     Raises ``ValueError`` unless the prediction ids are exactly the gold ids.
     """
-    gold_ids = {inst.utterance_id for inst in gold}
-    if len(gold_ids) != len(gold):
-        raise ValueError("gold corpus contains duplicate utterance ids")
-    missing = gold_ids - predictions.keys()
-    extra = predictions.keys() - gold_ids
-    if missing:
-        raise ValueError(f"predictions missing {len(missing)} ids (e.g. {sorted(missing)[:3]})")
-    if extra:
-        raise ValueError(f"predictions contain {len(extra)} unknown ids (e.g. {sorted(extra)[:3]})")
-    matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
-    for instance in gold:
-        matrix[instance.label][derive_label(predictions[instance.utterance_id])] += 1
-    return matrix
+    return _confusion(_gold_view(gold), predictions)
 
 
 def micro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> float:
@@ -246,12 +284,9 @@ def evaluate(
     sentence_average_bleu: bool = False,
 ) -> EvalReport:
     """Score predictions (a {utterance_id: output text} map) against gold."""
-    matrix = confusion_matrix(gold, predictions)
-    pairs = [
-        (predictions[inst.utterance_id], inst.gold_answer)
-        for inst in gold
-        if inst.label is ClassLabel.MORE
-    ]
+    view = _gold_view(gold)
+    matrix = _confusion(view, predictions)
+    pairs = [(predictions[uid], reference) for uid, reference in view.followups]
     bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu)
     bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu)
     macro = macro_accuracy(matrix)

@@ -10,11 +10,8 @@ already asked.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-from scipy.stats import spearmanr
 
 from .corpus import ClassLabel, Instance
 
@@ -146,6 +143,45 @@ def followup_rate_by_turn(corpus: Sequence[Instance]) -> dict[int, TurnRate]:
     }
 
 
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and values[order[end]] == values[order[start]]:
+            end += 1
+        for position in order[start:end]:
+            ranks[position] = (start + end + 1) / 2
+        start = end
+    return ranks
+
+
+def _spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Spearman's rho as ``scipy.stats.spearmanr`` computes it, bit for bit.
+
+    A Pearson correlation on average ranks. The ranks are multiples of 1/2,
+    so the centered sums are exact; only the steps after them round, and
+    they follow ``np.corrcoef`` and the ``rs[1, 0]`` entry scipy returns:
+    scale by ``1 / (n - 1)``, divide by the y deviation, then by the x
+    deviation, then clip. Any other order can move the result by an ulp.
+    None for a constant series.
+    """
+    n = len(xs)
+    mean = (n + 1) / 2
+    dx = [r - mean for r in _average_ranks(xs)]
+    dy = [r - mean for r in _average_ranks(ys)]
+    sxx = sum(d * d for d in dx)
+    syy = sum(d * d for d in dy)
+    if not sxx or not syy:
+        return None
+    inv = 1.0 / (n - 1)
+    cxy = sum(a * b for a, b in zip(dx, dy)) * inv
+    rho = cxy / math.sqrt(syy * inv) / math.sqrt(sxx * inv)
+    return max(-1.0, min(1.0, rho))
+
+
 def followup_rate_spearman(rates: dict[int, TurnRate], *, min_support: int = 30) -> Optional[float]:
     """Spearman rank correlation of follow-up rate against history length.
 
@@ -156,14 +192,7 @@ def followup_rate_spearman(rates: dict[int, TurnRate], *, min_support: int = 30)
     points = [(k, tr.rate) for k, tr in sorted(rates.items()) if tr.total >= min_support]
     if len(points) < 2:
         return None
-    ks = [p[0] for p in points]
-    values = [p[1] for p in points]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = spearmanr(ks, values).statistic
-    if rho is None or math.isnan(rho):
-        return None
-    return float(rho)
+    return _spearman([p[0] for p in points], [p[1] for p in points])
 
 
 @dataclass

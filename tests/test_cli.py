@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sharctool
 from sharctool.cli import DATA_DIR_ENV, main
 from sharctool.corpus import ClassLabel, load_corpus, write_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
@@ -265,6 +270,19 @@ def test_report_side_by_side_for_evals(corpus_file, tmp_path, capsys):
     assert "BLEU-4" in text
 
 
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    code = "import sys, sharctool.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    src = Path(sharctool.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 # --------------------------------------------------------------------------
 # bad files and paths: one error line, exit 1
 # --------------------------------------------------------------------------
@@ -322,3 +340,35 @@ def test_data_dir_env_resolves_bare_names(corpus_file, monkeypatch, tmp_path, ca
 def test_absolute_path_beats_data_dir(corpus_file, monkeypatch, tmp_path):
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))  # empty directory
     assert main(["validate", "--in", str(corpus_file)]) == 0
+
+
+@pytest.fixture(scope="module")
+def reports(workdir, corpus_file):
+    """One probe report and one eval report of the CLI corpus."""
+    paths = {"probe": workdir / "probe.json", "eval": workdir / "eval.json"}
+    pred = workdir / "pred.jsonl"
+    assert main(["probe", "--in", str(corpus_file), "--out", str(paths["probe"])]) == 0
+    assert main(["baseline", "--in", str(corpus_file), "--out", str(pred)]) == 0
+    assert main(["evaluate", "--gold", str(corpus_file), "--pred", str(pred), "--out", str(paths["eval"])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("original,augmented", [("probe", "eval"), ("eval", "probe")])
+def test_report_refuses_mixed_report_kinds(reports, tmp_path, capsys, original, augmented):
+    capsys.readouterr()
+    out = tmp_path / "compare.txt"
+    argv = ["report", "--original", str(reports[original]), "--augmented", str(reports[augmented])]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {reports[augmented]}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["original", "augmented"])
+@pytest.mark.parametrize("text", ['{"split_name": "dev"}', "[1, 2]", "not json"], ids=["object", "list", "text"])
+def test_report_refuses_a_file_that_is_no_report(reports, tmp_path, capsys, side, text):
+    capsys.readouterr()
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(text, encoding="utf-8")
+    paths = {"original": reports["probe"], "augmented": reports["probe"], side: bogus}
+    assert main(["report", "--original", str(paths["original"]), "--augmented", str(paths["augmented"])]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {bogus}: ")

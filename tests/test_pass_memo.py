@@ -28,7 +28,7 @@ MEMO_SPEC = SplitSpec(
     },
     tree_count=40,
 )
-KINDS = ("tokenize", "lcs_match", "bleu")
+KINDS = ("tokenize", "lcs_match", "bleu", "gold")
 SMALL_GRID = {"tau_irr": (0.1, 0.3), "rho": (0.4, 0.8), "l_max": (3, 8)}
 
 
@@ -134,6 +134,21 @@ def test_tune_matches_evaluate_outside_a_pass(corpus):
         outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in corpus}
         report = evaluate(corpus, outputs)
         assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
+
+
+def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
+    half = corpus[::2]
+    runs = []
+    for params in (PolicyParams(), PolicyParams(tau_irr=0.3, rho=0.4, rho_s=0.6, l_max=3)):
+        for gold in (corpus, half):
+            outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in gold}
+            runs.append((gold, outputs))
+    outside = [evaluate(gold, outputs).to_dict() for gold, outputs in runs]
+    with corpus_pass():
+        inside = [evaluate(gold, outputs).to_dict() for gold, outputs in runs]
+        assert len(pass_memo("gold")) == 2
+    assert inside == outside
+    assert _memo_is_empty()
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Dataset-statistics probes on small hand-built corpora."""
 
+import math
+import warnings
+
 import pytest
+from hypothesis import given, strategies as st
 
 from sharctool.corpus import ClassLabel
 from sharctool.probe import (
+    TurnRate,
+    _spearman,
     class_distribution,
     followup_rate_by_turn,
     followup_rate_spearman,
@@ -137,6 +143,68 @@ def test_spearman_undefined_cases(make_instance, turn):
         _rate_corpus(make_instance, turn, {0: (20, 40), 1: (20, 40), 2: (20, 40)})
     )
     assert followup_rate_spearman(constant) is None
+    assert followup_rate_spearman({}) is None
+    assert _spearman([0, 1, 2], [0.4, 0.4, 0.4]) is None
+    assert _spearman([2, 2, 2], [0.1, 0.2, 0.3]) is None
+
+
+# (ks, rates, closed form, the float scipy.stats.spearmanr returns). The
+# closed forms are worked out by hand from average ranks; the exact floats
+# pin the operation order, which moves the last bit.
+SPEARMAN_FIXTURES = {
+    "ties in the rates": ([0, 1, 2, 3], [0.5, 0.2, 0.2, 0.1], -math.sqrt(0.9), -0.9486832980505139),
+    "ties in k": ([1, 1, 2, 3], [0.1, 0.3, 0.2, 0.4], math.sqrt(0.4), 0.632455532033676),
+    "ties in both": ([0, 0, 1, 1], [0.2, 0.2, 0.2, 0.5], 1 / math.sqrt(3), 0.5773502691896257),
+    "order-sensitive": (
+        [0, 1, 2, 3, 4, 5], [0.7, 0.2, 0.0, 0.4, 0.0, 0.5], -3.5 / math.sqrt(297.5), -0.20291986247835697,
+    ),
+    "two points": ([0, 1], [0.3, 0.7], 1.0, 0.9999999999999999),
+    "perfect +1": ([0, 1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4, 0.5], 1.0, 0.9999999999999999),
+    "perfect -1": ([0, 1, 2, 3, 4], [0.9, 0.7, 0.5, 0.3, 0.1], -1.0, -0.9999999999999999),
+}
+
+
+@pytest.mark.parametrize("ks,rates,closed_form,exact", SPEARMAN_FIXTURES.values(), ids=list(SPEARMAN_FIXTURES))
+def test_spearman_fixtures(ks, rates, closed_form, exact):
+    rho = _spearman(ks, rates)
+    assert rho == pytest.approx(closed_form, abs=1e-15)
+    assert rho == exact
+    if len(set(ks)) == len(ks):  # distinct ks: the same through the public probe
+        buckets = {k: TurnRate(rate=r, followups=0, total=30) for k, r in zip(ks, rates)}
+        assert followup_rate_spearman(buckets) == exact
+
+
+@pytest.fixture(scope="module")
+def spearmanr():
+    return pytest.importorskip("scipy.stats").spearmanr
+
+
+def _scipy_rho(spearmanr, xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant input: scipy warns and returns nan
+        rho = spearmanr(xs, ys).statistic
+    return None if math.isnan(rho) else float(rho)
+
+
+# Small integer grids, so ties in either series are common.
+_SERIES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)), min_size=2, max_size=40)
+
+
+@given(series=_SERIES)
+def test_spearman_is_scipys_float(spearmanr, series):
+    xs = [x for x, _ in series]
+    ys = [y / 7 for _, y in series]
+    assert _spearman(xs, ys) == _scipy_rho(spearmanr, xs, ys)
+
+
+@given(buckets=st.dictionaries(st.integers(0, 60), st.integers(0, 30), max_size=40))
+def test_followup_rate_spearman_is_scipys_float(spearmanr, buckets):
+    rates = {k: TurnRate(rate=f / 30, followups=f, total=30) for k, f in buckets.items()}
+    expected = None
+    if len(rates) >= 2:
+        ks = sorted(rates)
+        expected = _scipy_rho(spearmanr, ks, [rates[k].rate for k in ks])
+    assert followup_rate_spearman(rates) == expected
 
 
 def test_probe_corpus_assembles_everything(make_instance, turn):
