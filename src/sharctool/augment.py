@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,11 +22,12 @@ from typing import Iterable, Optional, Sequence
 from .corpus import (
     ClassLabel,
     Instance,
-    content_hash,
-    derive_label,
+    content_key,
     dumps_record,
     instance_to_record,
+    read_jsonl,
     record_to_instance,
+    write_jsonl,
 )
 
 __all__ = [
@@ -242,6 +242,23 @@ def _stream(seed: int, purpose: str, parent_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+class _Streams(dict):
+    """Parent id -> its RNG stream, made the first time the parent is visited.
+
+    A stream depends only on (seed, purpose, parent id), so making it lazily
+    draws the same numbers as making every stream up front.
+    """
+
+    def __init__(self, seed: int, purpose: str):
+        super().__init__()
+        self.seed = seed
+        self.purpose = purpose
+
+    def __missing__(self, parent_id: str) -> random.Random:
+        rng = self[parent_id] = _stream(self.seed, self.purpose, parent_id)
+        return rng
+
+
 def build_augmented_corpus(
     corpus: Sequence[Instance], config: AugmentConfig
 ) -> tuple[list[AugmentedInstance], AugmentManifest]:
@@ -251,25 +268,25 @@ def build_augmented_corpus(
     ``round(target% × total_target)`` are then filled — Irrelevant by rule
     replacement over sources with a non-empty scenario, Yes/No/More by
     history shuffles of same-class sources — walking the eligible parents
-    round-robin so provenance spreads across rules. Candidates whose
-    canonical content hash was already emitted never count toward a quota; a
-    deficit that cannot be filled with unique variants is reported as a
-    shortfall rather than papered over.
+    round-robin so provenance spreads across rules. Candidates whose content
+    key (:func:`~sharctool.corpus.content_key`) was already emitted never
+    count toward a quota; a deficit that cannot be filled with unique
+    variants is reported as a shortfall rather than papered over.
     """
     config.validate(len(corpus))
     out: list[AugmentedInstance] = []
-    seen_hashes: set[str] = set()
+    seen_content: set[tuple] = set()
     used_ids: set[str] = set()
     duplicates_dropped = 0
     original_duplicates = 0
 
     if config.keep_original:
         for instance in corpus:
-            digest = content_hash(instance)
-            if digest in seen_hashes:
+            key = content_key(instance)
+            if key in seen_content:
                 original_duplicates += 1
                 continue
-            seen_hashes.add(digest)
+            seen_content.add(key)
             used_ids.add(instance.utterance_id)
             out.append(
                 AugmentedInstance(
@@ -288,13 +305,13 @@ def build_augmented_corpus(
 
     def admit(candidate: AugmentedInstance, label: ClassLabel) -> bool:
         nonlocal duplicates_dropped
-        digest = content_hash(candidate.instance)
-        if digest in seen_hashes:
+        key = content_key(candidate.instance)
+        if key in seen_content:
             duplicates_dropped += 1
             return False
         if candidate.instance.utterance_id in used_ids:  # pragma: no cover - hash ids collide only by data quirk
             candidate.instance.utterance_id += "-dup"
-        seen_hashes.add(digest)
+        seen_content.add(key)
         used_ids.add(candidate.instance.utterance_id)
         out.append(candidate)
         generated[label] += 1
@@ -306,7 +323,7 @@ def build_augmented_corpus(
     need = deficits[ClassLabel.IRRELEVANT]
     if need:
         eligible = [inst for inst in corpus if inst.scenario.strip()]
-        streams = {p.utterance_id: _stream(config.seed, "rule-replace", p.utterance_id) for p in eligible}
+        streams = _Streams(config.seed, "rule-replace")
         for _ in range(max_passes):
             if generated[ClassLabel.IRRELEVANT] >= need or not eligible:
                 break
@@ -341,7 +358,7 @@ def build_augmented_corpus(
         ]
         if not eligible:
             continue
-        streams = {p.utterance_id: _stream(config.seed, f"shuffle-{label.value}", p.utterance_id) for p in eligible}
+        streams = _Streams(config.seed, f"shuffle-{label.value}")
         emitted: dict[str, int] = {p.utterance_id: 0 for p in eligible}
         attempts: dict[str, int] = {p.utterance_id: 0 for p in eligible}
         attempt_cap = 4 * config.max_permutations_per_instance
@@ -394,21 +411,14 @@ def build_augmented_corpus(
 
 
 def write_augmented(path: str | Path, items: Iterable[AugmentedInstance]) -> None:
-    """Write augmented instances as one-record-per-line JSON with provenance."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for item in items:
-            handle.write(dumps_record(item.to_record()))
-            handle.write("\n")
+    """Write augmented instances as one-record-per-line JSON with provenance, atomically."""
+    write_jsonl(path, (item.to_record() for item in items), dumps_record)
 
 
 def load_augmented(path: str | Path) -> list[AugmentedInstance]:
     """Read a file written by :func:`write_augmented`."""
     items: list[AugmentedInstance] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for _, record in read_jsonl(path):
         items.append(
             AugmentedInstance(
                 instance=record_to_instance(record),

@@ -17,7 +17,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, TokenizedText, corpus_pass, derive_label, dumps_record, tokenize
+from .corpus import (
+    ClassLabel,
+    Instance,
+    TokenizedText,
+    corpus_pass,
+    derive_label,
+    dumps_record,
+    read_jsonl,
+    tokenize,
+    write_jsonl,
+)
 from .evaluate import evaluate
 from .markers import BASIC_STOPWORDS, lcs_match
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
@@ -349,10 +359,7 @@ def tune(
 
 
 def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for prediction in predictions:
-            handle.write(dumps_record(prediction.to_record()))
-            handle.write("\n")
+    write_jsonl(path, (prediction.to_record() for prediction in predictions), dumps_record)
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
@@ -363,14 +370,8 @@ def load_predictions(path: str | Path) -> dict[str, str]:
     ``utterance_id`` that occurs twice.
     """
     outputs: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"{where}: record is not an object")
         for key in ("utterance_id", "answer"):

@@ -9,6 +9,7 @@ checked byte for byte. Randomized commands require an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from .baseline import (
     write_params,
     write_predictions,
 )
-from .corpus import ClassLabel, LoadAudit, load_corpus, load_corpus_audited, write_corpus
+from .corpus import ClassLabel, LoadAudit, load_corpus, load_corpus_audited, write_corpus, write_jsonl
 from .evaluate import evaluate, render_report, write_report
 from .markers import BASIC_STOPWORDS, annotate_corpus
 from .probe import probe_corpus
@@ -118,7 +119,26 @@ def _load_checked(path: str, expect_digest: Optional[str], manifest: Optional[_M
     resolved = _check_input(path, expect_digest)
     if manifest is not None:
         manifest.add_input(resolved)
-    return load_corpus(resolved)
+    return _load_frozen(load_corpus, resolved)
+
+
+def _load_frozen(load, *args):
+    """Call a corpus loader, then move everything it built out of the collector's reach.
+
+    The process runs one command, so no collection needs to walk the corpus
+    again. The collector stays off until the freeze: re-enabling it first
+    would walk the whole new corpus once in the next young-generation
+    collection.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = load(*args)
+        gc.freeze()
+        return loaded
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _parse_targets(spec: str) -> dict[ClassLabel, float]:
@@ -142,7 +162,7 @@ def _parse_targets(spec: str) -> dict[ClassLabel, float]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     resolved = _check_input(args.infile, args.expect_digest)
     strictness = "strict" if args.strict else "lenient"
-    instances, audit = load_corpus_audited(resolved, strictness)
+    instances, audit = _load_frozen(load_corpus_audited, resolved, strictness)
     print(_render_audit(resolved, audit))
     if args.out:
         manifest = _Manifest(args.argv, {"strictness": strictness})
@@ -218,6 +238,11 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     return 0
 
 
+# markers.jsonl keeps its own encoding, not dumps_record's: non-ASCII kept,
+# default separators, keys in insertion order.
+_ANNOTATION_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _cmd_annotate(args: argparse.Namespace) -> int:
     stopwords = BASIC_STOPWORDS if args.stopwords == "basic" else frozenset()
     manifest = _Manifest(args.argv, {"stopwords": args.stopwords, "raw_tokens": args.raw_tokens})
@@ -226,9 +251,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         corpus, use_normalized=not args.raw_tokens, stopwords=stopwords
     )
     out = Path(args.out)
-    with out.open("w", encoding="utf-8") as handle:
-        for annotation in annotations:
-            handle.write(json.dumps(annotation.to_record(), ensure_ascii=False) + "\n")
+    write_jsonl(out, (a.to_record() for a in annotations), _ANNOTATION_ENCODER.encode)
     manifest.add_output(out)
     manifest.write(out)
     coverage = stats.span_coverage

@@ -10,14 +10,18 @@ one-record-per-line serialization they round-trip through.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import os
 import re
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "ClassLabel",
@@ -28,14 +32,17 @@ __all__ = [
     "Token",
     "TokenizedText",
     "content_hash",
+    "content_key",
     "corpus_pass",
     "derive_label",
     "instance_to_record",
     "load_corpus",
     "load_corpus_audited",
     "pass_memo",
+    "read_jsonl",
     "tokenize",
     "write_corpus",
+    "write_jsonl",
 ]
 
 
@@ -185,9 +192,12 @@ def tokenize(text: str) -> TokenizedText:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DialogTurn:
-    """One follow-up question together with the user's yes/no reply."""
+class DialogTurn(NamedTuple):
+    """One follow-up question together with the user's yes/no reply.
+
+    A named tuple rather than a frozen dataclass: corpora hold tens of
+    thousands of turns, and a tuple is built and hashed in C.
+    """
 
     follow_up_question: str
     follow_up_answer: str  # "Yes" or "No"
@@ -206,8 +216,9 @@ class Instance:
     evidence: list[DialogTurn] = field(default_factory=list)
     gold_answer: str = ""
 
-    @property
+    @cached_property
     def label(self) -> ClassLabel:
+        # Derived once per instance: nothing reassigns gold_answer.
         return derive_label(self.gold_answer)
 
     @property
@@ -236,24 +247,31 @@ def instance_to_record(instance: Instance) -> dict:
     }
 
 
-def content_hash(instance: Instance) -> str:
-    """Canonical hash of what the instance *says*, ignoring identifiers.
+def content_key(instance: Instance) -> tuple:
+    """What the instance *says*, ignoring identifiers, as a hashable tuple.
 
     Two instances with the same rule text, question, scenario, ordered history
-    and gold answer collide, which is exactly the duplicate notion the
+    and gold answer have equal keys, which is exactly the duplicate notion the
     augmentation stage deduplicates on.
     """
-    payload = json.dumps(
-        [
-            instance.rule_text,
-            instance.question,
-            instance.scenario,
-            [[t.follow_up_question, t.follow_up_answer] for t in instance.history],
-            instance.gold_answer,
-        ],
-        ensure_ascii=False,
-        separators=(",", ":"),
+    return (
+        instance.rule_text,
+        instance.question,
+        instance.scenario,
+        tuple(instance.history),
+        instance.gold_answer,
     )
+
+
+# One encoder per output format, built once: ``json.dumps`` with any keyword
+# argument constructs a fresh encoder on every call.
+_HASH_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def content_hash(instance: Instance) -> str:
+    """SHA-256 of the compact JSON of :func:`content_key`; equal exactly when the keys are."""
+    payload = _HASH_ENCODER.encode(content_key(instance))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -292,6 +310,7 @@ _ANSWER_WORDS = {"yes": "Yes", "no": "No"}
 
 
 def _parse_turn(item: object, where: str) -> DialogTurn:
+    """Parse a turn in full: normalize the answer's case or raise naming ``where``."""
     if not isinstance(item, dict):
         raise CorpusError(f"{where}: turn is not an object: {item!r}")
     question = item.get("follow_up_question")
@@ -316,63 +335,102 @@ def _parse_evidence_item(item: object, where: str) -> DialogTurn:
     return _parse_turn(item, where)
 
 
-def _parse_record(record: object, where: str, strictness: str, audit: LoadAudit) -> Optional[Instance]:
+def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
+    """Build one instance, or raise ``CorpusError`` naming the place inside the record.
+
+    The caller prefixes the record's own location, so location strings are
+    built only on the path that raises. A turn already in canonical form
+    (an object with a non-blank question and the answer ``"Yes"`` or
+    ``"No"``) is taken as is; anything else goes through
+    :func:`_parse_turn`, which normalizes or raises.
+    """
     if not isinstance(record, dict):
-        raise CorpusError(f"{where}: record is not an object")
+        raise CorpusError("record is not an object")
     for key in _REQUIRED_STRING_FIELDS:
         if not isinstance(record.get(key), str):
-            raise CorpusError(f"{where}: field {key!r} is missing or not a string")
+            raise CorpusError(f"field {key!r} is missing or not a string")
     history_raw = record.get("history", [])
     evidence_raw = record.get("evidence", [])
     if not isinstance(history_raw, list) or not isinstance(evidence_raw, list):
-        raise CorpusError(f"{where}: history and evidence must be lists")
+        raise CorpusError("history and evidence must be lists")
 
-    history = [_parse_turn(item, f"{where}: history[{i}]") for i, item in enumerate(history_raw)]
+    history: list[DialogTurn] = []
+    for i, item in enumerate(history_raw):
+        if type(item) is dict:
+            question = item.get("follow_up_question")
+            answer = item.get("follow_up_answer")
+            if (answer == "Yes" or answer == "No") and type(question) is str and question.strip():
+                history.append(DialogTurn(question, answer))
+                continue
+        history.append(_parse_turn(item, f"history[{i}]"))
 
     evidence: list[DialogTurn] = []
     for i, item in enumerate(evidence_raw):
+        if type(item) is dict:
+            question = item.get("follow_up_question")
+            answer = item.get("follow_up_answer")
+            if (answer == "Yes" or answer == "No") and type(question) is str and question.strip():
+                evidence.append(DialogTurn(question, answer))
+                continue
         try:
-            evidence.append(_parse_evidence_item(item, f"{where}: evidence[{i}]"))
+            evidence.append(_parse_evidence_item(item, f"evidence[{i}]"))
         except _PartialEvidence:
             audit.dropped_evidence_items += 1
             audit.note("evidence_missing_answer")
         except CorpusError:
-            if strictness == "strict":
+            if strict:
                 raise
             audit.dropped_evidence_items += 1
             audit.note("evidence_malformed")
 
     return Instance(
-        utterance_id=record["utterance_id"],
-        tree_id=record["tree_id"],
-        rule_text=record["snippet"],
-        question=record["question"],
-        scenario=record["scenario"],
-        history=history,
-        evidence=evidence,
-        gold_answer=record["answer"],
+        record["utterance_id"],
+        record["tree_id"],
+        record["snippet"],
+        record["question"],
+        record["scenario"],
+        history,
+        evidence,
+        record["answer"],
     )
 
 
-def _read_records(path: Path) -> list:
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if not stripped:
-        return []
-    if stripped[0] == "[":
-        records = json.loads(text)
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, decoded value)`` for each non-blank line of a JSONL file.
+
+    Lines are read one at a time, so no more than one undecoded line is held.
+    They end at a newline only: the writers emit U+0085, U+2028 and U+2029
+    raw inside strings, where ``str.splitlines`` would cut a record in two.
+    A line that is not JSON raises ``CorpusError`` naming ``<path>:<line>``.
+    """
+    with open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, value
+
+
+def _is_json_list(path: Path) -> bool:
+    """True when the file's first non-whitespace character opens a JSON list."""
+    with path.open(encoding="utf-8") as handle:
+        while chunk := handle.read(4096):
+            head = chunk.lstrip()
+            if head:
+                return head[0] == "["
+    return False
+
+
+def _read_records(path: Path) -> Iterable:
+    if _is_json_list(path):
+        records = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(records, list):
             raise CorpusError(f"{path}: top-level JSON value is not a list")
         return records
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    return records
+    return (record for _, record in read_jsonl(path))
 
 
 def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
@@ -383,33 +441,43 @@ def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[l
     evidence items) while counting every drop in the audit. Evidence items
     that merely omit the answer are dropped in both modes: they are an
     expected form of partial data, not corruption.
+
+    The cyclic garbage collector is paused while the corpus is built (the
+    loader makes no reference cycles, and each collection would re-walk the
+    growing corpus) and left as it was found afterwards.
     """
     if strictness not in ("strict", "lenient"):
         raise ValueError(f"unknown strictness {strictness!r}")
+    strict = strictness == "strict"
     path = Path(path)
     audit = LoadAudit()
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    for index, record in enumerate(_read_records(path)):
-        audit.records_read += 1
-        where = f"{path.name}[{index}]"
-        try:
-            instance = _parse_record(record, where, strictness, audit)
-        except CorpusError:
-            if strictness == "strict":
-                raise
-            audit.dropped_instances += 1
-            audit.note("instance_malformed")
-            continue
-        if instance.utterance_id in seen_ids:
-            if strictness == "strict":
-                raise CorpusError(f"{where}: duplicate utterance_id {instance.utterance_id!r}")
-            audit.duplicate_ids_dropped += 1
-            audit.dropped_instances += 1
-            audit.note("duplicate_utterance_id")
-            continue
-        seen_ids.add(instance.utterance_id)
-        instances.append(instance)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for index, record in enumerate(_read_records(path)):
+            audit.records_read += 1
+            try:
+                instance = _parse_record(record, strict, audit)
+            except CorpusError as exc:
+                if strict:
+                    raise CorpusError(f"{path.name}[{index}]: {exc}") from None
+                audit.dropped_instances += 1
+                audit.note("instance_malformed")
+                continue
+            if instance.utterance_id in seen_ids:
+                if strict:
+                    raise CorpusError(f"{path.name}[{index}]: duplicate utterance_id {instance.utterance_id!r}")
+                audit.duplicate_ids_dropped += 1
+                audit.dropped_instances += 1
+                audit.note("duplicate_utterance_id")
+                continue
+            seen_ids.add(instance.utterance_id)
+            instances.append(instance)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     audit.instances_kept = len(instances)
     return instances, audit
 
@@ -422,20 +490,49 @@ def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:
 
 def record_to_instance(record: dict) -> Instance:
     """Parse one already-decoded record strictly; extra keys are ignored."""
-    instance = _parse_record(record, "record", "strict", LoadAudit())
-    assert instance is not None
-    return instance
+    try:
+        return _parse_record(record, True, LoadAudit())
+    except CorpusError as exc:
+        raise CorpusError(f"record: {exc}") from None
 
 
 def dumps_record(record: dict) -> str:
     """Canonical single-line JSON used for every file this package writes."""
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record)
+
+
+def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], str]) -> None:
+    """Write ``encode(record)`` per line, atomically.
+
+    The lines go to a temporary file next to the target, which then replaces
+    the target and takes over its permission bits; on any error the
+    temporary file is removed and an existing target is left as it was. A
+    symlinked target is written through. A
+    target that is not a plain file in an existing directory (a device, a
+    directory, a missing parent) is opened as it is, so it works or fails
+    just as ``open(path, "w")`` does.
+    """
+    target = Path(os.path.realpath(path))
+    if not target.parent.is_dir() or (target.exists() and not target.is_file()):
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(encode(record) + "\n")
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            for record in records:
+                handle.write(encode(record) + "\n")
+        if target.exists():
+            os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:
-    """Write instances as canonical one-record-per-line JSON."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for instance in instances:
-            handle.write(dumps_record(instance_to_record(instance)))
-            handle.write("\n")
+    """Write instances as canonical one-record-per-line JSON, atomically."""
+    write_jsonl(path, map(instance_to_record, instances), dumps_record)

@@ -1,0 +1,383 @@
+"""Corpus file I/O: loader error messages, audits, writer byte stability."""
+
+import gc
+import hashlib
+import json
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sharctool.augment import AugmentConfig, build_augmented_corpus, load_augmented, write_augmented
+from sharctool.cli import main
+from sharctool.corpus import (
+    ClassLabel,
+    CorpusError,
+    DialogTurn,
+    Instance,
+    content_hash,
+    content_key,
+    dumps_record,
+    load_corpus,
+    load_corpus_audited,
+    write_corpus,
+    write_jsonl,
+)
+from sharctool.synthcorpus import SplitSpec, generate_split
+
+
+def _record(**overrides):
+    record = {
+        "utterance_id": "u-1",
+        "tree_id": "t-1",
+        "snippet": "You can claim if you are over 60.",
+        "question": "Can I claim?",
+        "scenario": "",
+        "history": [],
+        "evidence": [],
+        "answer": "Yes",
+    }
+    record.update(overrides)
+    return record
+
+
+def _turn(question="Over 60?", answer="Yes"):
+    return {"follow_up_question": question, "follow_up_answer": answer}
+
+
+def _write_lines(tmp_path, *records):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+# --------------------------------------------------------------------------
+# Every loader error, word for word
+# --------------------------------------------------------------------------
+
+_MISSING_TREE = _record()
+del _MISSING_TREE["tree_id"]
+
+LOADER_ERRORS = {
+    "record-not-object": (["just a string"], "corpus.jsonl[0]: record is not an object"),
+    "field-missing": ([_MISSING_TREE], "corpus.jsonl[0]: field 'tree_id' is missing or not a string"),
+    "field-not-string": (
+        [_record(answer=7)],
+        "corpus.jsonl[0]: field 'answer' is missing or not a string",
+    ),
+    "history-not-list": (
+        [_record(history="Over 60? Yes")],
+        "corpus.jsonl[0]: history and evidence must be lists",
+    ),
+    "evidence-not-list": (
+        [_record(evidence={"a": 1})],
+        "corpus.jsonl[0]: history and evidence must be lists",
+    ),
+    "turn-not-object": (
+        [_record(history=[_turn(), ["Over 60?", "Yes"]])],
+        "corpus.jsonl[0]: history[1]: turn is not an object: ['Over 60?', 'Yes']",
+    ),
+    "question-missing": (
+        [_record(history=[{"follow_up_answer": "Yes"}])],
+        "corpus.jsonl[0]: history[0]: missing or empty follow_up_question",
+    ),
+    "question-empty": (
+        [_record(history=[_turn(question="   ")])],
+        "corpus.jsonl[0]: history[0]: missing or empty follow_up_question",
+    ),
+    "answer-missing": (
+        [_record(history=[{"follow_up_question": "Over 60?"}])],
+        "corpus.jsonl[0]: history[0]: missing follow_up_answer",
+    ),
+    "answer-not-string": (
+        [_record(history=[_turn(answer=True)])],
+        "corpus.jsonl[0]: history[0]: missing follow_up_answer",
+    ),
+    "answer-not-polar": (
+        [_record(history=[_turn(), _turn("Living in London?", "Maybe")])],
+        "corpus.jsonl[0]: history[1]: follow_up_answer must be Yes or No, got 'Maybe'",
+    ),
+    "second-record": (
+        [_record(), _record(utterance_id="u-2", history=[_turn(answer="")])],
+        "corpus.jsonl[1]: history[0]: follow_up_answer must be Yes or No, got ''",
+    ),
+    "evidence-malformed": (
+        [_record(evidence=[_turn(), _turn(answer="Perhaps")])],
+        "corpus.jsonl[0]: evidence[1]: follow_up_answer must be Yes or No, got 'Perhaps'",
+    ),
+    "evidence-not-object": (
+        [_record(evidence=[42])],
+        "corpus.jsonl[0]: evidence[0]: turn is not an object: 42",
+    ),
+    "duplicate-id": (
+        [_record(), _record(question="Same id, new text?")],
+        "corpus.jsonl[1]: duplicate utterance_id 'u-1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("records, message", LOADER_ERRORS.values(), ids=LOADER_ERRORS.keys())
+def test_strict_loader_error_messages(tmp_path, records, message):
+    path = _write_lines(tmp_path, *records)
+    with pytest.raises(CorpusError) as raised:
+        load_corpus_audited(path, "strict")
+    assert str(raised.value) == message
+
+
+def test_invalid_json_line_names_the_path_and_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_record()) + "\n\n{not json\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as raised:
+        load_corpus_audited(path, "lenient")
+    assert str(raised.value) == (
+        f"{path}:3: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
+def test_lenient_audit_counts_and_reasons(tmp_path):
+    path = _write_lines(
+        tmp_path,
+        _record(),
+        "just a string",
+        _record(utterance_id="u-2", history=[_turn(answer="Maybe")]),
+        _record(question="Same id again?"),
+        _record(utterance_id="u-3", evidence=[_turn(), _turn(answer="Perhaps"), {"follow_up_question": "Q?"}]),
+        _record(utterance_id="u-4", evidence=[7, _turn(answer="no")]),
+        _record(utterance_id="u-5", history=[_turn(answer=" yes ")]),
+    )
+    instances, audit = load_corpus_audited(path, "lenient")
+    assert [i.utterance_id for i in instances] == ["u-1", "u-3", "u-4", "u-5"]
+    assert [len(i.evidence) for i in instances] == [0, 1, 1, 0]
+    assert instances[2].evidence[0].follow_up_answer == "No"
+    assert instances[3].history[0].follow_up_answer == "Yes"
+    assert audit.to_dict() == {
+        "records_read": 7,
+        "instances_kept": 4,
+        "dropped_instances": 3,
+        "dropped_evidence_items": 3,
+        "duplicate_ids_dropped": 1,
+        "reasons": {
+            "duplicate_utterance_id": 1,
+            "evidence_malformed": 2,
+            "evidence_missing_answer": 1,
+            "instance_malformed": 2,
+        },
+    }
+
+
+# --------------------------------------------------------------------------
+# write_augmented output, pinned
+# --------------------------------------------------------------------------
+
+PIN_SPEC = SplitSpec(
+    name="pin",
+    seed=5,
+    class_counts={ClassLabel.IRRELEVANT: 10, ClassLabel.YES: 40, ClassLabel.NO: 40, ClassLabel.MORE: 40},
+    tree_count=40,
+)
+
+
+def test_write_augmented_bytes_are_pinned(tmp_path):
+    # Recorded before the per-parent RNG streams became lazy; every stream
+    # depends only on (seed, purpose, parent id), so the bytes must not move.
+    items, manifest = build_augmented_corpus(generate_split(PIN_SPEC), AugmentConfig(seed=13, total_target=260))
+    assert manifest.duplicates_dropped == 108
+    assert manifest.shortfalls == {"Irrelevant": 0, "Yes": 0, "No": 0, "More": 4}
+    path = tmp_path / "aug.jsonl"
+    write_augmented(path, items)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b08c93de032719e77f6c61b26c8e80f267338d8cea26a95bbe3bdbcc804071c0"
+    )
+
+
+# --------------------------------------------------------------------------
+# The collector is paused during a load and left as it was found
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+@pytest.mark.parametrize("outcome", ["success", "raise"])
+def test_load_leaves_the_collector_as_it_was(tmp_path, restore_gc, enabled_before, outcome):
+    records = [_record()] if outcome == "success" else [_record(), _record()]
+    path = _write_lines(tmp_path, *records)
+    (gc.enable if enabled_before else gc.disable)()
+    if outcome == "success":
+        assert len(load_corpus(path)) == 1
+    else:
+        with pytest.raises(CorpusError, match="duplicate"):
+            load_corpus(path)
+    assert gc.isenabled() is enabled_before
+
+
+def test_cli_freezes_the_loaded_corpus_and_restores_the_collector(tmp_path, restore_gc):
+    corpus = _write_lines(tmp_path, _record())
+    gc.unfreeze()
+    try:
+        assert main(["validate", "--in", str(corpus)]) == 0
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+# --------------------------------------------------------------------------
+# Atomic JSONL writes
+# --------------------------------------------------------------------------
+
+
+def test_encoder_failing_mid_stream_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old contents\n", encoding="utf-8")
+
+    def encode(record):
+        if record == 3:
+            raise ValueError("cannot encode 3")
+        return json.dumps(record)
+
+    with pytest.raises(ValueError, match="cannot encode 3"):
+        write_jsonl(target, range(5), encode)
+    assert target.read_text(encoding="utf-8") == "old contents\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_failing_replace_removes_the_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_jsonl(tmp_path / "out.jsonl", [{"a": 1}], json.dumps)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_jsonl_replaces_the_target_and_writes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    write_jsonl(link, [{"b": 1, "a": "\u00e9"}], dumps_record)
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == '{"a":"\u00e9","b":1}\n'
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
+
+
+def test_write_jsonl_keeps_the_target_permissions(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o600)
+    write_jsonl(target, [{"a": 1}], dumps_record)
+    assert target.read_text(encoding="utf-8") == '{"a":1}\n'
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_out_pointing_at_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    corpus = tmp_path / "in" / "corpus.jsonl"
+    corpus.parent.mkdir()
+    _write_lines(corpus.parent, _record())
+    out = tmp_path / "out"
+    out.mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert main(["validate", "--in", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Is a directory" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_invalid_augmented_line_names_the_path_and_line(tmp_path):
+    path = tmp_path / "aug.jsonl"
+    path.write_text(json.dumps(_record()) + "\n[1,\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"aug\.jsonl:2: invalid JSON: "):
+        load_augmented(path)
+
+
+# --------------------------------------------------------------------------
+# Properties
+# --------------------------------------------------------------------------
+
+# Any Unicode but lone surrogates, which UTF-8 cannot encode; this includes
+# U+0085, U+2028 and U+2029, which the writer leaves raw inside strings.
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_question = _text.filter(str.strip)
+_raw_turn = st.fixed_dictionaries(
+    {
+        "follow_up_question": _question,
+        "follow_up_answer": st.sampled_from(["Yes", "No", "yes", " NO ", "no"]),
+    }
+)
+
+
+@st.composite
+def _raw_corpus(draw):
+    records = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "tree_id": _text,
+                    "snippet": _text,
+                    "question": _text,
+                    "scenario": _text,
+                    "history": st.lists(_raw_turn, max_size=3),
+                    "evidence": st.lists(_raw_turn, max_size=2),
+                    "answer": _text,
+                }
+            ),
+            max_size=4,
+        )
+    )
+    ids = draw(st.lists(_text, min_size=len(records), max_size=len(records), unique=True))
+    for record, uid in zip(records, ids):
+        record["utterance_id"] = uid
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_raw_corpus(), ensure_ascii=st.booleans())
+def test_load_write_round_trip_is_byte_stable(tmp_path_factory, records, ensure_ascii):
+    tmp = tmp_path_factory.mktemp("round-trip")
+    source = tmp / "source.jsonl"
+    source.write_text(
+        "".join(json.dumps(r, ensure_ascii=ensure_ascii) + "\n" for r in records), encoding="utf-8"
+    )
+    first, second = tmp / "first.jsonl", tmp / "second.jsonl"
+    write_corpus(first, load_corpus(source))
+    write_corpus(second, load_corpus(first))
+    assert first.read_bytes() == second.read_bytes()
+    assert [i.utterance_id for i in load_corpus(second)] == [r["utterance_id"] for r in records]
+
+
+_word = st.sampled_from(["", "a", "b", "Yes", "\u2028"])
+_instance = st.builds(
+    Instance,
+    utterance_id=_word,
+    tree_id=_word,
+    rule_text=_word,
+    question=_word,
+    scenario=_word,
+    history=st.lists(st.builds(DialogTurn, _word, st.sampled_from(["Yes", "No"])), max_size=2),
+    evidence=st.lists(st.builds(DialogTurn, _word, st.sampled_from(["Yes", "No"])), max_size=1),
+    gold_answer=_word,
+)
+
+
+@given(a=_instance, b=_instance)
+def test_content_key_and_content_hash_agree(a, b):
+    assert (content_key(a) == content_key(b)) == (content_hash(a) == content_hash(b))
+
+
+def test_content_key_sees_history_order_but_not_ids(make_instance, turn):
+    t1, t2 = turn("Over 60?", "Yes"), turn("In London?", "No")
+    a = make_instance(utterance_id="a", tree_id="t-1", history=[t1, t2], evidence=[t1])
+    b = make_instance(utterance_id="b", tree_id="t-2", history=[t1, t2])
+    c = make_instance(utterance_id="a", tree_id="t-1", history=[t2, t1], evidence=[t1])
+    assert content_key(a) == content_key(b) and content_hash(a) == content_hash(b)
+    assert content_key(a) != content_key(c) and content_hash(a) != content_hash(c)

@@ -218,3 +218,28 @@ def test_probe_corpus_assembles_everything(make_instance, turn):
     assert payload["class_distribution"]["More"] == pytest.approx(50.0)
     assert payload["followup_rate_by_turn"]["0"]["total"] == 10
     assert payload["last_followup_agreement"]["denominator"] == 8
+
+
+def test_probe_corpus_derives_each_class_once(make_instance, turn, monkeypatch):
+    import sharctool.corpus
+
+    calls = []
+    derive = sharctool.corpus.derive_label
+
+    def counting(answer):
+        calls.append(answer)
+        return derive(answer)
+
+    monkeypatch.setattr(sharctool.corpus, "derive_label", counting)
+    answers = ["Yes", "No", "Irrelevant", "Do you work?", " yes ", "Are you 60?"]
+    corpus = [
+        make_instance(
+            utterance_id=f"u-{i}",
+            scenario="I am 70." if i % 2 else "",
+            history=[turn("Over 60?", "Yes" if i % 3 else "No")] * (i % 3),
+            gold_answer=answer,
+        )
+        for i, answer in enumerate(answers * 5)
+    ]
+    probe_corpus(corpus, split_name="fixture", min_support=1)
+    assert 0 < len(calls) <= len(corpus)
