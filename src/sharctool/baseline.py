@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .corpus import (
     ClassLabel,
@@ -26,6 +26,7 @@ from .corpus import (
     dumps_record,
     read_jsonl,
     tokenize,
+    write_json,
     write_jsonl,
 )
 from .evaluate import evaluate
@@ -130,10 +131,37 @@ def _is_lead_in(clause: Clause) -> bool:
     return clause.kind is ClauseKind.SENTENCE and clause.text.rstrip().endswith(":")
 
 
-def _coverage(clause_tokens: TokenizedText, matchable: int, utterance: TokenizedText) -> float:
-    if not matchable:
-        return 1.0
-    return len(lcs_match(clause_tokens, utterance)) / matchable
+@dataclass(frozen=True)
+class _AskableClause:
+    ordinal: int
+    tokens: TokenizedText
+    matchable: int  # tokens with a normalized form; always > 0
+    followup: str
+
+
+@dataclass(frozen=True)
+class _RulePlan:
+    """What the policy reads from one rule text, built once per distinct text."""
+
+    logic: LogicType
+    content: set[str]  # the rule's content tokens, for question overlap
+    clauses: tuple[_AskableClause, ...]  # askable clauses in document order
+
+
+def _plan(rule_text: str, structure: RuleStructure) -> _RulePlan:
+    clauses = []
+    for clause in structure.clauses:
+        if clause.kind is ClauseKind.HEADER or _is_lead_in(clause):
+            continue
+        tokens = tokenize(clause.text)
+        matchable = sum(1 for t in tokens.tokens if t.normalized)
+        if matchable:
+            clauses.append(_AskableClause(clause.ordinal, tokens, matchable, generate_followup(clause)))
+    return _RulePlan(structure.logic, _content_tokens(tokenize(rule_text)), tuple(clauses))
+
+
+def _coverage(clause: _AskableClause, utterance: TokenizedText) -> float:
+    return len(lcs_match(clause.tokens, utterance)) / clause.matchable
 
 
 @dataclass
@@ -141,55 +169,37 @@ class _Features:
     """Everything threshold-free that the decision steps consume."""
 
     utterance_id: str
+    plan: _RulePlan
     empty_context: bool
     question_overlap: float
-    logic: LogicType
     answers: list[str]
-    n_h: int
-    clauses: list[Clause]  # askable clauses in document order
-    asked_fraction: dict[int, float]  # ordinal -> best LCS coverage by a history question
-    scenario_fraction: dict[int, float]  # ordinal -> LCS coverage by the scenario
-    followups: dict[int, str]  # ordinal -> templated question
+    asked_fraction: list[float]  # per plan clause: best LCS coverage by a history question
+    scenario_fraction: list[float]  # per plan clause: LCS coverage by the scenario
 
 
-def _features(instance: Instance, structure: RuleStructure) -> _Features:
-    rule_tokens = tokenize(instance.rule_text)
-    question_tokens = tokenize(instance.question)
-    scenario_tokens = tokenize(instance.scenario)
-    history_tokens = [tokenize(turn.follow_up_question) for turn in instance.history]
-
-    askable: list[Clause] = []
-    asked_fraction: dict[int, float] = {}
-    scenario_fraction: dict[int, float] = {}
-    followups: dict[int, str] = {}
-    for clause in structure.clauses:
-        if clause.kind is ClauseKind.HEADER or _is_lead_in(clause):
-            continue
-        clause_tokens = tokenize(clause.text)
-        matchable = sum(1 for t in clause_tokens.tokens if t.normalized)
-        if not matchable:
-            continue
-        askable.append(clause)
-        asked_fraction[clause.ordinal] = max(
-            (_coverage(clause_tokens, matchable, q) for q in history_tokens), default=0.0
-        )
-        scenario_fraction[clause.ordinal] = (
-            _coverage(clause_tokens, matchable, scenario_tokens) if instance.scenario.strip() else 0.0
-        )
-        followups[clause.ordinal] = generate_followup(clause)
-
+def _features(instance: Instance, plan: _RulePlan) -> _Features:
+    history = [tokenize(turn.follow_up_question) for turn in instance.history]
+    scenario = tokenize(instance.scenario) if instance.scenario.strip() else None
     return _Features(
         utterance_id=instance.utterance_id,
+        plan=plan,
         empty_context=instance.has_empty_context,
-        question_overlap=_jaccard(_content_tokens(question_tokens), _content_tokens(rule_tokens)),
-        logic=structure.logic,
+        question_overlap=_jaccard(_content_tokens(tokenize(instance.question)), plan.content),
         answers=[turn.follow_up_answer for turn in instance.history],
-        n_h=len(instance.history),
-        clauses=askable,
-        asked_fraction=asked_fraction,
-        scenario_fraction=scenario_fraction,
-        followups=followups,
+        asked_fraction=[max((_coverage(c, q) for q in history), default=0.0) for c in plan.clauses],
+        scenario_fraction=[0.0 if scenario is None else _coverage(c, scenario) for c in plan.clauses],
     )
+
+
+def _corpus_features(corpus: Iterable[Instance], cues: CueSet) -> Iterator[_Features]:
+    """Yield each instance's features inside one corpus pass, planning each distinct rule text once."""
+    plans: dict[str, _RulePlan] = {}
+    with corpus_pass():
+        for instance in corpus:
+            plan = plans.get(instance.rule_text)
+            if plan is None:
+                plan = plans[instance.rule_text] = _plan(instance.rule_text, parse_rule(instance.rule_text, cues))
+            yield _features(instance, plan)
 
 
 _FALLBACK_OUTPUT = {
@@ -202,37 +212,36 @@ _FALLBACK_OUTPUT = {
 
 def _decide(features: _Features, params: PolicyParams) -> tuple[str, Optional[int], int]:
     """Apply the six policy steps; returns (output, asked ordinal, step fired)."""
+    logic = features.plan.logic
     # (1) empty context + off-topic question
     if features.empty_context and features.question_overlap < params.tau_irr:
         return ClassLabel.IRRELEVANT.value, None, 1
     # (2) decisive answer under cued logic
-    if features.logic is LogicType.DISJUNCTIVE and "Yes" in features.answers:
+    if logic is LogicType.DISJUNCTIVE and "Yes" in features.answers:
         return "Yes", None, 2
-    if features.logic is LogicType.CONJUNCTIVE and "No" in features.answers:
+    if logic is LogicType.CONJUNCTIVE and "No" in features.answers:
         return "No", None, 2
     # (3)+(4) clause coverage, then a follow-up while the turn budget lasts
-    if features.n_h < params.l_max:
-        for clause in features.clauses:
-            already_asked = features.asked_fraction[clause.ordinal] >= params.rho
-            resolved = features.scenario_fraction[clause.ordinal] >= params.rho_s
-            if not already_asked and not resolved:
-                return features.followups[clause.ordinal], clause.ordinal, 4
+    if len(features.answers) < params.l_max:
+        for clause, asked, resolved in zip(features.plan.clauses, features.asked_fraction, features.scenario_fraction):
+            if asked < params.rho and resolved < params.rho_s:
+                return clause.followup, clause.ordinal, 4
     # (5) echo the last follow-up answer
     if features.answers:
         return features.answers[-1], None, 5
     # (6) fallback by logic type
-    return _FALLBACK_OUTPUT[features.logic], None, 6
+    return _FALLBACK_OUTPUT[logic], None, 6
+
+
+def _predict(features: _Features, params: PolicyParams) -> tuple[Prediction, int]:
+    """Decide one instance; returns its prediction and the policy step that fired."""
+    output, ordinal, step = _decide(features, params)
+    return Prediction(features.utterance_id, output, derive_label(output), ordinal), step
 
 
 def predict(instance: Instance, structure: RuleStructure, params: PolicyParams = PolicyParams()) -> Prediction:
     """Predict the response for one instance. Total and deterministic."""
-    output, ordinal, _ = _decide(_features(instance, structure), params)
-    return Prediction(
-        utterance_id=instance.utterance_id,
-        output=output,
-        predicted_class=derive_label(output),
-        asked_clause_ordinal=ordinal,
-    )
+    return _predict(_features(instance, _plan(instance.rule_text, structure)), params)[0]
 
 
 @dataclass
@@ -255,26 +264,14 @@ def predict_corpus(
     cues: CueSet = DEFAULT_CUES,
 ) -> tuple[list[Prediction], PolicyStats]:
     """Predict every instance, parsing each distinct rule text once."""
-    structures: dict[str, RuleStructure] = {}
     stats = PolicyStats()
     predictions: list[Prediction] = []
-    with corpus_pass():
-        for instance in corpus:
-            structure = structures.get(instance.rule_text)
-            if structure is None:
-                structure = parse_rule(instance.rule_text, cues)
-                structures[instance.rule_text] = structure
-            output, ordinal, step = _decide(_features(instance, structure), params)
-            stats.logic_counts[structure.logic.value] = stats.logic_counts.get(structure.logic.value, 0) + 1
-            stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
-            predictions.append(
-                Prediction(
-                    utterance_id=instance.utterance_id,
-                    output=output,
-                    predicted_class=derive_label(output),
-                    asked_clause_ordinal=ordinal,
-                )
-            )
+    for features in _corpus_features(corpus, cues):
+        prediction, step = _predict(features, params)
+        logic = features.plan.logic.value
+        stats.logic_counts[logic] = stats.logic_counts.get(logic, 0) + 1
+        stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
+        predictions.append(prediction)
     return predictions, stats
 
 
@@ -313,28 +310,21 @@ def tune(
 ) -> TuneResult:
     """Grid-search the policy thresholds, maximizing the combined metric.
 
-    Features (coverage fractions, overlaps, templated follow-ups) are
-    computed once; every grid point reuses them through the same decision
-    path as :func:`predict`, so tuning cannot drift from live prediction.
+    Each rule text is planned once and each instance's features (coverage
+    fractions, overlaps) are computed once; every grid point reuses them
+    through the same decision path as :func:`predict`, so tuning cannot
+    drift from live prediction.
     All grid points score inside one pass, so each distinct (output, gold)
     pair's BLEU statistics are counted once. Ties keep the first grid point
     in iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
-    structures: dict[str, RuleStructure] = {}
-    features: list[_Features] = []
     names = list(grid)
     best: Optional[PolicyParams] = None
     best_score = float("-inf")
     trials: list[dict] = []
     with corpus_pass():
-        for instance in corpus:
-            structure = structures.get(instance.rule_text)
-            if structure is None:
-                structure = parse_rule(instance.rule_text, cues)
-                structures[instance.rule_text] = structure
-            features.append(_features(instance, structure))
-
+        features = list(_corpus_features(corpus, cues))
         for values in itertools.product(*(grid[name] for name in names)):
             params = replace(PolicyParams(), **dict(zip(names, values)))
             outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
@@ -384,7 +374,7 @@ def load_predictions(path: str | Path) -> dict[str, str]:
 
 
 def write_params(path: str | Path, params: PolicyParams) -> None:
-    Path(path).write_text(json.dumps(params.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, params.to_dict())
 
 
 def load_params(path: str | Path) -> PolicyParams:

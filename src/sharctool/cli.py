@@ -29,8 +29,8 @@ from .baseline import (
     write_params,
     write_predictions,
 )
-from .corpus import ClassLabel, LoadAudit, load_corpus, load_corpus_audited, write_corpus, write_jsonl
-from .evaluate import evaluate, render_report, write_report
+from .corpus import ClassLabel, LoadAudit, load_corpus, load_corpus_audited, write_corpus, write_json, write_jsonl
+from .evaluate import evaluate, load_report, render_report, write_report
 from .markers import BASIC_STOPWORDS, annotate_corpus
 from .probe import probe_corpus
 from .ruleparse import DEFAULT_CUES, load_cues
@@ -99,7 +99,7 @@ class _Manifest:
             "output_digests": self.outputs,
         }
         path = Path(str(primary_output) + ".manifest.json")
-        path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
+        write_json(path, body)
         return path
 
 
@@ -192,7 +192,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     corpus = _load_checked(args.infile, args.expect_digest, manifest)
     report = probe_corpus(corpus, split_name=args.split_name, min_support=args.min_support)
     out = Path(args.out)
-    out.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(out, report.to_dict())
     manifest.add_output(out)
     manifest.write(out)
     dist = report.class_distribution
@@ -226,7 +226,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     write_augmented(out, augmented)
     manifest.add_output(out)
     build_path = Path(args.manifest) if args.manifest else Path(str(out) + ".build.json")
-    build_path.write_text(json.dumps(build_manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(build_path, build_manifest.to_dict())
     manifest.add_output(build_path)
     manifest.write(out)
     print(f"augmented corpus: {build_manifest.achieved_total} instances -> {out}")
@@ -295,9 +295,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     write_params(out, result.best_params)
     manifest.add_output(out)
     if args.trials:
-        trials_path = Path(args.trials)
-        trials_path.write_text(json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8")
-        manifest.add_output(trials_path)
+        write_json(args.trials, result.to_dict())
+        manifest.add_output(Path(args.trials))
     manifest.write(out)
     print(f"tuned on {result.instance_count} instances over {len(result.trials)} grid points")
     print(f"  best combined: {result.best_combined:.2f} with {result.best_params.to_dict()}")
@@ -356,7 +355,7 @@ def _fmt_cell(value: object) -> str:
 def _load_report(path: str) -> tuple[dict, str]:
     """Read a report and tell its kind: ``probe`` or ``eval``."""
     try:
-        report = json.loads(_resolve_input(path).read_text(encoding="utf-8"))
+        report = load_report(_resolve_input(path))
     except ValueError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(report, dict):
@@ -389,10 +388,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         lines.append(
             f"{title:28}{_fmt_cell(_dig(original, key)):>14}{_fmt_cell(_dig(augmented, key)):>14}"
         )
-    text = "\n".join(lines)
-    print(text)
+    print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_jsonl(args.out, lines, str)
     return 0
 
 

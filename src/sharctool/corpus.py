@@ -42,6 +42,7 @@ __all__ = [
     "read_jsonl",
     "tokenize",
     "write_corpus",
+    "write_json",
     "write_jsonl",
 ]
 
@@ -267,6 +268,7 @@ def content_key(instance: Instance) -> tuple:
 # argument constructs a fresh encoder on every call.
 _HASH_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_DOCUMENT_ENCODER = json.JSONEncoder(indent=2)  # as json.dumps(document, indent=2)
 
 
 def content_hash(instance: Instance) -> str:
@@ -531,6 +533,11 @@ def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], 
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str | Path, document: object) -> None:
+    """Write one indented JSON document and a final newline, atomically."""
+    write_jsonl(path, [document], _DOCUMENT_ENCODER.encode)
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:

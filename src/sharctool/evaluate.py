@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
+from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize, write_json
 
 __all__ = [
     "SCORING_NOTES",
@@ -259,7 +259,6 @@ class EvalReport:
     instance_count: int
     confusion: dict[str, dict[str, int]]
     notes: tuple[str, ...] = SCORING_NOTES
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -273,7 +272,6 @@ class EvalReport:
             "combined": self.combined,
             "bleu_instance_count": self.bleu_instance_count,
             "confusion": self.confusion,
-            **({"extras": self.extras} if self.extras else {}),
         }
 
 
@@ -327,7 +325,7 @@ def render_report(report: EvalReport, title: str = "evaluation") -> str:
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(path, report.to_dict())
 
 
 def load_report(path: str | Path) -> dict:

@@ -70,14 +70,6 @@ class RuleStructure:
     clauses: list[Clause] = field(default_factory=list)
     logic: LogicType = LogicType.UNKNOWN
 
-    @property
-    def non_header_clauses(self) -> list[Clause]:
-        return [c for c in self.clauses if c.kind is not ClauseKind.HEADER]
-
-    @property
-    def bullets(self) -> list[Clause]:
-        return [c for c in self.clauses if c.kind is ClauseKind.BULLET]
-
 
 def load_cues(path: str | Path) -> CueSet:
     """Read a cue file: one ``conj <phrase>`` or ``disj <phrase>`` per line.

@@ -300,6 +300,20 @@ def test_out_pointing_at_a_directory_is_one_error_line(corpus_file, tmp_path, ca
     assert "Is a directory" in _one_error_line(capsys)
 
 
+def test_failing_replace_keeps_the_old_probe_report_and_no_temp_file(corpus_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "probe.json"
+    out.write_text("old report\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["probe", "--in", str(corpus_file), "--out", str(out)]) == 1
+    assert "cannot replace" in _one_error_line(capsys)
+    assert out.read_text(encoding="utf-8") == "old report\n"
+    assert os.listdir(tmp_path) == ["probe.json"]
+
+
 def test_bad_params_file_is_one_error_line(corpus_file, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text('{"rho": 0.5, "bogus": 1}', encoding="utf-8")

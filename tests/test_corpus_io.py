@@ -21,6 +21,7 @@ from sharctool.corpus import (
     load_corpus,
     load_corpus_audited,
     write_corpus,
+    write_json,
     write_jsonl,
 )
 from sharctool.synthcorpus import SplitSpec, generate_split
@@ -231,33 +232,55 @@ def test_cli_freezes_the_loaded_corpus_and_restores_the_collector(tmp_path, rest
 
 
 # --------------------------------------------------------------------------
-# Atomic JSONL writes
+# Atomic JSONL and JSON writes
 # --------------------------------------------------------------------------
 
 
-def test_encoder_failing_mid_stream_leaves_the_target_and_no_temp_file(tmp_path):
-    target = tmp_path / "out.jsonl"
-    target.write_text("old contents\n", encoding="utf-8")
-
+def _write_jsonl_failing_at_3(target):
     def encode(record):
         if record == 3:
             raise ValueError("cannot encode 3")
         return json.dumps(record)
 
-    with pytest.raises(ValueError, match="cannot encode 3"):
-        write_jsonl(target, range(5), encode)
+    write_jsonl(target, range(5), encode)
+
+
+@pytest.mark.parametrize(
+    "write,error",
+    [
+        (_write_jsonl_failing_at_3, (ValueError, "cannot encode 3")),
+        (lambda target: write_json(target, {"a": 1, "b": {2}}), (TypeError, "not JSON serializable")),
+    ],
+    ids=["write_jsonl", "write_json"],
+)
+def test_encoder_failing_mid_stream_leaves_the_target_and_no_temp_file(tmp_path, write, error):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old contents\n", encoding="utf-8")
+    with pytest.raises(error[0], match=error[1]):
+        write(target)
     assert target.read_text(encoding="utf-8") == "old contents\n"
     assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
-def test_failing_replace_removes_the_temp_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: write_jsonl(path, [{"a": 1}], json.dumps), lambda path: write_json(path, {"a": 1})],
+    ids=["write_jsonl", "write_json"],
+)
+def test_failing_replace_removes_the_temp_file(tmp_path, monkeypatch, write):
     def refuse(src, dst):
         raise PermissionError(f"cannot replace {dst}")
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(PermissionError):
-        write_jsonl(tmp_path / "out.jsonl", [{"a": 1}], json.dumps)
+        write(tmp_path / "out.jsonl")
     assert os.listdir(tmp_path) == []
+
+
+def test_write_json_writes_what_json_dumps_writes(tmp_path):
+    document = {"b": [1, 2.5, None], "a": {"\u00e9": "caf\u00e9 \u2028"}, "c": []}
+    write_json(tmp_path / "doc.json", document)
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
 
 
 def test_write_jsonl_replaces_the_target_and_writes_through_a_symlink(tmp_path):

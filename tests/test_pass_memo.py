@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sharctool import baseline
 from sharctool.baseline import PolicyParams, predict, predict_corpus, tune
 from sharctool.corpus import ClassLabel, corpus_pass, pass_memo, tokenize
 from sharctool.evaluate import bleu, evaluate
@@ -14,7 +15,7 @@ from sharctool.markers import (
     extract_gold_span,
     lcs_match,
 )
-from sharctool.ruleparse import parse_rule
+from sharctool.ruleparse import ClauseKind, parse_rule
 from sharctool.synthcorpus import SplitSpec, generate_split
 
 MEMO_SPEC = SplitSpec(
@@ -134,6 +135,33 @@ def test_tune_matches_evaluate_outside_a_pass(corpus):
         outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in corpus}
         report = evaluate(corpus, outputs)
         assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
+
+
+@pytest.mark.parametrize(
+    "run", [lambda corpus: predict_corpus(corpus), lambda corpus: tune(corpus, grid=SMALL_GRID)],
+    ids=["predict_corpus", "tune"],
+)
+def test_per_rule_work_runs_once_per_distinct_rule_text(corpus, run, monkeypatch):
+    calls = {"parse_rule": 0, "generate_followup": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(baseline, name, counted(name, getattr(baseline, name)))
+    run(corpus)
+    rule_texts = {instance.rule_text for instance in corpus}
+    # every askable clause is a non-header clause
+    non_header = sum(
+        1 for text in rule_texts for clause in parse_rule(text).clauses if clause.kind is not ClauseKind.HEADER
+    )
+    assert len(rule_texts) < len(corpus)
+    assert calls["parse_rule"] <= len(rule_texts)
+    assert 0 < calls["generate_followup"] <= non_header
 
 
 def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
