@@ -11,6 +11,7 @@ parent id), so outputs do not depend on scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -21,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus import (
     ClassLabel,
+    DialogTurn,
     Instance,
     content_key,
     dumps_record,
@@ -161,6 +163,20 @@ def _has_distinct_reordering(history: Sequence) -> bool:
     return len(history) >= 2 and len(set(history)) > 1
 
 
+@functools.cache
+def _reorderings(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each distinct reordering of a history, its first index permutation in lexicographic order.
+
+    ``pattern`` numbers the history's turns by first occurrence, so histories
+    whose turns repeat alike share an entry.
+    """
+    orderings: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for perm in itertools.permutations(range(len(pattern))):
+        orderings.setdefault(tuple(pattern[i] for i in perm), perm)
+    orderings.pop(pattern)
+    return tuple(orderings.values())
+
+
 def shuffle_history_instance(source: Instance, rng: random.Random, *, seed: int = 0) -> AugmentedInstance:
     """Clone ``source`` with its history reordered; everything else is kept.
 
@@ -177,12 +193,10 @@ def shuffle_history_instance(source: Instance, rng: random.Random, *, seed: int 
     if len(set(history)) == 1:
         raise ValueError(f"{source.utterance_id}: every reordering equals the original history")
     if n <= 7:
-        orderings: dict[tuple, tuple[int, ...]] = {}
-        for perm in itertools.permutations(range(n)):
-            seq = tuple(history[i] for i in perm)
-            if seq != history and seq not in orderings:
-                orderings[seq] = perm
-        sequence, perm = list(orderings.items())[rng.randrange(len(orderings))]
+        first_seen: dict[DialogTurn, int] = {}
+        perms = _reorderings(tuple(first_seen.setdefault(turn, len(first_seen)) for turn in history))
+        perm = perms[rng.randrange(len(perms))]
+        sequence = tuple(history[i] for i in perm)
     else:
         indices = list(range(n))
         for _ in range(10000):

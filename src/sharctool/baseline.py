@@ -385,7 +385,7 @@ def load_params(path: str | Path) -> PolicyParams:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: parameter file is not a JSON object")

@@ -40,6 +40,7 @@ __all__ = [
     "load_corpus_audited",
     "pass_memo",
     "read_jsonl",
+    "staged_writes",
     "tokenize",
     "write_corpus",
     "write_json",
@@ -397,16 +398,26 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
     )
 
 
+def _decode(data: bytes, path: str | Path, lineno: int) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno += data.count(b"\n", 0, exc.start)
+        raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc}") from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, decoded value)`` for each non-blank line of a JSONL file.
 
     Lines are read one at a time, so no more than one undecoded line is held.
     They end at a newline only: the writers emit U+0085, U+2028 and U+2029
     raw inside strings, where ``str.splitlines`` would cut a record in two.
-    A line that is not JSON raises ``CorpusError`` naming ``<path>:<line>``.
+    A line that is not UTF-8 or not JSON raises ``CorpusError`` naming
+    ``<path>:<line>``.
     """
-    with open(path, encoding="utf-8") as lines:
-        for lineno, line in enumerate(lines, start=1):
+    with open(path, "rb") as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = _decode(raw, path, lineno)
             if not line.strip():
                 continue
             try:
@@ -416,23 +427,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, value
 
 
-def _is_json_list(path: Path) -> bool:
-    """True when the file's first non-whitespace character opens a JSON list."""
-    with path.open(encoding="utf-8") as handle:
-        while chunk := handle.read(4096):
-            head = chunk.lstrip()
-            if head:
-                return head[0] == "["
-    return False
-
-
 def _read_records(path: Path) -> Iterable:
-    if _is_json_list(path):
-        records = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(records, list):
-            raise CorpusError(f"{path}: top-level JSON value is not a list")
-        return records
-    return (record for _, record in read_jsonl(path))
+    """The records of a JSON list file, or of a JSONL file line by line."""
+    head = b""
+    with path.open("rb") as handle:
+        while not head and (chunk := handle.read(4096)):
+            head = chunk.lstrip()
+    if not head.startswith(b"["):
+        return (record for _, record in read_jsonl(path))
+    records = json.loads(_decode(path.read_bytes(), path, 1))
+    if not isinstance(records, list):
+        raise CorpusError(f"{path}: top-level JSON value is not a list")
+    return records
 
 
 def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
@@ -503,36 +509,65 @@ def dumps_record(record: dict) -> str:
     return _RECORD_ENCODER.encode(record)
 
 
+# Inside a staged_writes() block: the (temporary file, target) pairs whose
+# replace waits for the block's commit.
+_staged: Optional[list[tuple[Path, Path]]] = None
+
+
 def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], str]) -> None:
     """Write ``encode(record)`` per line, atomically.
 
     The lines go to a temporary file next to the target, which then replaces
     the target and takes over its permission bits; on any error the
-    temporary file is removed and an existing target is left as it was. A
-    symlinked target is written through. A
-    target that is not a plain file in an existing directory (a device, a
-    directory, a missing parent) is opened as it is, so it works or fails
-    just as ``open(path, "w")`` does.
+    temporary file is removed and an existing target is left as it was.
+    Inside :func:`staged_writes` the replace waits for the block's commit.
+    A symlinked target is written through. A target that is not a plain file
+    in an existing directory (a device, a directory, a missing parent) is
+    opened as it is, so it works or fails just as ``open(path, "w")`` does.
     """
+    if _staged is None:
+        with staged_writes() as commit:
+            write_jsonl(path, records, encode)
+            commit()
+        return
     target = Path(os.path.realpath(path))
     if not target.parent.is_dir() or (target.exists() and not target.is_file()):
         with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(encode(record) + "\n")
+            handle.writelines(encode(record) + "\n" for record in records)
         return
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8")
+    _staged.append((tmp, target))
+    with open(tmp, "x", encoding="utf-8") as handle:
+        handle.writelines(encode(record) + "\n" for record in records)
+
+
+@contextmanager
+def staged_writes() -> Iterator[Callable[[], None]]:
+    """Hold back the replace of every file written inside the block until ``commit()``.
+
+    Each write stages its file in full; the yielded ``commit`` then replaces
+    the targets in the order they were written. Files not moved when the
+    block exits, also on an exception, are removed, so a failure before the
+    first replace leaves every target as it was. Blocks do not nest.
+    """
+    global _staged
+    staged = _staged = []
+
+    def commit() -> None:
+        while staged:
+            tmp, target = staged[0]
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            os.replace(tmp, target)
+            del staged[0]
+
     try:
-        with handle:
-            for record in records:
-                handle.write(encode(record) + "\n")
-        if target.exists():
-            os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        yield commit
+    finally:
+        _staged = None
+        for tmp, _ in staged:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def write_json(path: str | Path, document: object) -> None:

@@ -1,10 +1,11 @@
 """Augmentation moves, class balancing, and run determinism."""
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sharctool.augment import (
     DEFAULT_CLASS_TARGETS,
@@ -93,6 +94,30 @@ def test_shuffle_properties(qa_list, seed):
     assert shuffled.instance.history != history
     assert [history[i] for i in shuffled.permutation] == shuffled.instance.history
     assert content_hash(shuffled.instance) != content_hash(source)
+
+
+def _reference_reordering(history, rng):
+    """Draw a reordering by enumerating every permutation, as the first implementation did."""
+    orderings = {}
+    for perm in itertools.permutations(range(len(history))):
+        seq = tuple(history[i] for i in perm)
+        if seq != tuple(history) and seq not in orderings:
+            orderings[seq] = perm
+    return list(orderings.items())[rng.randrange(len(orderings))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_QA, min_size=2, max_size=7), st.integers(0, 2**32 - 1))
+def test_shuffle_draws_what_full_enumeration_draws(qa_list, seed):
+    history = _history(*qa_list)
+    assume(len(set(history)) > 1)
+    source = Instance("p", "t", "Some rule.", "Some question?", "ctx", history, [], "Yes")
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    shuffled = shuffle_history_instance(source, rng)
+    sequence, perm = _reference_reordering(history, reference_rng)
+    assert shuffled.permutation == list(perm)
+    assert shuffled.instance.history == list(sequence)
+    assert rng.random() == reference_rng.random()
 
 
 # --------------------------------------------------------------------------

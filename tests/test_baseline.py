@@ -229,11 +229,12 @@ def test_params_file_round_trip(tmp_path):
         ('{"rho": "high"}', "parameter 'rho' must be a number"),
         ("[0.5]", "not a JSON object"),
         ('{"rho": ', "invalid JSON"),
+        ('{"rho": \udcff}', "'utf-8' codec can't decode byte 0xff"),  # written as the raw byte 0xff
     ],
 )
 def test_load_params_names_the_path_and_the_problem(tmp_path, body, message):
     path = tmp_path / "params.json"
-    path.write_text(body, encoding="utf-8")
+    path.write_text(body, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError) as excinfo:
         load_params(path)
     assert str(excinfo.value).startswith(f"{path}: ")

@@ -386,3 +386,104 @@ def test_report_refuses_a_file_that_is_no_report(reports, tmp_path, capsys, side
     paths = {"original": reports["probe"], "augmented": reports["probe"], side: bogus}
     assert main(["report", "--original", str(paths["original"]), "--augmented", str(paths["augmented"])]) == 1
     assert _one_error_line(capsys).startswith(f"error: {bogus}: ")
+
+
+# --------------------------------------------------------------------------
+# the command frame: every path is checked before anything is written
+# --------------------------------------------------------------------------
+
+
+def _files(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _fails_and_changes_nothing(argv, root, capsys):
+    """Run ``argv``: exit 1, one error line, every file under ``root`` as it was, no new file."""
+    before = _files(root)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = _one_error_line(capsys)
+    assert _files(root) == before
+    return err
+
+
+def test_augment_with_a_directory_as_manifest_keeps_the_previous_output_set(corpus_file, tmp_path, capsys):
+    out = tmp_path / "aug.jsonl"
+    argv = ["augment", "--in", str(corpus_file), "--total", "150", "--out", str(out)]
+    assert main([*argv, "--seed", "1"]) == 0
+    (tmp_path / "build-dir").mkdir()
+    err = _fails_and_changes_nothing([*argv, "--seed", "2", "--manifest", str(tmp_path / "build-dir")], tmp_path, capsys)
+    assert err.startswith(f"error: --manifest {tmp_path / 'build-dir'}: Is a directory")
+
+
+def test_tune_with_a_directory_as_trials_writes_nothing(corpus_file, tmp_path, capsys):
+    (tmp_path / "trials").mkdir()
+    argv = ["tune", "--in", str(corpus_file), "--out", str(tmp_path / "p2.json"), "--trials", str(tmp_path / "trials")]
+    assert "--trials" in _fails_and_changes_nothing(argv, tmp_path, capsys)
+    assert not (tmp_path / "p2.json").exists()
+
+
+def test_output_in_a_missing_directory_writes_nothing(corpus_file, tmp_path, capsys):
+    (tmp_path / "probe.json").write_text("old report\n", encoding="utf-8")
+    argv = ["probe", "--in", str(corpus_file), "--out", str(tmp_path / "missing" / "probe.json")]
+    err = _fails_and_changes_nothing(argv, tmp_path, capsys)
+    assert err.startswith(f"error: --out {tmp_path / 'missing' / 'probe.json'}: ")
+    assert "is not a directory" in err
+
+
+def test_out_equal_to_manifest_writes_nothing(corpus_file, tmp_path, capsys):
+    out = tmp_path / "aug.jsonl"
+    out.write_text("old corpus\n", encoding="utf-8")
+    argv = ["augment", "--in", str(corpus_file), "--seed", "1", "--out", str(out), "--manifest", str(out)]
+    err = _fails_and_changes_nothing(argv, tmp_path, capsys)
+    assert err.startswith(f"error: --manifest {out}: same file as --out {out}")
+
+
+def test_manifest_records_params_and_cues_digests(corpus_file, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text('{"rho": 0.5}', encoding="utf-8")
+    cues = tmp_path / "cues.txt"
+    cues.write_text("conj and\ndisj or\n", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    argv = ["baseline", "--in", str(corpus_file), "--params", str(params), "--cues", str(cues), "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text())
+    assert manifest["input_digests"] == {str(path): _sha256(path) for path in (corpus_file, params, cues)}
+    assert manifest["config"]["params"]["rho"] == 0.5
+
+
+def test_report_out_gets_a_manifest(reports, tmp_path):
+    out = tmp_path / "compare.txt"
+    argv = ["report", "--original", str(reports["probe"]), "--augmented", str(reports["probe"]), "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "compare.txt.manifest.json").read_text())
+    assert manifest["input_digests"] == {str(reports["probe"]): _sha256(reports["probe"])}
+    assert manifest["output_digests"] == {str(out): _sha256(out)}
+
+
+def test_baseline_tune_writes_what_tune_writes(corpus_file, tmp_path, monkeypatch):
+    written = []
+    for name, argv in [("alias", ["baseline", "tune", "--in", str(corpus_file)]),
+                       ("tune", ["tune", "--in", str(corpus_file), "--out", "params.json"])]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        written.append((tmp_path / name / "params.json").read_bytes())
+        manifest = json.loads((tmp_path / name / "params.json.manifest.json").read_text())
+        assert manifest["argv"] == argv
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["irr=inf,yes=-inf,no=50,more=50", "irr=-5,yes=50,no=50,more=5", "irr=nan,yes=50,no=25,more=25",
+     "irr=many,yes=50,no=25,more=25"],
+    ids=["infinite", "negative", "nan", "not-a-number"],
+)
+def test_targets_outside_the_domain_exit_2_naming_the_flag(corpus_file, tmp_path, capsys, spec):
+    argv = ["augment", "--in", str(corpus_file), "--seed", "1", "--targets", spec, "--out", str(tmp_path / "a.jsonl")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --targets: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

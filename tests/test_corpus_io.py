@@ -135,6 +135,27 @@ def test_invalid_json_line_names_the_path_and_line(tmp_path):
     )
 
 
+_NOT_UTF8 = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+
+
+@pytest.mark.parametrize("kind", ["corpus", "predictions", "augmented"])
+def test_invalid_utf8_line_names_the_path_and_line(tmp_path, capsys, kind):
+    path = tmp_path / f"bad-{kind}.jsonl"
+    path.write_bytes(json.dumps(_record()).encode() + b"\n\n{\xff}\n")
+    if kind == "augmented":
+        with pytest.raises(CorpusError) as raised:
+            load_augmented(path)
+        assert str(raised.value) == f"{path}:3: {_NOT_UTF8}"
+        return
+    gold = _write_lines(tmp_path, _record())
+    argv = {
+        "corpus": ["validate", "--in", str(path)],
+        "predictions": ["evaluate", "--gold", str(gold), "--pred", str(path), "--out", str(tmp_path / "eval.json")],
+    }[kind]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {_NOT_UTF8}\n"
+
+
 def test_lenient_audit_counts_and_reasons(tmp_path):
     path = _write_lines(
         tmp_path,
