@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .corpus import (
     write_jsonl,
 )
 from .evaluate import evaluate
-from .markers import BASIC_STOPWORDS, lcs_match
+from .markers import content_words, jaccard, lcs_match
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
 
 __all__ = [
@@ -115,17 +116,6 @@ def generate_followup(clause: Clause) -> str:
 # --------------------------------------------------------------------------
 
 
-def _content_tokens(text: TokenizedText) -> set[str]:
-    return {t.normalized for t in text.tokens if t.normalized and t.normalized not in BASIC_STOPWORDS}
-
-
-def _jaccard(a: set[str], b: set[str]) -> float:
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
-
-
 def _is_lead_in(clause: Clause) -> bool:
     """Sentence clauses ending in a colon introduce a list; they are not conditions."""
     return clause.kind is ClauseKind.SENTENCE and clause.text.rstrip().endswith(":")
@@ -157,7 +147,7 @@ def _plan(rule_text: str, structure: RuleStructure) -> _RulePlan:
         matchable = sum(1 for t in tokens.tokens if t.normalized)
         if matchable:
             clauses.append(_AskableClause(clause.ordinal, tokens, matchable, generate_followup(clause)))
-    return _RulePlan(structure.logic, _content_tokens(tokenize(rule_text)), tuple(clauses))
+    return _RulePlan(structure.logic, content_words(tokenize(rule_text)), tuple(clauses))
 
 
 def _coverage(clause: _AskableClause, utterance: TokenizedText) -> float:
@@ -184,7 +174,7 @@ def _features(instance: Instance, plan: _RulePlan) -> _Features:
         utterance_id=instance.utterance_id,
         plan=plan,
         empty_context=instance.has_empty_context,
-        question_overlap=_jaccard(_content_tokens(tokenize(instance.question)), plan.content),
+        question_overlap=jaccard(content_words(tokenize(instance.question)), plan.content),
         answers=[turn.follow_up_answer for turn in instance.history],
         asked_fraction=[max((_coverage(c, q) for q in history), default=0.0) for c in plan.clauses],
         scenario_fraction=[0.0 if scenario is None else _coverage(c, scenario) for c in plan.clauses],
@@ -381,7 +371,8 @@ def load_params(path: str | Path) -> PolicyParams:
     """Read a parameter file; keys it omits keep their defaults.
 
     Raises ``ValueError`` naming the path for anything but a JSON object of
-    known parameter names with numeric values.
+    known parameter names with finite, non-negative numeric values, ``l_max``
+    a JSON integer.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -395,4 +386,8 @@ def load_params(path: str | Path) -> PolicyParams:
             raise ValueError(f"{path}: unknown parameter {key!r} (want one of {', '.join(known)})")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: parameter {key!r} must be a number, got {value!r}")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{path}: parameter {key!r} must be finite and >= 0, got {value!r}")
+        if key == "l_max" and not isinstance(value, int):
+            raise ValueError(f"{path}: parameter 'l_max' must be an integer, got {value!r}")
     return PolicyParams(**data)

@@ -82,17 +82,22 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     """Run one command: check every path, load and compute, stage the outputs, commit them.
 
     ``inputs`` lists ``(flag, path, load)``, the main input (which
-    ``--expect-digest`` guards) first; a None path reaches ``compute`` as
+    ``--expect-digest`` guards) first; the side inputs are loaded before it,
+    so a bad small file fails fast, and a None path reaches ``compute`` as
     None. ``outputs`` lists ``(flag, path)``; the manifest goes next to the
-    first given path. ``compute`` takes the loaded inputs, writes the
-    outputs, may add to ``config`` what it read, and returns the text to
-    print. A failure before the first replace leaves every file as it was.
+    first given path unless that is an existing device, pipe or other file
+    that is not a regular one. ``compute`` takes the loaded inputs in
+    declared order, writes the outputs, may add to ``config`` what it read,
+    and returns the text to print. A failure before the first replace leaves
+    every file as it was.
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     expect_digest = getattr(args, "expect_digest", None)
     targets = [(flag, str(Path(path))) for flag, path in outputs if path is not None]
-    if targets:
-        targets.append(("manifest", targets[0][1] + ".manifest.json"))
+    manifest_path = None
+    if targets and (os.path.isfile(targets[0][1]) or not os.path.exists(targets[0][1])):
+        manifest_path = targets[0][1] + ".manifest.json"
+        targets.append(("manifest", manifest_path))
 
     sources = [None if path is None else _resolve_input(path) for _, path, _ in inputs]
     input_digests: dict[str, str] = {}
@@ -104,7 +109,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         if resolved.is_dir():
             raise ValueError(f"{flag} {path}: Is a directory")
         checked = index == 0 and expect_digest
-        if targets or checked:
+        if manifest_path or checked:
             digest = input_digests[str(resolved)] = input_digests.get(str(resolved)) or _sha256(resolved)
             if checked and digest != expect_digest:
                 raise ValueError(f"{flag} {path}: digest mismatch: expected {expect_digest}, got {digest}")
@@ -119,13 +124,14 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             raise ValueError(f"{flag} {path}: same file as {claimed[target]}")
         claimed[target] = f"{flag} {path}"
 
+    def load(index: int):
+        return None if sources[index] is None else _load_frozen(inputs[index][2], sources[index])
+
     with staged_writes() as commit:
-        loaded = [None if source is None else _load_frozen(load, source)
-                  for (_, _, load), source in zip(inputs, sources)]
-        summary = compute(*loaded)
+        side = [load(index) for index in range(1, len(inputs))]
+        summary = compute(load(0), *side)
         commit()
-    if targets:
-        *artifacts, (_, manifest_path) = targets
+    if manifest_path:
         write_json(manifest_path, {
             "argv": args.argv,
             "tool_version": __version__,
@@ -134,10 +140,25 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             "config_digest": _config_digest(config),
             "config": config,
             "input_digests": input_digests,
-            "output_digests": {path: _sha256(Path(path)) for _, path in artifacts},
+            "output_digests": {path: _sha256(Path(path)) for _, path in targets[:-1]},
         })
     print(summary)
     return 0
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        return value
+
+    return parse
 
 
 def _targets(spec: str) -> dict[ClassLabel, float]:
@@ -391,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("probe", _cmd_probe, "measure class balance and shortcut statistics")
     p.add_argument("--out", required=True)
     p.add_argument("--split-name", default="")
-    p.add_argument("--min-support", type=int, default=30)
+    p.add_argument("--min-support", type=_int_at_least(0), default=30)
 
     p = command("augment", _cmd_augment, "rebalance the corpus toward target marginals")
     p.add_argument("--seed", type=int, required=True, help="explicit RNG seed (no clock seeding)")
-    p.add_argument("--total", type=int, default=DEFAULT_TOTAL_TARGET)
+    p.add_argument("--total", type=_int_at_least(1), default=DEFAULT_TOTAL_TARGET)
     p.add_argument("--targets", type=_targets, default=None, help="e.g. irr=22.41,yes=27.09,no=28.11,more=22.39")
     p.add_argument("--max-perms", type=int, default=3, help="shuffles emitted per parent instance")
     p.add_argument("--no-keep-original", action="store_true", help="emit generated instances only")

@@ -23,19 +23,35 @@ __all__ = [
     "annotate_corpus",
     "annotate_history",
     "annotate_scenario",
+    "content_words",
     "extract_gold_span",
+    "jaccard",
     "lcs_match",
     "lcs_pairs",
 ]
 
 MARKER_PHI = "Phi"
 
-# Function words for the optional stopword-excluded matching mode. The
-# default mode matches everything; this list exists purely for ablation.
+# Function words. Matching drops them only in the optional stopword-excluded
+# mode (the default matches everything); content_words always leaves them
+# out, so the baseline's overlap test and the generator's guards measure alike.
 BASIC_STOPWORDS = frozenset(
     """a an and are be can could do does did for from get got has have had i if in is it my of on or
     should that the their they this to was were will would you your""".split()
 )
+
+
+def content_words(text: TokenizedText) -> set[str]:
+    """The normalized tokens of ``text`` that are neither punctuation nor stopwords."""
+    return {t.normalized for t in text.tokens if t.normalized and t.normalized not in BASIC_STOPWORDS}
+
+
+def jaccard(a: set[str], b: set[str]) -> float:
+    """Intersection over union; 0.0 when both sets are empty."""
+    union = a | b
+    if not union:
+        return 0.0
+    return len(a & b) / len(union)
 
 
 def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:

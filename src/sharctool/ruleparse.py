@@ -78,9 +78,13 @@ def load_cues(path: str | Path) -> CueSet:
     case-insensitively as substrings of the rule's prose, so boundary spaces
     (as in ``" and "``) are significant and preserved.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     conj: list[str] = []
     disj: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,11 +9,12 @@ multi-turn / scenario-bearing instances for the augmenter's quotas.
 
 Every instance is woven from a rule tree: a markdown rule (header, lead-in,
 bullet conditions), a dialog that asks conditions in order, and optional
-"evidence folding" that moves answered turns into the scenario text. Class
-pools are assembled from named strata (see the ``*_STRATA`` tables) whose
-shares were chosen so the corpus-level statistics land in realistic bands;
-``generate_split`` then samples exact class counts. Deterministic for a
-given (seed, split spec).
+"evidence folding" that moves answered turns into the scenario text. Each
+class is cut into named strata, one row each in ``_STRATA``: a share of the
+class, the trees it draws from, and an emitter. The shares were chosen so
+the corpus-level statistics land in realistic bands; ``generate_split``
+fills exact class counts. The output is byte-identical for a given
+(seed, split spec).
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
-from .corpus import ClassLabel, DialogTurn, Instance, content_hash, tokenize
-from .markers import lcs_match
+from .corpus import ClassLabel, DialogTurn, Instance, content_key, corpus_pass, tokenize
+from .markers import content_words, jaccard, lcs_match
 
 __all__ = [
     "DEV_SPEC",
@@ -313,23 +315,12 @@ def _coverage(clause_text: str, sentence: str) -> float:
     return len(lcs_match(clause, tokenize(sentence))) / matchable
 
 
-def _content(text: str) -> set[str]:
-    from .markers import BASIC_STOPWORDS
-
-    return {
-        t.normalized
-        for t in tokenize(text).tokens
-        if t.normalized and t.normalized not in BASIC_STOPWORDS
-    }
-
-
 def _check_tree(tree: _Tree) -> None:
     """Build-time guards for the textual couplings the corpus relies on."""
-    rule_content = _content(tree.rule_text)
+    rule_content = content_words(tokenize(tree.rule_text))
     for question in tree.questions:
-        overlap = _content(question) & rule_content
-        union = _content(question) | rule_content
-        assert len(overlap) / len(union) >= 0.12, f"on-topic question drifted: {question!r}"
+        overlap = jaccard(content_words(tokenize(question)), rule_content)
+        assert overlap >= 0.12, f"on-topic question drifted: {question!r}"
     for idx, cond in enumerate(tree.conds):
         for ask in cond.asks:
             assert _coverage(cond.text, ask) >= 0.6, f"ask does not cover clause: {ask!r}"
@@ -346,7 +337,7 @@ def _check_tree(tree: _Tree) -> None:
 
 def _conds_distinct(conds: Sequence[_Cond], exempt: frozenset[frozenset[int]]) -> bool:
     """No two conditions may share two content words, or coverage bleeds."""
-    words = [_content(cond.text) for cond in conds]
+    words = [content_words(tokenize(cond.text)) for cond in conds]
     for i in range(len(conds)):
         for j in range(i + 1, len(conds)):
             if frozenset((i, j)) in exempt:
@@ -418,14 +409,15 @@ def _make_tree(split: str, index: int, kind: str, rng: random.Random, used_topic
 # --------------------------------------------------------------------------
 # Instance emission
 # --------------------------------------------------------------------------
+#
+# Every emitter takes a stratum's tree pool and the RNG and draws in a fixed
+# order, the tree first (only _emit_more_plain rolls its fold before it): the
+# draw order is what keeps a split byte-identical for a given seed.
 
 
-def _sat_answer(cond: _Cond) -> str:
-    return "No" if cond.negated else "Yes"
-
-
-def _unsat_answer(cond: _Cond) -> str:
-    return "Yes" if cond.negated else "No"
+def _answer(cond: _Cond, holds: bool) -> str:
+    """The reply under which ``cond`` holds (or, with ``holds`` false, fails)."""
+    return "Yes" if holds != cond.negated else "No"
 
 
 def _turn(cond: _Cond, answer: str, rng: random.Random) -> DialogTurn:
@@ -446,6 +438,9 @@ class _Draft:
     answer: str
 
 
+_Pool = Sequence[_Tree]
+
+
 def _scenario_text(facts: Sequence[str], rng: random.Random) -> str:
     parts = list(facts)
     roll = rng.random()
@@ -456,100 +451,87 @@ def _scenario_text(facts: Sequence[str], rng: random.Random) -> str:
     return " ".join(parts)
 
 
-def _emit_decisive_last(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
-    """Full dialog whose decisive answer arrives on the final turn."""
-    history = []
-    for cond in tree.conds[:-1]:
-        answer = _unsat_answer(cond) if label is ClassLabel.YES else _sat_answer(cond)
-        history.append(_turn(cond, answer, rng))
-    last = tree.conds[-1]
-    history.append(_turn(last, _sat_answer(last) if label is ClassLabel.YES else _unsat_answer(last), rng))
+def _emit_decided(label: ClassLabel, last: bool, pool: _Pool, rng: random.Random) -> _Draft:
+    """Dialog decided on its final turn, by the rule's last condition or (``last`` false) a middle one."""
+    tree = rng.choice(pool)
+    stop = tree.depth - 1 if last else rng.randrange(1, tree.depth - 1)
+    yes = label is ClassLabel.YES
+    history = [_turn(cond, _answer(cond, not yes), rng) for cond in tree.conds[:stop]]
+    history.append(_turn(tree.conds[stop], _answer(tree.conds[stop], yes), rng))
     return _Draft(tree, rng.choice(tree.questions), "", history, [], label.value)
 
 
-def _emit_cued_first(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
+def _emit_cued_first(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
     """Cued rule decided by a single follow-up (any clause short-circuits)."""
+    tree = rng.choice(pool)
     cond = rng.choice(tree.conds)
-    answer = _sat_answer(cond) if label is ClassLabel.YES else _unsat_answer(cond)
+    answer = _answer(cond, label is ClassLabel.YES)
     return _Draft(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
 
 
-def _emit_uniform(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
+def _emit_uniform(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
     """Every condition asked and every answer keeping the rule on one side."""
-    pick = _sat_answer if label is ClassLabel.YES else _unsat_answer
-    history = [_turn(cond, pick(cond), rng) for cond in tree.conds]
+    tree = rng.choice(pool)
+    history = [_turn(cond, _answer(cond, label is ClassLabel.YES), rng) for cond in tree.conds]
     return _Draft(tree, rng.choice(tree.questions), "", history, [], label.value)
 
 
-def _emit_folded_decider(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
+def _emit_folded_decider(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
     """The answer that decides the dialog lives in the scenario, not the history."""
+    tree = rng.choice(pool)
+    yes = label is ClassLabel.YES
     decider_idx = rng.randrange(tree.depth)
     history: list[DialogTurn] = []
     evidence: list[DialogTurn] = []
     facts: list[str] = []
     for idx, cond in enumerate(tree.conds):
         if idx == decider_idx:
-            answer = _sat_answer(cond) if label is ClassLabel.YES else _unsat_answer(cond)
-            turn = _turn(cond, answer, rng)
-            evidence.append(turn)
+            answer = _answer(cond, yes)
+            evidence.append(_turn(cond, answer, rng))
             facts.append(_fact(cond, answer))
         else:
-            answer = _unsat_answer(cond) if label is ClassLabel.YES else _sat_answer(cond)
-            history.append(_turn(cond, answer, rng))
+            history.append(_turn(cond, _answer(cond, not yes), rng))
     return _Draft(tree, rng.choice(tree.questions), _scenario_text(facts, rng), history, evidence, label.value)
 
 
-def _emit_folded_all(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
+def _emit_folded_all(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
     """The whole dialog happened before the question: scenario only, no turns."""
+    tree = rng.choice(pool)
     if tree.kind in ("udisj", "cdisj"):
         sat_at = rng.randrange(tree.depth) if label is ClassLabel.YES else None
-        answers = [
-            (_sat_answer(c) if idx == sat_at else _unsat_answer(c)) for idx, c in enumerate(tree.conds)
-        ]
+        answers = [_answer(c, idx == sat_at) for idx, c in enumerate(tree.conds)]
     else:
         unsat_at = rng.randrange(tree.depth) if label is ClassLabel.NO else None
-        answers = [
-            (_unsat_answer(c) if idx == unsat_at else _sat_answer(c)) for idx, c in enumerate(tree.conds)
-        ]
+        answers = [_answer(c, idx != unsat_at) for idx, c in enumerate(tree.conds)]
     evidence = [_turn(cond, answer, rng) for cond, answer in zip(tree.conds, answers)]
     facts = [_fact(cond, answer) for cond, answer in zip(tree.conds, answers)]
     return _Draft(tree, rng.choice(tree.questions), _scenario_text(facts, rng), [], evidence, label.value)
 
 
-def _emit_single_final(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
+def _emit_single_final(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+    tree = rng.choice(pool)
     cond = tree.conds[0]
     answer = "Yes" if label is ClassLabel.YES else "No"
     return _Draft(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
 
 
-def _emit_stop_early(tree: _Tree, rng: random.Random, label: ClassLabel) -> _Draft:
-    """Dialog that stopped mid-rule, leaving later conditions unasked."""
-    stop = rng.randrange(1, tree.depth - 1)
-    history = []
-    for cond in tree.conds[:stop]:
-        answer = _unsat_answer(cond) if label is ClassLabel.YES else _sat_answer(cond)
-        history.append(_turn(cond, answer, rng))
-    cond = tree.conds[stop]
-    history.append(_turn(cond, _sat_answer(cond) if label is ClassLabel.YES else _unsat_answer(cond), rng))
-    return _Draft(tree, rng.choice(tree.questions), "", history, [], label.value)
-
-
-def _emit_more_plain(tree: _Tree, rng: random.Random, k: int, fold: bool) -> _Draft:
+def _emit_more_plain(k: int, pool: _Pool, rng: random.Random) -> _Draft:
     """Ask the first ``k`` conditions, gold answer asks condition ``k``."""
+    fold = bool(k) and rng.random() < _MORE_FOLD_RATE  # drawn before the tree
+    tree = rng.choice(pool)
     turns = []
     for cond in tree.conds[:k]:
         if tree.kind == "cdisj":
-            answer = _unsat_answer(cond)  # a satisfying answer would have ended a cued dialog
-        elif tree.kind in ("cconj", "trap"):
-            answer = _sat_answer(cond)
+            answer = _answer(cond, False)  # a satisfying answer would have ended a cued dialog
+        elif tree.kind == "cconj":
+            answer = _answer(cond, True)
         else:
-            answer = _sat_answer(cond) if rng.random() < 0.6 else _unsat_answer(cond)
+            answer = _answer(cond, rng.random() < 0.6)
         turns.append((cond, answer))
     history: list[DialogTurn] = []
     evidence: list[DialogTurn] = []
     facts: list[str] = []
-    fold_count = rng.randrange(1, k + 1) if fold and k else 0
-    folded = set(rng.sample(range(k), fold_count)) if fold_count else set()
+    folded = set(rng.sample(range(k), rng.randrange(1, k + 1))) if fold else set()
     for idx, (cond, answer) in enumerate(turns):
         turn = _turn(cond, answer, rng)
         if idx in folded:
@@ -570,12 +552,13 @@ def _emit_more_plain(tree: _Tree, rng: random.Random, k: int, fold: bool) -> _Dr
     return _Draft(tree, rng.choice(tree.questions), scenario, history, evidence, gold)
 
 
-def _emit_more_trap(tree: _Tree, rng: random.Random) -> _Draft:
+def _emit_more_trap(pool: _Pool, rng: random.Random) -> _Draft:
     """Scenario text that lexically swallows the condition left to ask."""
+    tree = rng.choice(pool)
     first, middle, last = tree.conds[0], tree.conds[1:-1], tree.conds[-1]
-    answer = _sat_answer(first)
+    answer = _answer(first, True)
     folded = _turn(first, answer, rng)
-    history = [_turn(cond, _sat_answer(cond), rng) for cond in middle]
+    history = [_turn(cond, _answer(cond, True), rng) for cond in middle]
     gold = rng.choice(last.asks)
     return _Draft(
         tree,
@@ -587,53 +570,73 @@ def _emit_more_trap(tree: _Tree, rng: random.Random) -> _Draft:
     )
 
 
-def _emit_irrelevant(tree: _Tree, rng: random.Random, with_scenario: bool) -> _Draft:
-    scenario = ""
-    if with_scenario:
-        scenario = " ".join(rng.sample(_PERSONAS, rng.choice((1, 2))))
+def _emit_irrelevant(with_scenario: bool, pool: _Pool, rng: random.Random) -> _Draft:
+    tree = rng.choice(pool)
+    scenario = " ".join(rng.sample(_PERSONAS, rng.choice((1, 2)))) if with_scenario else ""
     return _Draft(tree, rng.choice(_OFF_TOPIC_QUESTIONS), scenario, [], [], "Irrelevant")
 
 
 # --------------------------------------------------------------------------
-# Strata tables: (emitter name, share) per class
+# Strata: one row per slice of a class
 # --------------------------------------------------------------------------
 
-YES_STRATA: tuple[tuple[str, float], ...] = (
-    ("decisive_last", 0.34),
-    ("cued_first", 0.12),
-    ("uniform", 0.01),
-    ("folded_decider", 0.12),
-    ("folded_all_cued", 0.20),
-    ("folded_all_uncued", 0.05),
-    ("single_final", 0.06),
-    ("stop_early", 0.10),
-)
 
-NO_STRATA: tuple[tuple[str, float], ...] = (
-    ("decisive_last", 0.34),
-    ("cued_first", 0.12),
-    ("uniform", 0.01),
-    ("folded_decider", 0.12),
-    ("folded_all_uncued", 0.20),
-    ("folded_all_cued", 0.05),
-    ("single_final", 0.06),
-    ("stop_early", 0.10),
-)
+class _Stratum(NamedTuple):
+    name: str
+    share: float  # of the class count, rounded by largest remainder
+    kinds: tuple[str, ...]  # tree kinds in the pool
+    min_depth: int  # shallowest tree in the pool
+    emit: Callable[[_Pool, random.Random], _Draft]
 
-MORE_STRATA: tuple[tuple[str, float], ...] = (
-    ("more_k0", 0.34),
-    ("more_k1", 0.22),
-    ("more_k2", 0.16),
-    ("more_k3", 0.10),
-    ("more_trap", 0.18),
-)
-
-IRR_STRATA: tuple[tuple[str, float], ...] = (
-    ("irr_empty", 0.90),
-    ("irr_scenario", 0.10),
-)
 
 _MORE_FOLD_RATE = 0.3
+
+_TREE_KIND_WEIGHTS = {
+    "udisj": 0.22,
+    "uconj": 0.22,
+    "cdisj": 0.16,
+    "cconj": 0.16,
+    "trap": 0.14,
+    "single": 0.10,
+}
+
+_YES, _NO = ClassLabel.YES, ClassLabel.NO
+_ASKABLE = ("udisj", "uconj", "cdisj", "cconj", "single")
+
+# Classes and rows are emitted in table order, which fixes the RNG stream.
+_STRATA: dict[ClassLabel, tuple[_Stratum, ...]] = {
+    _YES: (
+        _Stratum("decisive_last", 0.34, ("udisj",), 2, partial(_emit_decided, _YES, True)),
+        _Stratum("cued_first", 0.12, ("cdisj",), 1, partial(_emit_cued_first, _YES)),
+        _Stratum("uniform", 0.01, ("uconj",), 2, partial(_emit_uniform, _YES)),
+        _Stratum("folded_decider", 0.12, ("udisj",), 2, partial(_emit_folded_decider, _YES)),
+        _Stratum("folded_all_cued", 0.20, ("cdisj",), 2, partial(_emit_folded_all, _YES)),
+        _Stratum("folded_all_uncued", 0.05, ("uconj", "udisj"), 2, partial(_emit_folded_all, _YES)),
+        _Stratum("single_final", 0.06, ("single",), 1, partial(_emit_single_final, _YES)),
+        _Stratum("stop_early", 0.10, ("udisj",), 3, partial(_emit_decided, _YES, False)),
+    ),
+    _NO: (
+        _Stratum("decisive_last", 0.34, ("uconj",), 2, partial(_emit_decided, _NO, True)),
+        _Stratum("cued_first", 0.12, ("cconj",), 1, partial(_emit_cued_first, _NO)),
+        _Stratum("uniform", 0.01, ("udisj",), 2, partial(_emit_uniform, _NO)),
+        _Stratum("folded_decider", 0.12, ("uconj",), 2, partial(_emit_folded_decider, _NO)),
+        _Stratum("folded_all_uncued", 0.20, ("uconj",), 2, partial(_emit_folded_all, _NO)),
+        _Stratum("folded_all_cued", 0.05, ("cdisj",), 2, partial(_emit_folded_all, _NO)),
+        _Stratum("single_final", 0.06, ("single",), 1, partial(_emit_single_final, _NO)),
+        _Stratum("stop_early", 0.10, ("uconj",), 3, partial(_emit_decided, _NO, False)),
+    ),
+    ClassLabel.MORE: (
+        _Stratum("more_k0", 0.34, _ASKABLE, 1, partial(_emit_more_plain, 0)),
+        _Stratum("more_k1", 0.22, _ASKABLE, 2, partial(_emit_more_plain, 1)),
+        _Stratum("more_k2", 0.16, _ASKABLE, 3, partial(_emit_more_plain, 2)),
+        _Stratum("more_k3", 0.10, _ASKABLE, 4, partial(_emit_more_plain, 3)),
+        _Stratum("more_trap", 0.18, ("trap",), 3, _emit_more_trap),
+    ),
+    ClassLabel.IRRELEVANT: (
+        _Stratum("irr_empty", 0.90, tuple(_TREE_KIND_WEIGHTS), 1, partial(_emit_irrelevant, False)),
+        _Stratum("irr_scenario", 0.10, tuple(_TREE_KIND_WEIGHTS), 1, partial(_emit_irrelevant, True)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -677,77 +680,15 @@ DEV_SPEC = SplitSpec(
     depth_weights={2: 0.20, 3: 0.40, 4: 0.40},
 )
 
-_TREE_KIND_WEIGHTS = {
-    "udisj": 0.22,
-    "uconj": 0.22,
-    "cdisj": 0.16,
-    "cconj": 0.16,
-    "trap": 0.14,
-    "single": 0.10,
-}
 
-
-def _stratum_counts(strata: Sequence[tuple[str, float]], total: int) -> dict[str, int]:
-    """Largest-remainder rounding of share × total to integers summing to total."""
-    raw = [(name, share * total) for name, share in strata]
-    counts = {name: int(amount) for name, amount in raw}
-    leftovers = sorted(raw, key=lambda item: item[1] - int(item[1]), reverse=True)
-    short = total - sum(counts.values())
-    for name, _ in leftovers[:short]:
-        counts[name] += 1
+def _stratum_counts(strata: Sequence[_Stratum], total: int) -> list[int]:
+    """Largest-remainder rounding of share × total to integers summing to total, in row order."""
+    raw = [stratum.share * total for stratum in strata]
+    counts = [int(amount) for amount in raw]
+    leftovers = sorted(range(len(raw)), key=lambda i: raw[i] - counts[i], reverse=True)
+    for i in leftovers[: total - sum(counts)]:
+        counts[i] += 1
     return counts
-
-
-def _trees_for(trees: Sequence[_Tree], kinds: tuple[str, ...], min_depth: int = 1) -> list[_Tree]:
-    out = [t for t in trees if t.kind in kinds and t.depth >= min_depth]
-    if not out:
-        raise RuntimeError(f"no trees of kind {kinds} with depth >= {min_depth}")
-    return out
-
-
-def _dispatch(stratum: str, trees: Sequence[_Tree], rng: random.Random, label: ClassLabel) -> _Draft:
-    if stratum == "decisive_last":
-        kind = "udisj" if label is ClassLabel.YES else "uconj"
-        return _emit_decisive_last(rng.choice(_trees_for(trees, (kind,), 2)), rng, label)
-    if stratum == "cued_first":
-        kind = "cdisj" if label is ClassLabel.YES else "cconj"
-        return _emit_cued_first(rng.choice(_trees_for(trees, (kind,))), rng, label)
-    if stratum == "uniform":
-        kind = "uconj" if label is ClassLabel.YES else "udisj"
-        return _emit_uniform(rng.choice(_trees_for(trees, (kind,), 2)), rng, label)
-    if stratum == "folded_decider":
-        kind = "udisj" if label is ClassLabel.YES else "uconj"
-        return _emit_folded_decider(rng.choice(_trees_for(trees, (kind,), 2)), rng, label)
-    if stratum == "folded_all_cued":
-        return _emit_folded_all(rng.choice(_trees_for(trees, ("cdisj",), 2)), rng, label)
-    if stratum == "folded_all_uncued":
-        kind = ("uconj", "udisj") if label is ClassLabel.YES else ("uconj",)
-        return _emit_folded_all(rng.choice(_trees_for(trees, kind, 2)), rng, label)
-    if stratum == "single_final":
-        return _emit_single_final(rng.choice(_trees_for(trees, ("single",))), rng, label)
-    if stratum == "stop_early":
-        kind = "udisj" if label is ClassLabel.YES else "uconj"
-        return _emit_stop_early(rng.choice(_trees_for(trees, (kind,), 3)), rng, label)
-    if stratum.startswith("more_k"):
-        k = int(stratum[-1])
-        pool = _trees_for(trees, ("udisj", "uconj", "cdisj", "cconj", "single"), k + 1)
-        fold = bool(k) and rng.random() < _MORE_FOLD_RATE
-        return _emit_more_plain(rng.choice(pool), rng, k, fold)
-    if stratum == "more_trap":
-        return _emit_more_trap(rng.choice(_trees_for(trees, ("trap",), 3)), rng)
-    if stratum == "irr_empty":
-        return _emit_irrelevant(rng.choice(list(trees)), rng, with_scenario=False)
-    if stratum == "irr_scenario":
-        return _emit_irrelevant(rng.choice(list(trees)), rng, with_scenario=True)
-    raise ValueError(f"unknown stratum {stratum!r}")
-
-
-_CLASS_STRATA = {
-    ClassLabel.YES: YES_STRATA,
-    ClassLabel.NO: NO_STRATA,
-    ClassLabel.MORE: MORE_STRATA,
-    ClassLabel.IRRELEVANT: IRR_STRATA,
-}
 
 
 def generate_split(spec: SplitSpec) -> list[Instance]:
@@ -760,15 +701,19 @@ def generate_split(spec: SplitSpec) -> list[Instance]:
     for kind, weight in _TREE_KIND_WEIGHTS.items():
         kinds.extend([kind] * max(1, round(weight * spec.tree_count)))
     kinds = kinds[: spec.tree_count]
-    trees = [
-        _make_tree(spec.name, idx, kind, rng, used_topics, spec.depth_weights)
-        for idx, kind in enumerate(kinds)
-    ]
+    with corpus_pass():  # the trees' guards tokenize and match the same texts again and again
+        trees = [
+            _make_tree(spec.name, idx, kind, rng, used_topics, spec.depth_weights)
+            for idx, kind in enumerate(kinds)
+        ]
 
     instances: list[Instance] = []
-    seen: set[str] = set()
-    for label in (ClassLabel.YES, ClassLabel.NO, ClassLabel.MORE, ClassLabel.IRRELEVANT):
-        for stratum, want in _stratum_counts(_CLASS_STRATA[label], spec.class_counts[label]).items():
+    seen: set[tuple] = set()
+    for label, strata in _STRATA.items():
+        for stratum, want in zip(strata, _stratum_counts(strata, spec.class_counts[label])):
+            pool = [t for t in trees if t.kind in stratum.kinds and t.depth >= stratum.min_depth]
+            if want and not pool:
+                raise RuntimeError(f"no trees of kind {stratum.kinds} with depth >= {stratum.min_depth}")
             made = 0
             attempts = 0
             cap = 60 * want + 100
@@ -776,9 +721,9 @@ def generate_split(spec: SplitSpec) -> list[Instance]:
                 attempts += 1
                 if attempts > cap:
                     raise RuntimeError(
-                        f"could not fill stratum {stratum} for {label.value}: {made}/{want}"
+                        f"could not fill stratum {stratum.name} for {label.value}: {made}/{want}"
                     )
-                draft = _dispatch(stratum, trees, rng, label)
+                draft = stratum.emit(pool, rng)
                 instance = Instance(
                     utterance_id="pending",
                     tree_id=draft.tree.tree_id,
@@ -789,10 +734,10 @@ def generate_split(spec: SplitSpec) -> list[Instance]:
                     evidence=draft.evidence,
                     gold_answer=draft.answer,
                 )
-                digest = content_hash(instance)
-                if digest in seen:
+                key = content_key(instance)
+                if key in seen:
                     continue
-                seen.add(digest)
+                seen.add(key)
                 made += 1
                 instances.append(instance)
 

@@ -230,6 +230,12 @@ def test_params_file_round_trip(tmp_path):
         ("[0.5]", "not a JSON object"),
         ('{"rho": ', "invalid JSON"),
         ('{"rho": \udcff}', "'utf-8' codec can't decode byte 0xff"),  # written as the raw byte 0xff
+        ('{"tau_irr": -1, "l_max": 2.5}', "parameter 'tau_irr' must be finite and >= 0, got -1"),
+        ('{"rho": NaN}', "parameter 'rho' must be finite and >= 0, got nan"),
+        ('{"rho_s": Infinity}', "parameter 'rho_s' must be finite and >= 0, got inf"),
+        ('{"l_max": -1}', "parameter 'l_max' must be finite and >= 0, got -1"),
+        ('{"l_max": 2.5}', "parameter 'l_max' must be an integer, got 2.5"),
+        ('{"l_max": 3.0}', "parameter 'l_max' must be an integer, got 3.0"),
     ],
 )
 def test_load_params_names_the_path_and_the_problem(tmp_path, body, message):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sharctool
+from sharctool import cli
 from sharctool.cli import DATA_DIR_ENV, main
 from sharctool.corpus import ClassLabel, load_corpus, write_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
@@ -487,3 +488,43 @@ def test_targets_outside_the_domain_exit_2_naming_the_flag(corpus_file, tmp_path
     assert excinfo.value.code == 2
     assert "argument --targets: " in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["probe", "--min-support", "-5"], "--min-support"),
+        (["augment", "--seed", "1", "--total", "-5", "--no-keep-original"], "--total"),
+        (["augment", "--seed", "1", "--total", "0"], "--total"),
+    ],
+    ids=["negative-min-support", "negative-total", "zero-total"],
+)
+def test_counts_below_their_minimum_exit_2_naming_the_flag(corpus_file, tmp_path, capsys, argv, flag):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--in", str(corpus_file), *rest, "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_no_manifest_beside_an_output_that_is_not_a_regular_file(corpus_file, tmp_path, capsys):
+    sink = tmp_path / "sink"
+    sink.symlink_to(os.devnull)
+    assert main(["validate", "--in", str(corpus_file), "--out", str(sink)]) == 0
+    assert "instances kept:      100" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == ["sink"]
+    assert os.path.realpath(sink) == os.path.realpath(os.devnull)
+
+
+def test_a_bad_params_file_fails_before_the_corpus_is_loaded(corpus_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: calls.append(a) or load_corpus(*a, **k))
+    params = tmp_path / "params.json"
+    params.write_bytes(b'{"rho": \xff}')
+    out = tmp_path / "pred.jsonl"
+    assert main(["baseline", "--in", str(corpus_file), "--params", str(params), "--out", str(out)]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {params}: ")
+    assert calls == []
+    assert main(["baseline", "--in", str(corpus_file), "--out", str(out)]) == 0
+    assert len(calls) == 1

@@ -222,3 +222,11 @@ def test_load_cues_rejects_missing_phrase(tmp_path):
     path.write_text("conj\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1:"):
         load_cues(path)
+
+
+def test_load_cues_names_the_path_of_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cues.txt"
+    path.write_bytes(b"conj all of\ndisj \xff\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_cues(path)
+    assert str(excinfo.value).startswith(f"{path}: not valid UTF-8: ")

@@ -1,5 +1,8 @@
 """The bundled replica generator: determinism, exact counts, well-formedness."""
 
+import hashlib
+import os
+
 import pytest
 
 from sharctool.corpus import ClassLabel, derive_label, instance_to_record, load_corpus, write_corpus
@@ -78,3 +81,24 @@ def test_toy_distribution_tracks_spec(toy_split):
     distribution = class_distribution(toy_split)
     assert distribution[ClassLabel.IRRELEVANT] == pytest.approx(10.0)
     assert distribution[ClassLabel.YES] == pytest.approx(30.0)
+
+
+# SHA-256 of write_corpus output. Every RNG draw of the generator feeds these
+# bytes, so a reordered draw, a changed share or a changed template shows here.
+TOY_SHA256 = "f18737d5e6bb69b36d16977e269bbe2a20f507f39b7faccb2afd8ab534a03026"
+DEV_SHA256 = "589f683634beaafc6a88ef95d568a93f25211d471c5f62920a187e903c47c674"
+
+
+def _written_sha256(path, corpus):
+    write_corpus(path, corpus)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_toy_split_bytes_are_pinned(tmp_path, toy_split):
+    assert _written_sha256(tmp_path / "toy.jsonl", toy_split) == TOY_SHA256
+
+
+def test_dev_split_bytes_are_pinned(tmp_path, dev_corpus):
+    if os.environ.get("SHARC_DEV_JSON"):
+        pytest.skip("SHARC_DEV_JSON replaces the generated dev split")
+    assert _written_sha256(tmp_path / "dev.jsonl", dev_corpus) == DEV_SHA256
