@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .augment import AugmentConfig, DEFAULT_TOTAL_TARGET, build_augmented_corpus, write_augmented
 from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_params, write_predictions
-from .corpus import (ClassLabel, load_corpus, load_corpus_audited, staged_writes, write_corpus, write_json,
+from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, staged_writes, write_corpus, write_json,
                      write_jsonl)
 from .evaluate import evaluate, load_report, render_report, write_report
 from .markers import BASIC_STOPWORDS, annotate_corpus
@@ -65,7 +66,8 @@ def _load_frozen(load, path: Path):
     The process runs one command, so no collection needs to walk the corpus
     again. The collector stays off until the freeze: re-enabling it first
     would walk the whole new corpus once in the next young-generation
-    collection.
+    collection. A streaming loader (:func:`iter_corpus`) builds nothing here:
+    it reads as ``compute`` consumes it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -89,7 +91,10 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     that is not a regular one. ``compute`` takes the loaded inputs in
     declared order, writes the outputs, may add to ``config`` what it read,
     and returns the text to print. A failure before the first replace leaves
-    every file as it was.
+    every file as it was. The manifest's ``metrics`` block, which
+    ``config_digest`` does not cover, records the seconds spent loading and
+    computing (``compute_s``) and replacing the outputs (``commit_s``), and
+    the process's peak RSS so far.
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     expect_digest = getattr(args, "expect_digest", None)
@@ -128,9 +133,12 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         return None if sources[index] is None else _load_frozen(inputs[index][2], sources[index])
 
     with staged_writes() as commit:
+        began = time.perf_counter()
         side = [load(index) for index in range(1, len(inputs))]
         summary = compute(load(0), *side)
+        computed = time.perf_counter()
         commit()
+    committed = time.perf_counter()
     if manifest_path:
         write_json(manifest_path, {
             "argv": args.argv,
@@ -141,6 +149,12 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             "config": config,
             "input_digests": input_digests,
             "output_digests": {path: _sha256(Path(path)) for _, path in targets[:-1]},
+            "metrics": {
+                "compute_s": round(computed - began, 4),
+                "commit_s": round(committed - computed, 4),
+                # ru_maxrss is in KiB on Linux.
+                "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            },
         })
     print(summary)
     return 0
@@ -186,11 +200,14 @@ def _targets(spec: str) -> dict[ClassLabel, float]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     strictness = "strict" if args.strict else "lenient"
+    audit = LoadAudit()
 
-    def compute(loaded):
-        instances, audit = loaded
+    def compute(instances):
         if args.out:
             write_corpus(args.out, instances)
+        else:
+            for _ in instances:
+                pass
         lines = [
             f"validated {_resolve_input(args.infile)}",
             f"  records read:        {audit.records_read}",
@@ -203,7 +220,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return "\n".join(lines)
 
     return _run(args, {"strictness": strictness},
-                [("--in", args.infile, lambda path: load_corpus_audited(path, strictness))],
+                [("--in", args.infile, lambda path: iter_corpus(path, strictness, audit))],
                 [("--out", args.out)], compute)
 
 
@@ -263,9 +280,11 @@ _ANNOTATION_ENCODER = json.JSONEncoder(ensure_ascii=False)
 def _cmd_annotate(args: argparse.Namespace) -> int:
     stopwords = BASIC_STOPWORDS if args.stopwords == "basic" else frozenset()
 
-    def compute(corpus):
-        annotations, stats = annotate_corpus(corpus, use_normalized=not args.raw_tokens, stopwords=stopwords)
+    def write(annotations):
         write_jsonl(args.out, (a.to_record() for a in annotations), _ANNOTATION_ENCODER.encode)
+
+    def compute(corpus):
+        _, stats = annotate_corpus(corpus, use_normalized=not args.raw_tokens, stopwords=stopwords, sink=write)
         coverage = stats.span_coverage
         lines = [
             f"annotated {stats.instances} instances -> {Path(args.out)}",
@@ -276,7 +295,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         return "\n".join(lines)
 
     return _run(args, {"stopwords": args.stopwords, "raw_tokens": args.raw_tokens},
-                [("--in", args.infile, load_corpus)], [("--out", args.out)], compute)
+                [("--in", args.infile, iter_corpus)], [("--out", args.out)], compute)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -418,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="explicit RNG seed (no clock seeding)")
     p.add_argument("--total", type=_int_at_least(1), default=DEFAULT_TOTAL_TARGET)
     p.add_argument("--targets", type=_targets, default=None, help="e.g. irr=22.41,yes=27.09,no=28.11,more=22.39")
-    p.add_argument("--max-perms", type=int, default=3, help="shuffles emitted per parent instance")
+    p.add_argument("--max-perms", type=_int_at_least(1), default=3, help="shuffles emitted per parent instance")
     p.add_argument("--no-keep-original", action="store_true", help="emit generated instances only")
     p.add_argument("--drop-replaced-history", action="store_true")
     p.add_argument("--out", required=True)

@@ -36,6 +36,7 @@ __all__ = [
     "corpus_pass",
     "derive_label",
     "instance_to_record",
+    "iter_corpus",
     "load_corpus",
     "load_corpus_audited",
     "pass_memo",
@@ -441,52 +442,60 @@ def _read_records(path: Path) -> Iterable:
     return records
 
 
-def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
-    """Load a corpus file (JSON list or JSONL), returning instances plus an audit.
+def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[LoadAudit] = None) -> Iterator[Instance]:
+    """Yield each instance of a corpus file (JSON list or JSONL) as it is read.
 
     ``strictness="strict"`` aborts on any malformed field or duplicate
     utterance id; ``"lenient"`` drops offending instances (and malformed
-    evidence items) while counting every drop in the audit. Evidence items
+    evidence items) while counting every drop in ``audit``. Evidence items
     that merely omit the answer are dropped in both modes: they are an
-    expected form of partial data, not corruption.
-
-    The cyclic garbage collector is paused while the corpus is built (the
-    loader makes no reference cycles, and each collection would re-walk the
-    growing corpus) and left as it was found afterwards.
+    expected form of partial data, not corruption. Only the set of seen ids
+    outlives a record, so a JSONL file is held one line at a time; ``audit``
+    is complete once the iterator is used up.
     """
     if strictness not in ("strict", "lenient"):
         raise ValueError(f"unknown strictness {strictness!r}")
     strict = strictness == "strict"
     path = Path(path)
-    audit = LoadAudit()
-    instances: list[Instance] = []
+    audit = LoadAudit() if audit is None else audit
     seen_ids: set[str] = set()
+    for index, record in enumerate(_read_records(path)):
+        audit.records_read += 1
+        try:
+            instance = _parse_record(record, strict, audit)
+        except CorpusError as exc:
+            if strict:
+                raise CorpusError(f"{path.name}[{index}]: {exc}") from None
+            audit.dropped_instances += 1
+            audit.note("instance_malformed")
+            continue
+        if instance.utterance_id in seen_ids:
+            if strict:
+                raise CorpusError(f"{path.name}[{index}]: duplicate utterance_id {instance.utterance_id!r}")
+            audit.duplicate_ids_dropped += 1
+            audit.dropped_instances += 1
+            audit.note("duplicate_utterance_id")
+            continue
+        seen_ids.add(instance.utterance_id)
+        audit.instances_kept += 1
+        yield instance
+
+
+def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
+    """Load a whole corpus file with :func:`iter_corpus`, returning instances plus the audit.
+
+    The cyclic garbage collector is paused while the corpus is built (the
+    loader makes no reference cycles, and each collection would re-walk the
+    growing corpus) and left as it was found afterwards.
+    """
+    audit = LoadAudit()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for index, record in enumerate(_read_records(path)):
-            audit.records_read += 1
-            try:
-                instance = _parse_record(record, strict, audit)
-            except CorpusError as exc:
-                if strict:
-                    raise CorpusError(f"{path.name}[{index}]: {exc}") from None
-                audit.dropped_instances += 1
-                audit.note("instance_malformed")
-                continue
-            if instance.utterance_id in seen_ids:
-                if strict:
-                    raise CorpusError(f"{path.name}[{index}]: duplicate utterance_id {instance.utterance_id!r}")
-                audit.duplicate_ids_dropped += 1
-                audit.dropped_instances += 1
-                audit.note("duplicate_utterance_id")
-                continue
-            seen_ids.add(instance.utterance_id)
-            instances.append(instance)
+        instances = list(iter_corpus(path, strictness, audit))
     finally:
         if gc_was_enabled:
             gc.enable()
-    audit.instances_kept = len(instances)
     return instances, audit
 
 

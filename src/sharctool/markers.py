@@ -11,7 +11,7 @@ utterance's tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, pass_memo, tokenize
 
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 MARKER_PHI = "Phi"
+
+_T = TypeVar("_T")
 
 # Function words. Matching drops them only in the optional stopword-excluded
 # mode (the default matches everything); content_words always leaves them
@@ -258,20 +260,25 @@ class AnnotationStats:
 
 
 def annotate_corpus(
-    corpus: Sequence[Instance],
+    corpus: Iterable[Instance],
     *,
     use_normalized: bool = True,
     stopwords: frozenset[str] = frozenset(),
-) -> tuple[list[MarkerAnnotation], AnnotationStats]:
-    """Run all three annotators over a corpus.
+    sink: Callable[[Iterator[MarkerAnnotation]], _T] = list,
+) -> tuple[_T, AnnotationStats]:
+    """Run all three annotators over a corpus; return ``(sink(annotations), stats)``.
 
     Gold spans are extracted only for More-labeled instances (the gold answer
     is a follow-up question there); instances whose span comes back empty are
-    flagged rather than dropped.
+    flagged rather than dropped. The annotations reach ``sink`` as an
+    iterator, one instance at a time and inside one corpus pass, so a
+    streamed corpus and a sink that writes them hold no more than one
+    instance and its annotation; ``stats`` is complete once the iterator is
+    used up.
     """
-    annotations: list[MarkerAnnotation] = []
     stats = AnnotationStats()
-    with corpus_pass():
+
+    def annotations() -> Iterator[MarkerAnnotation]:
         for instance in corpus:
             rule = tokenize(instance.rule_text)
             history_marker, turn_index = annotate_history(
@@ -293,16 +300,16 @@ def annotate_corpus(
                     stats.more_with_span += 1
             for flag in flags:
                 stats.flag_counts[flag] = stats.flag_counts.get(flag, 0) + 1
-            annotations.append(
-                MarkerAnnotation(
-                    utterance_id=instance.utterance_id,
-                    tokens=rule.surfaces,
-                    history_marker=history_marker,
-                    turn_index=turn_index,
-                    scenario_marker=scenario_marker,
-                    gold_span=gold_span,
-                    flags=flags,
-                )
-            )
             stats.instances += 1
-    return annotations, stats
+            yield MarkerAnnotation(
+                utterance_id=instance.utterance_id,
+                tokens=rule.surfaces,
+                history_marker=history_marker,
+                turn_index=turn_index,
+                scenario_marker=scenario_marker,
+                gold_span=gold_span,
+                flags=flags,
+            )
+
+    with corpus_pass():
+        return sink(annotations()), stats

@@ -496,8 +496,9 @@ def test_targets_outside_the_domain_exit_2_naming_the_flag(corpus_file, tmp_path
         (["probe", "--min-support", "-5"], "--min-support"),
         (["augment", "--seed", "1", "--total", "-5", "--no-keep-original"], "--total"),
         (["augment", "--seed", "1", "--total", "0"], "--total"),
+        (["augment", "--seed", "1", "--max-perms", "0"], "--max-perms"),
     ],
-    ids=["negative-min-support", "negative-total", "zero-total"],
+    ids=["negative-min-support", "negative-total", "zero-total", "zero-max-perms"],
 )
 def test_counts_below_their_minimum_exit_2_naming_the_flag(corpus_file, tmp_path, capsys, argv, flag):
     command, *rest = argv
@@ -528,3 +529,64 @@ def test_a_bad_params_file_fails_before_the_corpus_is_loaded(corpus_file, tmp_pa
     assert calls == []
     assert main(["baseline", "--in", str(corpus_file), "--out", str(out)]) == 0
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# streaming commands: a bad record part way through changes nothing
+# --------------------------------------------------------------------------
+
+# The last line of each corpus, after the 100 good ones, and the error it gives.
+_BAD_LAST_LINES = {
+    "duplicate": (None, "error: in.jsonl[100]: duplicate utterance_id 'clitoy-00000'"),
+    "malformed": (b'{"utterance_id": "u-bad",}\n',
+                  "error: {path}:101: invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 26 (char 25)"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,output,last",
+    [
+        (["annotate"], "markers.jsonl", "duplicate"),
+        (["annotate"], "markers.jsonl", "malformed"),
+        (["validate", "--strict"], "train.valid.jsonl", "duplicate"),
+        (["validate"], "train.valid.jsonl", "malformed"),
+    ],
+    ids=["annotate-duplicate", "annotate-malformed", "validate-strict-duplicate", "validate-malformed"],
+)
+def test_a_bad_last_record_keeps_the_previous_outputs(corpus_file, tmp_path, capsys, argv, output, last):
+    infile, out_dir = tmp_path / "in.jsonl", tmp_path / "out"
+    out_dir.mkdir()
+    good = corpus_file.read_bytes()
+    infile.write_bytes(good)
+    argv = [*argv, "--in", str(infile), "--out", str(out_dir / output)]
+    assert main(argv) == 0
+    assert sorted(os.listdir(out_dir)) == [output, f"{output}.manifest.json"]
+
+    line, message = _BAD_LAST_LINES[last]
+    infile.write_bytes(good + (line or good.splitlines(keepends=True)[0]))
+    err = _fails_and_changes_nothing(argv, out_dir, capsys)
+    assert err == message.format(path=infile) + "\n"
+
+
+# --------------------------------------------------------------------------
+# manifest metrics
+# --------------------------------------------------------------------------
+
+
+def test_manifest_metrics_are_numeric_and_outside_the_config_digest(corpus_file, tmp_path):
+    out = tmp_path / "markers.jsonl"
+    argv = ["annotate", "--in", str(corpus_file), "--out", str(out), "--stopwords", "basic"]
+    manifests = []
+    for _ in range(2):
+        assert main(argv) == 0
+        manifests.append(json.loads((tmp_path / "markers.jsonl.manifest.json").read_text()))
+    for manifest in manifests:
+        metrics = manifest["metrics"]
+        assert sorted(metrics) == ["commit_s", "compute_s", "peak_rss_mib"]
+        assert all(isinstance(value, float) and value >= 0 for value in metrics.values())
+        assert metrics["peak_rss_mib"] > 0
+        assert "metrics" not in manifest["config"]
+    # The digest covers the config alone, as before the block existed.
+    assert manifests[0]["config_digest"] == manifests[1]["config_digest"] == hashlib.sha256(
+        b'{"raw_tokens":false,"stopwords":"basic"}').hexdigest()

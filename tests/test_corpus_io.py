@@ -15,9 +15,11 @@ from sharctool.corpus import (
     CorpusError,
     DialogTurn,
     Instance,
+    LoadAudit,
     content_hash,
     content_key,
     dumps_record,
+    iter_corpus,
     load_corpus,
     load_corpus_audited,
     write_corpus,
@@ -187,6 +189,46 @@ def test_lenient_audit_counts_and_reasons(tmp_path):
     }
 
 
+# Records for the reader's two modes: in strict mode only what both modes
+# drop (an evidence item with no answer); in lenient mode every kind of drop.
+_STREAM_RECORDS = {
+    "strict": [_record(), _record(utterance_id="u-2", evidence=[_turn(), {"follow_up_question": "Q?"}])],
+    "lenient": [
+        _record(),
+        "just a string",
+        _record(question="Same id again?"),
+        _record(utterance_id="u-3", evidence=[_turn(), _turn(answer="Perhaps"), {"follow_up_question": "Q?"}]),
+    ],
+}
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "json-list"])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_load_corpus_audited_is_the_streaming_reader_listed(tmp_path, strictness, layout):
+    records = _STREAM_RECORDS[strictness]
+    if layout == "jsonl":
+        path = _write_lines(tmp_path, *records)
+    else:
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+    instances, audit = load_corpus_audited(path, strictness)
+    streamed_audit = LoadAudit()
+    assert list(iter_corpus(path, strictness, streamed_audit)) == instances
+    assert streamed_audit == audit
+    assert audit.instances_kept == 2 and audit.dropped_evidence_items >= 1
+
+
+def test_iter_corpus_yields_each_instance_before_reading_the_next_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_record()) + "\n{not json\n", encoding="utf-8")
+    audit = LoadAudit()
+    stream = iter_corpus(path, "strict", audit)
+    assert next(stream).utterance_id == "u-1"
+    assert audit.records_read == audit.instances_kept == 1
+    with pytest.raises(CorpusError, match=f"{path}:2: invalid JSON"):
+        next(stream)
+
+
 # --------------------------------------------------------------------------
 # write_augmented output, pinned
 # --------------------------------------------------------------------------
@@ -245,7 +287,7 @@ def test_cli_freezes_the_loaded_corpus_and_restores_the_collector(tmp_path, rest
     corpus = _write_lines(tmp_path, _record())
     gc.unfreeze()
     try:
-        assert main(["validate", "--in", str(corpus)]) == 0
+        assert main(["probe", "--in", str(corpus), "--out", str(tmp_path / "probe.json")]) == 0
         assert gc.get_freeze_count() > 0
         assert gc.isenabled()
     finally:

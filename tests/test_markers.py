@@ -2,9 +2,10 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
-from sharctool.corpus import ClassLabel, DialogTurn, tokenize
+from sharctool.corpus import ClassLabel, CorpusError, DialogTurn, pass_memo, tokenize
 from sharctool.markers import (
     BASIC_STOPWORDS,
     MARKER_PHI,
@@ -257,3 +258,32 @@ def test_annotate_corpus_records_and_stats(make_instance, turn):
 def test_annotate_corpus_span_coverage_none_without_more(make_instance):
     _, stats = annotate_corpus([make_instance(gold_answer="Yes")])
     assert stats.span_coverage is None
+
+
+def test_annotate_corpus_hands_each_annotation_to_the_sink_as_it_is_made(make_instance):
+    def corpus():
+        for i in range(3):
+            yield make_instance(utterance_id=f"u-{i}", rule_text=RULE.text, gold_answer="Are you over 60?")
+        raise CorpusError("record 3 is bad")
+
+    received = []
+
+    def sink(annotations):
+        for annotation in annotations:
+            received.append(annotation.utterance_id)
+
+    with pytest.raises(CorpusError, match="record 3"):
+        annotate_corpus(corpus(), sink=sink)
+    assert received == ["u-0", "u-1", "u-2"]
+
+
+def test_annotate_corpus_returns_what_the_sink_returns_with_complete_stats(make_instance):
+    def count_inside_the_pass(annotations):
+        assert pass_memo("tokenize") is not None
+        return sum(1 for _ in annotations)
+
+    corpus = [make_instance(utterance_id=f"u-{i}", gold_answer=answer) for i, answer in enumerate(["Yes", "Why?"])]
+    counted, stats = annotate_corpus(iter(corpus), sink=count_inside_the_pass)
+    assert counted == stats.instances == 2
+    assert stats.more_instances == 1
+    assert pass_memo("tokenize") is None
