@@ -5,8 +5,8 @@ Two synthesis moves break the dataset's spurious clues. Replacing the rule
 under an instance with a non-empty scenario yields a new Irrelevant instance
 whose context is *not* empty, and reordering a dialog history detaches the
 gold answer from whatever was answered last. Generation is deterministic:
-every parent instance owns an RNG stream derived from (master seed,
-parent id), so outputs do not depend on scheduling.
+in each class's fill every parent owns an RNG stream derived from (master
+seed, fill, parent id), so outputs do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -108,9 +108,18 @@ class AugmentedInstance:
         return record
 
 
-def _derived_id(parent_id: str, provenance: Provenance, detail: str, seed: int) -> str:
-    payload = f"{parent_id}|{provenance.value}|{detail}|{seed}"
-    return "aug-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+def _derive(
+    source: Instance, provenance: Provenance, detail: str, seed: int, permutation: Optional[list[int]] = None, **changes
+) -> AugmentedInstance:
+    """``source`` with ``changes`` applied, under an id hashed from its parent, provenance, ``detail`` and seed."""
+    payload = f"{source.utterance_id}|{provenance.value}|{detail}|{seed}"
+    instance = replace(
+        source,
+        utterance_id="aug-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16],
+        evidence=list(source.evidence),
+        **changes,
+    )
+    return AugmentedInstance(instance, provenance, source.utterance_id, permutation)
 
 
 def make_irrelevant_instance(
@@ -142,20 +151,9 @@ def make_irrelevant_instance(
         if not different:
             raise ValueError(f"{source.utterance_id}: rule pool holds no instance with a different tree_id")
         donor = different[rng.randrange(len(different))]
-    instance = Instance(
-        utterance_id=_derived_id(source.utterance_id, Provenance.RULE_REPLACED, donor.tree_id, seed),
-        tree_id=donor.tree_id,
-        rule_text=donor.rule_text,
-        question=source.question,
-        scenario=source.scenario,
-        history=[] if drop_history else list(source.history),
-        evidence=list(source.evidence),
-        gold_answer=ClassLabel.IRRELEVANT.value,
-    )
-    return AugmentedInstance(
-        instance=instance,
-        provenance=Provenance.RULE_REPLACED,
-        parent_id=source.utterance_id,
+    return _derive(
+        source, Provenance.RULE_REPLACED, donor.tree_id, seed, tree_id=donor.tree_id, rule_text=donor.rule_text,
+        history=[] if drop_history else list(source.history), gold_answer=ClassLabel.IRRELEVANT.value,
     )
 
 
@@ -208,22 +206,7 @@ def shuffle_history_instance(source: Instance, rng: random.Random, *, seed: int 
         else:  # pragma: no cover - astronomically unlikely given the duplicate check
             raise ValueError(f"{source.utterance_id}: failed to sample a distinct reordering")
     detail = ",".join(map(str, perm))
-    instance = Instance(
-        utterance_id=_derived_id(source.utterance_id, Provenance.HISTORY_SHUFFLED, detail, seed),
-        tree_id=source.tree_id,
-        rule_text=source.rule_text,
-        question=source.question,
-        scenario=source.scenario,
-        history=list(sequence),
-        evidence=list(source.evidence),
-        gold_answer=source.gold_answer,
-    )
-    return AugmentedInstance(
-        instance=instance,
-        provenance=Provenance.HISTORY_SHUFFLED,
-        parent_id=source.utterance_id,
-        permutation=list(perm),
-    )
+    return _derive(source, Provenance.HISTORY_SHUFFLED, detail, seed, list(perm), history=list(sequence))
 
 
 @dataclass
@@ -256,23 +239,6 @@ def _stream(seed: int, purpose: str, parent_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-class _Streams(dict):
-    """Parent id -> its RNG stream, made the first time the parent is visited.
-
-    A stream depends only on (seed, purpose, parent id), so making it lazily
-    draws the same numbers as making every stream up front.
-    """
-
-    def __init__(self, seed: int, purpose: str):
-        super().__init__()
-        self.seed = seed
-        self.purpose = purpose
-
-    def __missing__(self, parent_id: str) -> random.Random:
-        rng = self[parent_id] = _stream(self.seed, self.purpose, parent_id)
-        return rng
-
-
 def build_augmented_corpus(
     corpus: Sequence[Instance], config: AugmentConfig
 ) -> tuple[list[AugmentedInstance], AugmentManifest]:
@@ -302,13 +268,7 @@ def build_augmented_corpus(
                 continue
             seen_content.add(key)
             used_ids.add(instance.utterance_id)
-            out.append(
-                AugmentedInstance(
-                    instance=instance,
-                    provenance=Provenance.ORIGINAL,
-                    parent_id=instance.utterance_id,
-                )
-            )
+            out.append(AugmentedInstance(instance, Provenance.ORIGINAL, instance.utterance_id))
 
     original_counts = {label: 0 for label in ClassLabel}
     for item in out:
@@ -331,68 +291,56 @@ def build_augmented_corpus(
         generated[label] += 1
         return True
 
-    max_passes = 64
+    def fill(label: ClassLabel, eligible, purpose: str, make, per_parent: Optional[int] = None) -> None:
+        """Fill ``label``'s deficit walking the parents that ``eligible`` accepts round-robin.
 
-    # Irrelevant deficit: rule replacement over sources with a non-empty scenario.
-    need = deficits[ClassLabel.IRRELEVANT]
-    if need:
-        eligible = [inst for inst in corpus if inst.scenario.strip()]
-        streams = _Streams(config.seed, "rule-replace")
-        for _ in range(max_passes):
-            if generated[ClassLabel.IRRELEVANT] >= need or not eligible:
-                break
-            progress = False
-            for parent in eligible:
-                if generated[ClassLabel.IRRELEVANT] >= need:
-                    break
-                try:
-                    candidate = make_irrelevant_instance(
-                        parent,
-                        corpus,
-                        streams[parent.utterance_id],
-                        seed=config.seed,
-                        drop_history=config.drop_replaced_history,
-                    )
-                except ValueError:
-                    continue
-                # A duplicate draw is still progress: the parent's stream moved,
-                # so the next pass can draw a donor we have not emitted yet.
-                progress = True
-                admit(candidate, ClassLabel.IRRELEVANT)
-            if not progress:
-                break
-
-    # Yes / No / More deficits: history shuffles of same-class sources.
-    for label in (ClassLabel.YES, ClassLabel.NO, ClassLabel.MORE):
+        ``make(parent, rng)`` returns a candidate, or raises ``ValueError`` to
+        skip the parent for this pass. A duplicate candidate still counts as
+        progress: the parent's stream moved, so a later pass can draw a new
+        variant. A stream depends only on (seed, ``purpose``, parent id), so
+        making it on the first visit draws what making it up front would.
+        Under ``per_parent`` a parent stops after that many admitted
+        candidates or four times as many attempts. The walk stops when the
+        deficit is met, after a pass without progress, or after 64 passes.
+        """
         need = deficits[label]
         if not need:
-            continue
-        eligible = [
-            inst for inst in corpus if inst.label is label and _has_distinct_reordering(inst.history)
-        ]
-        if not eligible:
-            continue
-        streams = _Streams(config.seed, f"shuffle-{label.value}")
-        emitted: dict[str, int] = {p.utterance_id: 0 for p in eligible}
-        attempts: dict[str, int] = {p.utterance_id: 0 for p in eligible}
-        attempt_cap = 4 * config.max_permutations_per_instance
-        for _ in range(max_passes):
-            if generated[label] >= need:
-                break
+            return
+        parents = [inst for inst in corpus if eligible(inst)]
+        streams: dict[str, random.Random] = {}
+        admitted: dict[str, int] = {}
+        attempts: dict[str, int] = {}
+        for _ in range(64):
             progress = False
-            for parent in eligible:
+            for parent in parents:
                 if generated[label] >= need:
-                    break
+                    return
                 pid = parent.utterance_id
-                if emitted[pid] >= config.max_permutations_per_instance or attempts[pid] >= attempt_cap:
+                if per_parent is not None:
+                    if admitted.get(pid, 0) >= per_parent or attempts.get(pid, 0) >= 4 * per_parent:
+                        continue
+                    attempts[pid] = attempts.get(pid, 0) + 1
+                if pid not in streams:
+                    streams[pid] = _stream(config.seed, purpose, pid)
+                try:
+                    candidate = make(parent, streams[pid])
+                except ValueError:
                     continue
-                attempts[pid] += 1
-                progress = True  # the attempt cap guarantees this terminates
-                candidate = shuffle_history_instance(parent, streams[pid], seed=config.seed)
-                if admit(candidate, label):
-                    emitted[pid] += 1
+                progress = True
+                if admit(candidate, label) and per_parent is not None:
+                    admitted[pid] = admitted.get(pid, 0) + 1
             if not progress:
-                break
+                return
+
+    # Irrelevant by rule replacement over sources with a non-empty scenario;
+    # Yes / No / More by history shuffles of same-class sources.
+    fill(ClassLabel.IRRELEVANT, lambda inst: inst.scenario.strip(), "rule-replace",
+         lambda parent, rng: make_irrelevant_instance(
+             parent, corpus, rng, seed=config.seed, drop_history=config.drop_replaced_history))
+    for label in (ClassLabel.YES, ClassLabel.NO, ClassLabel.MORE):
+        fill(label, lambda inst: inst.label is label and _has_distinct_reordering(inst.history),
+             f"shuffle-{label.value}", lambda parent, rng: shuffle_history_instance(parent, rng, seed=config.seed),
+             config.max_permutations_per_instance)
 
     achieved_counts = {label: 0 for label in ClassLabel}
     for item in out:

@@ -31,7 +31,7 @@ from .corpus import (
     write_jsonl,
 )
 from .evaluate import evaluate
-from .markers import content_words, jaccard, lcs_match
+from .markers import content_words, coverage, jaccard
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
 
 __all__ = [
@@ -124,8 +124,7 @@ def _is_lead_in(clause: Clause) -> bool:
 @dataclass(frozen=True)
 class _AskableClause:
     ordinal: int
-    tokens: TokenizedText
-    matchable: int  # tokens with a normalized form; always > 0
+    tokens: TokenizedText  # at least one token has a normalized form
     followup: str
 
 
@@ -144,14 +143,9 @@ def _plan(rule_text: str, structure: RuleStructure) -> _RulePlan:
         if clause.kind is ClauseKind.HEADER or _is_lead_in(clause):
             continue
         tokens = tokenize(clause.text)
-        matchable = sum(1 for t in tokens.tokens if t.normalized)
-        if matchable:
-            clauses.append(_AskableClause(clause.ordinal, tokens, matchable, generate_followup(clause)))
+        if any(t.normalized for t in tokens.tokens):
+            clauses.append(_AskableClause(clause.ordinal, tokens, generate_followup(clause)))
     return _RulePlan(structure.logic, content_words(tokenize(rule_text)), tuple(clauses))
-
-
-def _coverage(clause: _AskableClause, utterance: TokenizedText) -> float:
-    return len(lcs_match(clause.tokens, utterance)) / clause.matchable
 
 
 @dataclass
@@ -176,8 +170,8 @@ def _features(instance: Instance, plan: _RulePlan) -> _Features:
         empty_context=instance.has_empty_context,
         question_overlap=jaccard(content_words(tokenize(instance.question)), plan.content),
         answers=[turn.follow_up_answer for turn in instance.history],
-        asked_fraction=[max((_coverage(c, q) for q in history), default=0.0) for c in plan.clauses],
-        scenario_fraction=[0.0 if scenario is None else _coverage(c, scenario) for c in plan.clauses],
+        asked_fraction=[max((coverage(c.tokens, q) for q in history), default=0.0) for c in plan.clauses],
+        scenario_fraction=[0.0 if scenario is None else coverage(c.tokens, scenario) for c in plan.clauses],
     )
 
 

@@ -436,7 +436,10 @@ def _read_records(path: Path) -> Iterable:
             head = chunk.lstrip()
     if not head.startswith(b"["):
         return (record for _, record in read_jsonl(path))
-    records = json.loads(_decode(path.read_bytes(), path, 1))
+    try:
+        records = json.loads(_decode(path.read_bytes(), path, 1))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise CorpusError(f"{path}: top-level JSON value is not a list")
     return records

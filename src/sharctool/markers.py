@@ -24,6 +24,7 @@ __all__ = [
     "annotate_history",
     "annotate_scenario",
     "content_words",
+    "coverage",
     "extract_gold_span",
     "jaccard",
     "lcs_match",
@@ -46,6 +47,14 @@ BASIC_STOPWORDS = frozenset(
 def content_words(text: TokenizedText) -> set[str]:
     """The normalized tokens of ``text`` that are neither punctuation nor stopwords."""
     return {t.normalized for t in text.tokens if t.normalized and t.normalized not in BASIC_STOPWORDS}
+
+
+def coverage(clause: TokenizedText, text: TokenizedText) -> float:
+    """The share of ``clause``'s tokens with a normalized form that ``text`` matches by LCS; 1.0 if it has none."""
+    matchable = sum(1 for t in clause.tokens if t.normalized)
+    if not matchable:
+        return 1.0
+    return len(lcs_match(clause, text)) / matchable
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

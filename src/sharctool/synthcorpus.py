@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import ClassLabel, DialogTurn, Instance, content_key, corpus_pass, tokenize
-from .markers import content_words, jaccard, lcs_match
+from .markers import content_words, coverage, jaccard
 
 __all__ = [
     "DEV_SPEC",
@@ -307,14 +307,6 @@ def _draw_conditions(rng: random.Random, depth: int, kind: str, used_topics: set
     return conds
 
 
-def _coverage(clause_text: str, sentence: str) -> float:
-    clause = tokenize(clause_text)
-    matchable = sum(1 for t in clause.tokens if t.normalized)
-    if not matchable:
-        return 1.0
-    return len(lcs_match(clause, tokenize(sentence))) / matchable
-
-
 def _check_tree(tree: _Tree) -> None:
     """Build-time guards for the textual couplings the corpus relies on."""
     rule_content = content_words(tokenize(tree.rule_text))
@@ -322,15 +314,16 @@ def _check_tree(tree: _Tree) -> None:
         overlap = jaccard(content_words(tokenize(question)), rule_content)
         assert overlap >= 0.12, f"on-topic question drifted: {question!r}"
     for idx, cond in enumerate(tree.conds):
+        clause = tokenize(cond.text)
         for ask in cond.asks:
-            assert _coverage(cond.text, ask) >= 0.6, f"ask does not cover clause: {ask!r}"
-        assert _coverage(cond.text, cond.fact_yes) >= 0.6, cond.fact_yes
-        assert _coverage(cond.text, cond.fact_no) >= 0.6, cond.fact_no
+            assert coverage(clause, tokenize(ask)) >= 0.6, f"ask does not cover clause: {ask!r}"
+        assert coverage(clause, tokenize(cond.fact_yes)) >= 0.6, cond.fact_yes
+        assert coverage(clause, tokenize(cond.fact_no)) >= 0.6, cond.fact_no
         for jdx, other in enumerate(tree.conds):
             if idx == jdx or (tree.kind == "trap" and {idx, jdx} == {0, tree.depth - 1}):
                 continue
             for ask in other.asks:
-                assert _coverage(cond.text, ask) <= 0.5, (
+                assert coverage(clause, tokenize(ask)) <= 0.5, (
                     f"cross-clause collision in {tree.tree_id}: {cond.text!r} vs {ask!r}"
                 )
 

@@ -137,6 +137,16 @@ def test_invalid_json_line_names_the_path_and_line(tmp_path):
     )
 
 
+def test_invalid_json_list_names_the_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('[{"a": 1},\n oops]\n', encoding="utf-8")
+    with pytest.raises(CorpusError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == f"{path}: invalid JSON: Expecting value: line 2 column 2 (char 12)"
+    assert main(["validate", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: invalid JSON: Expecting value: line 2 column 2 (char 12)\n"
+
+
 _NOT_UTF8 = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
 
 
@@ -252,6 +262,44 @@ def test_write_augmented_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "b08c93de032719e77f6c61b26c8e80f267338d8cea26a95bbe3bdbcc804071c0"
     )
+
+
+# Configs where the round-robin's limits bind: one admitted shuffle per
+# parent; rule replacement without history; generated instances only; and a
+# total far beyond the unique variants, where every class ends short, rule
+# replacement runs all 64 passes and the shuffles hit their attempt cap.
+@pytest.mark.parametrize(
+    ("overrides", "aug_sha", "build_sha"),
+    [
+        (
+            {"total_target": 260, "max_permutations_per_instance": 1},
+            "aa230ea5da481d83d6c13a4e09cf772056d0f6633622544938c482241809a0e5",
+            "923e1d78b3a59f68c80eabf7f2a5337d7524dc86dc960c1c08cc0390be533e88",
+        ),
+        (
+            {"total_target": 260, "drop_replaced_history": True},
+            "470cbf9272f161f7fdfd5f51220369f67d1c0b478dccafc3748b31e42e424d86",
+            "f7228fa7f06db63ac850a71c4b199f619afcf0602de487b129cf3f242844d086",
+        ),
+        (
+            {"total_target": 60, "keep_original": False},
+            "aafc380fc3287ae777b8161a476bb2eecaa43047ce491bde59c09ec124ba07bc",
+            "0c139ceb6cbf9d8025f46f2fcc739f85d90fed64e4504f0f46c4fb3f3aa5711b",
+        ),
+        (
+            {"total_target": 20000},
+            "9181080c070521dd67c730ba58bde802de5305b37dc2091b4fea8e66f2cff596",
+            "eef18a99cca9c0ca8ffe8e2e5513892ab606398b0a5e3209cb03c44711e713ee",
+        ),
+    ],
+    ids=["one-perm", "drop-history", "generated-only", "shortfalls"],
+)
+def test_augment_bytes_are_pinned_where_the_fill_limits_bind(tmp_path, overrides, aug_sha, build_sha):
+    items, build = build_augmented_corpus(generate_split(PIN_SPEC), AugmentConfig(seed=13, **overrides))
+    write_augmented(tmp_path / "aug.jsonl", items)
+    write_json(tmp_path / "build.json", build.to_dict())
+    assert hashlib.sha256((tmp_path / "aug.jsonl").read_bytes()).hexdigest() == aug_sha
+    assert hashlib.sha256((tmp_path / "build.json").read_bytes()).hexdigest() == build_sha
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sharctool.markers import (
     annotate_corpus,
     annotate_history,
     annotate_scenario,
+    coverage,
     extract_gold_span,
     lcs_match,
     lcs_pairs,
@@ -140,6 +141,13 @@ def test_lcs_match_returns_full_sequence_indices():
     utterance = tokenize("over 60")
     pairs = lcs_match(rule, utterance)
     assert [rule.tokens[i].surface for i, _ in pairs] == ["over", "60"]
+
+
+def test_coverage_is_the_matched_share_of_normalized_clause_tokens():
+    clause = tokenize("You are over 60.")  # "." has no normalized form: 4 tokens count
+    assert coverage(clause, tokenize("Are you over 60?")) == 0.75
+    assert coverage(clause, tokenize("Nothing alike")) == 0.0
+    assert coverage(tokenize("..."), tokenize("anything")) == 1.0
 
 
 # --------------------------------------------------------------------------
