@@ -11,7 +11,6 @@ policy can be tuned by grid search and ablated.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -25,6 +24,7 @@ from .corpus import (
     corpus_pass,
     derive_label,
     dumps_record,
+    read_json,
     read_jsonl,
     tokenize,
     write_json,
@@ -104,7 +104,7 @@ def generate_followup(clause: Clause) -> str:
         question = f"Are you {text}?"
     elif first in ("be", "to") and len(words) > 1:
         question = f"Are you {' '.join(words[1:])}?"
-    elif any(token.normalized == "you" for token in tokenize(text).tokens):
+    elif "you" in tokenize(text).matchable()[1]:
         question = f"Do {text}?"
     else:
         question = f"Do you get {text}?"
@@ -124,7 +124,7 @@ def _is_lead_in(clause: Clause) -> bool:
 @dataclass(frozen=True)
 class _AskableClause:
     ordinal: int
-    tokens: TokenizedText  # at least one token has a normalized form
+    tokens: TokenizedText  # at least one token is matchable
     followup: str
 
 
@@ -143,7 +143,7 @@ def _plan(rule_text: str, structure: RuleStructure) -> _RulePlan:
         if clause.kind is ClauseKind.HEADER or _is_lead_in(clause):
             continue
         tokens = tokenize(clause.text)
-        if any(t.normalized for t in tokens.tokens):
+        if tokens.matchable()[0]:
             clauses.append(_AskableClause(clause.ordinal, tokens, generate_followup(clause)))
     return _RulePlan(structure.logic, content_words(tokenize(rule_text)), tuple(clauses))
 
@@ -368,10 +368,7 @@ def load_params(path: str | Path) -> PolicyParams:
     known parameter names with finite, non-negative numeric values, ``l_max``
     a JSON integer.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: parameter file is not a JSON object")
     known = PolicyParams().to_dict()

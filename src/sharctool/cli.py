@@ -373,10 +373,7 @@ def _fmt_cell(value: object) -> str:
 
 def _load_report(path: Path) -> tuple[dict, str]:
     """Read a report and tell its kind: ``probe`` or ``eval``."""
-    try:
-        report = load_report(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    report = load_report(path)
     if isinstance(report, dict):
         if "class_distribution" in report:
             return report, "probe"
@@ -446,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("annotate", _cmd_annotate, "emit per-token marker and span supervision")
     p.add_argument("--out", required=True)
     p.add_argument("--stopwords", choices=("none", "basic"), default="none")
-    p.add_argument("--raw-tokens", action="store_true", help="match raw surfaces, not normalized forms")
+    p.add_argument("--raw-tokens", action="store_true",
+                   help="match raw surfaces, not normalized forms; punctuation and markdown markers then match too")
 
     p = command("baseline", _cmd_baseline,
                 "run the rule-based policy over a corpus ('baseline tune' is 'tune --out params.json')")

@@ -40,6 +40,7 @@ __all__ = [
     "load_corpus",
     "load_corpus_audited",
     "pass_memo",
+    "read_json",
     "read_jsonl",
     "staged_writes",
     "tokenize",
@@ -143,6 +144,29 @@ class TokenizedText:
 
     text: str
     tokens: tuple[Token, ...]
+    _matchable: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+
+    def matchable(
+        self, use_normalized: bool = True, stopwords: frozenset[str] = frozenset()
+    ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The ``(indices, symbols)`` of the tokens that take part in LCS matching, built once per mode.
+
+        Symbols are normalized forms, or raw surfaces when ``use_normalized`` is
+        false. A token whose normalized form is in ``stopwords`` never takes
+        part; nor, with normalized forms, does one whose normalized form is
+        empty (punctuation, ``##``, ``*``), which with raw surfaces matches an
+        equal surface (``##`` pairs with ``##``, ``.`` with ``.``).
+        """
+        key = (use_normalized, stopwords)
+        projection = self._matchable.get(key)
+        if projection is None:
+            kept = [
+                (i, t.normalized if use_normalized else t.surface)
+                for i, t in enumerate(self.tokens)
+                if (t.normalized or not use_normalized) and t.normalized not in stopwords
+            ]
+            projection = self._matchable[key] = (tuple(i for i, _ in kept), tuple(s for _, s in kept))
+        return projection
 
     @property
     def surfaces(self) -> list[str]:
@@ -585,6 +609,16 @@ def staged_writes() -> Iterator[Callable[[], None]]:
 def write_json(path: str | Path, document: object) -> None:
     """Write one indented JSON document and a final newline, atomically."""
     write_jsonl(path, [document], _DOCUMENT_ENCODER.encode)
+
+
+def read_json(path: str | Path) -> object:
+    """The one JSON document in ``path``; ``CorpusError`` naming the path if it is not UTF-8 or not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:

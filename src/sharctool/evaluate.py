@@ -14,14 +14,13 @@ ShARC scoring script; the deviations are spelled out in
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize, write_json
+from .corpus import ClassLabel, Instance, derive_label, pass_memo, read_json, tokenize, write_json
 
 __all__ = [
     "SCORING_NOTES",
@@ -329,4 +328,4 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path)

@@ -46,15 +46,13 @@ BASIC_STOPWORDS = frozenset(
 
 def content_words(text: TokenizedText) -> set[str]:
     """The normalized tokens of ``text`` that are neither punctuation nor stopwords."""
-    return {t.normalized for t in text.tokens if t.normalized and t.normalized not in BASIC_STOPWORDS}
+    return set(text.matchable(True, BASIC_STOPWORDS)[1])
 
 
 def coverage(clause: TokenizedText, text: TokenizedText) -> float:
-    """The share of ``clause``'s tokens with a normalized form that ``text`` matches by LCS; 1.0 if it has none."""
-    matchable = sum(1 for t in clause.tokens if t.normalized)
-    if not matchable:
-        return 1.0
-    return len(lcs_match(clause, text)) / matchable
+    """The share of ``clause``'s matchable tokens that ``text`` matches by LCS; 1.0 if it has none."""
+    matchable = len(clause.matchable()[0])
+    return len(lcs_match(clause, text)) / matchable if matchable else 1.0
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -113,22 +111,6 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     return pairs
 
 
-def _matchable_indices(
-    text: TokenizedText, use_normalized: bool, stopwords: frozenset[str]
-) -> tuple[list[int], list[str]]:
-    indices: list[int] = []
-    symbols: list[str] = []
-    for idx, token in enumerate(text.tokens):
-        symbol = token.normalized if use_normalized else token.surface
-        if use_normalized and not symbol:
-            continue
-        if token.normalized in stopwords:
-            continue
-        indices.append(idx)
-        symbols.append(symbol)
-    return indices, symbols
-
-
 def lcs_match(
     rule: TokenizedText,
     utterance: TokenizedText,
@@ -138,10 +120,9 @@ def lcs_match(
 ) -> list[tuple[int, int]]:
     """LCS between a rule and an utterance as (rule_index, utterance_index) pairs.
 
-    Matching runs over normalized token forms by default (raw surfaces when
-    ``use_normalized`` is false); tokens whose normalized form is empty —
-    pure punctuation and markdown markers — never participate. Returned
-    indices address the *full* token sequences of both inputs. Inside a
+    Only the tokens that :meth:`~sharctool.corpus.TokenizedText.matchable`
+    keeps in the given mode take part, and the returned indices address the
+    *full* token sequences of both inputs. Inside a
     :func:`~sharctool.corpus.corpus_pass`, each distinct input is matched once.
     """
     memo = pass_memo("lcs_match")
@@ -152,8 +133,8 @@ def lcs_match(
         cached = memo.get(key)
         if cached is not None:
             return list(cached)
-    rule_idx, rule_sym = _matchable_indices(rule, use_normalized, stopwords)
-    utt_idx, utt_sym = _matchable_indices(utterance, use_normalized, stopwords)
+    rule_idx, rule_sym = rule.matchable(use_normalized, stopwords)
+    utt_idx, utt_sym = utterance.matchable(use_normalized, stopwords)
     pairs = [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
     if memo is not None:
         memo[key] = tuple(pairs)
@@ -191,15 +172,10 @@ def annotate_scenario(
 ) -> list[str]:
     """Three-class evidence labels per rule token (Yes / No / Phi).
 
-    Same mechanics as :func:`annotate_history`, driven by the evidence turns
-    behind the scenario and without turn indices.
+    The marker row of :func:`annotate_history` applied to the evidence turns
+    behind the scenario.
     """
-    markers = [MARKER_PHI] * len(rule.tokens)
-    for turn in evidence:
-        question = tokenize(turn.follow_up_question)
-        for rule_token, _ in lcs_match(rule, question, use_normalized=use_normalized, stopwords=stopwords):
-            markers[rule_token] = turn.follow_up_answer
-    return markers
+    return annotate_history(rule, evidence, use_normalized=use_normalized, stopwords=stopwords)[0]
 
 
 def extract_gold_span(
@@ -286,23 +262,18 @@ def annotate_corpus(
     used up.
     """
     stats = AnnotationStats()
+    mode = {"use_normalized": use_normalized, "stopwords": stopwords}
 
     def annotations() -> Iterator[MarkerAnnotation]:
         for instance in corpus:
             rule = tokenize(instance.rule_text)
-            history_marker, turn_index = annotate_history(
-                rule, instance.history, use_normalized=use_normalized, stopwords=stopwords
-            )
-            scenario_marker = annotate_scenario(
-                rule, instance.evidence, use_normalized=use_normalized, stopwords=stopwords
-            )
+            history_marker, turn_index = annotate_history(rule, instance.history, **mode)
+            scenario_marker = annotate_scenario(rule, instance.evidence, **mode)
             gold_span = None
             flags: list[str] = []
             if instance.label is ClassLabel.MORE:
                 stats.more_instances += 1
-                gold_span = extract_gold_span(
-                    rule, instance.gold_answer, use_normalized=use_normalized, stopwords=stopwords
-                )
+                gold_span = extract_gold_span(rule, instance.gold_answer, **mode)
                 if gold_span is None:
                     flags.append("empty_gold_span")
                 else:

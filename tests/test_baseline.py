@@ -229,7 +229,7 @@ def test_params_file_round_trip(tmp_path):
         ('{"rho": "high"}', "parameter 'rho' must be a number"),
         ("[0.5]", "not a JSON object"),
         ('{"rho": ', "invalid JSON"),
-        ('{"rho": \udcff}', "'utf-8' codec can't decode byte 0xff"),  # written as the raw byte 0xff
+        ('{"rho": \udcff}', "not valid UTF-8: 'utf-8' codec can't decode byte 0xff"),  # written as the raw byte 0xff
         ('{"tau_irr": -1, "l_max": 2.5}', "parameter 'tau_irr' must be finite and >= 0, got -1"),
         ('{"rho": NaN}', "parameter 'rho' must be finite and >= 0, got nan"),
         ('{"rho_s": Infinity}', "parameter 'rho_s' must be finite and >= 0, got inf"),

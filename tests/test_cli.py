@@ -389,6 +389,22 @@ def test_report_refuses_a_file_that_is_no_report(reports, tmp_path, capsys, side
     assert _one_error_line(capsys).startswith(f"error: {bogus}: ")
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b"\xff{}", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["bytes", "syntax"],
+)
+def test_report_names_a_file_that_is_not_utf8_or_not_json(reports, tmp_path, capsys, body, message):
+    capsys.readouterr()
+    bogus = tmp_path / "bogus.json"
+    bogus.write_bytes(body)
+    assert main(["report", "--original", str(bogus), "--augmented", str(reports["probe"])]) == 1
+    assert _one_error_line(capsys) == f"error: {bogus}: {message}\n"
+
+
 # --------------------------------------------------------------------------
 # the command frame: every path is checked before anything is written
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sharctool.markers import (
     annotate_corpus,
     annotate_history,
     annotate_scenario,
+    content_words,
     coverage,
     extract_gold_span,
     lcs_match,
@@ -136,6 +137,12 @@ def test_lcs_match_raw_surfaces():
     assert pairs == [(1, 1), (2, 2)]  # "over" != "Over", but "." matches "."
 
 
+def test_lcs_match_raw_surfaces_pair_markdown_markers():
+    rule = tokenize("## Rules\n* be over 60?")
+    pairs = lcs_match(rule, tokenize("## over 60?"), use_normalized=False)
+    assert pairs == [(0, 0), (4, 1), (5, 2), (6, 3)]  # "##", "over", "60", "?"
+
+
 def test_lcs_match_returns_full_sequence_indices():
     rule = tokenize("## Grant. You must be over 60.")
     utterance = tokenize("over 60")
@@ -148,6 +155,66 @@ def test_coverage_is_the_matched_share_of_normalized_clause_tokens():
     assert coverage(clause, tokenize("Are you over 60?")) == 0.75
     assert coverage(clause, tokenize("Nothing alike")) == 0.0
     assert coverage(tokenize("..."), tokenize("anything")) == 1.0
+
+
+# --------------------------------------------------------------------------
+# the matchable projection
+# --------------------------------------------------------------------------
+
+_MODES = [(True, frozenset()), (True, BASIC_STOPWORDS), (False, frozenset()), (False, BASIC_STOPWORDS)]
+
+
+def _reference_matchable(text, use_normalized, stopwords):
+    """The tokens that take part in matching, decided token by token, independently of the library."""
+    indices, symbols = [], []
+    for idx, token in enumerate(text.tokens):
+        symbol = token.normalized if use_normalized else token.surface
+        if use_normalized and not symbol:
+            continue
+        if token.normalized in stopwords:
+            continue
+        indices.append(idx)
+        symbols.append(symbol)
+    return tuple(indices), tuple(symbols)
+
+
+_PIECES = "## * ** - You you are be over 60 60. carer's can't won't ’s ' ` ? . ... , ( ) : Rules the a If".split()
+_TEXTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from([" ", "", "\n"])), max_size=12).map(
+        lambda parts: "".join(piece + gap for piece, gap in parts)
+    ),
+    st.text(alphabet="aYb'’`*#.?, \n", max_size=20),
+)
+
+
+@given(_TEXTS)
+def test_matchable_equals_the_reference_in_every_mode(text):
+    tokenized = tokenize(text)
+    for mode in _MODES:
+        assert tokenized.matchable(*mode) == _reference_matchable(tokenized, *mode)
+    assert content_words(tokenized) == set(tokenized.matchable(True, BASIC_STOPWORDS)[1])
+
+
+@given(_TEXTS, st.lists(st.tuples(_TEXTS, st.sampled_from(["Yes", "No"])), max_size=4), st.sampled_from(_MODES))
+def test_annotate_scenario_is_the_marker_row_of_annotate_history(rule_text, specs, mode):
+    rule = tokenize(rule_text)
+    evidence = [DialogTurn(follow_up_question=q, follow_up_answer=a) for q, a in specs]
+    use_normalized, stopwords = mode
+    kwargs = {"use_normalized": use_normalized, "stopwords": stopwords}
+    assert annotate_scenario(rule, evidence, **kwargs) == annotate_history(rule, evidence, **kwargs)[0]
+
+
+def test_matchable_is_built_once_per_object_and_mode():
+    text = tokenize("## Rules\n* You can't be over 60.")
+    projections = {mode: text.matchable(*mode) for mode in _MODES}
+    for mode, projection in projections.items():
+        assert text.matchable(*mode) is projection
+        assert all(isinstance(part, tuple) for part in projection)
+    assert len(set(projections.values())) == len(_MODES)
+    assert text.matchable() is projections[(True, frozenset())]
+    # the cache takes no part in equality, hashing or repr
+    fresh = tokenize(text.text)
+    assert fresh == text and hash(fresh) == hash(text) and repr(fresh) == repr(text)
 
 
 # --------------------------------------------------------------------------
