@@ -94,9 +94,10 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     every file as it was. The manifest's ``metrics`` block, which
     ``config_digest`` does not cover, records the seconds spent loading and
     computing (``compute_s``) and replacing the outputs (``commit_s``), and
-    the process's peak RSS so far.
+    the process's peak RSS at the frame's start and at its end.
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    rss_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     expect_digest = getattr(args, "expect_digest", None)
     targets = [(flag, str(Path(path))) for flag, path in outputs if path is not None]
     manifest_path = None
@@ -118,7 +119,9 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             digest = input_digests[str(resolved)] = input_digests.get(str(resolved)) or _sha256(resolved)
             if checked and digest != expect_digest:
                 raise ValueError(f"{flag} {path}: digest mismatch: expected {expect_digest}, got {digest}")
-    claimed: dict[Path, str] = {}
+    # An output may name neither another output nor a regular file the command reads.
+    claimed = {Path(os.path.realpath(source)): f"{flag} {path}"
+               for (flag, path, _), source in zip(inputs, sources) if source is not None and source.is_file()}
     for flag, path in targets:
         target = Path(os.path.realpath(path))
         if not target.parent.is_dir():
@@ -152,7 +155,8 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             "metrics": {
                 "compute_s": round(computed - began, 4),
                 "commit_s": round(committed - computed, 4),
-                # ru_maxrss is in KiB on Linux.
+                # ru_maxrss is the process's high-water mark, in KiB on Linux.
+                "peak_rss_at_start_mib": round(rss_at_start / 1024, 1),
                 "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             },
         })

@@ -131,122 +131,60 @@ class _Cond:
     """One askable rule condition plus its surface realisations."""
 
     text: str  # clause text as it appears in the rule bullet
-    asks: tuple[str, ...]  # gold follow-up question paraphrases
     fact_yes: str  # scenario sentence when the (positive) question was answered Yes
     fact_no: str  # scenario sentence when it was answered No
+    asks: tuple[str, ...]  # gold follow-up question paraphrases
     negated: bool = False  # condition holds when the answer is No
 
 
-def _cond_benefit(name: str) -> _Cond:
+def _cond(templates: _Cond, value: object, negated: bool = False) -> _Cond:
+    """The condition ``templates`` words, with ``value`` in each ``{}``."""
     return _Cond(
-        text=name,
-        asks=(
-            f"Do you get {name}?",
-            f"Do you receive {name}?",
-            f"Are you getting {name}?",
-            f"Do you currently get {name}?",
-            f"Is {name} something you currently get?",
-        ),
-        fact_yes=f"I am getting {name}.",
-        fact_no=f"I do not get {name}.",
-    )
-
-
-def _cond_getting(name: str, negated: bool = False) -> _Cond:
-    return _Cond(
-        text=("not getting " if negated else "getting ") + name,
-        asks=(
-            f"Are you getting {name}?",
-            f"Are you currently getting {name}?",
-            f"Do you get {name}?",
-            f"Have you been getting {name}?",
-        ),
-        fact_yes=f"I am getting {name}.",
-        fact_no=f"I am not getting {name}.",
+        text=("not " if negated else "") + templates.text.format(value),
+        fact_yes=templates.fact_yes.format(value),
+        fact_no=templates.fact_no.format(value),
+        asks=tuple(ask.format(value) for ask in templates.asks),
         negated=negated,
     )
 
 
-def _cond_living(place: str) -> _Cond:
-    return _Cond(
-        text=f"living in {place}",
-        asks=(
-            f"Are you living in {place}?",
-            f"Do you live in {place}?",
-            f"Do you currently live in {place}?",
-            f"Is your home in {place}?",
-        ),
-        fact_yes=f"I live in {place}.",
-        fact_no=f"I am not living in {place}.",
-    )
+_FRESH_TOPIC = "fresh topic"
 
+# The getting family; the negated fold and the trap tree's first condition use it too.
+_GETTING = _Cond("getting {}", "I am getting {}.", "I am not getting {}.", (
+    "Are you getting {}?", "Are you currently getting {}?", "Do you get {}?", "Have you been getting {}?"))
 
-def _cond_age(age: int) -> _Cond:
-    return _Cond(
-        text=f"be over {age}",
-        asks=(
-            f"Are you over {age}?",
-            f"Are you aged over {age}?",
-            f"Are you over {age} years old?",
-            f"Are you over the age of {age}?",
-        ),
-        fact_yes=f"I am over {age}.",
-        fact_no=f"I am not over {age}.",
-    )
+# The trap tree's last condition: its first one's topic, plus "top-up".
+_TOP_UP = _Cond("getting {} top-up", "I am getting {} top-up.", "I am not getting {} top-up.",
+                ("Are you getting {} top-up?", "Do you get {} top-up?"))
 
-
-def _cond_hours(hours: int) -> _Cond:
-    return _Cond(
-        text=f"working at least {hours} hours a week",
-        asks=(
-            f"Are you working at least {hours} hours a week?",
-            f"Do you work at least {hours} hours a week?",
-            f"Are you working {hours} or more hours a week?",
-        ),
-        fact_yes=f"I work at least {hours} hours a week.",
-        fact_no=f"I am not working at least {hours} hours a week.",
-    )
-
-
-def _cond_study(kind: str) -> _Cond:
-    return _Cond(
-        text=f"studying {kind}",
-        asks=(
-            f"Are you studying {kind}?",
-            f"Do you study {kind}?",
-            f"Are you currently studying {kind}?",
-            f"Do you currently study {kind}?",
-        ),
-        fact_yes=f"I am studying {kind}.",
-        fact_no=f"I am not studying {kind}.",
-    )
-
-
-def _cond_child(age: int) -> _Cond:
-    return _Cond(
-        text=f"responsible for a child under {age}",
-        asks=(
-            f"Are you responsible for a child under {age}?",
-            f"Are you the person responsible for a child under {age}?",
-            f"Do you have responsibility for a child under {age}?",
-        ),
-        fact_yes=f"I am responsible for a child under {age}.",
-        fact_no=f"I am not responsible for any child under {age}.",
-    )
-
-
-def _cond_partner() -> _Cond:
-    return _Cond(
-        text="living with a partner",
-        asks=(
-            "Are you living with a partner?",
-            "Do you live with a partner?",
-            "Are you currently living with a partner?",
-            "Do you share your home with a partner?",
-        ),
-        fact_yes="I live with a partner.",
-        fact_no="I am not living with a partner.",
-    )
+# One row per surface family: its value source, then its templates. The
+# source is _FRESH_TOPIC (draw a new topic name), a pool to rng.choice from,
+# or empty (draw nothing). _draw_conditions samples row indices, so the row
+# order is part of the RNG stream.
+_FAMILIES = (
+    (_FRESH_TOPIC, _Cond("{}", "I am getting {}.", "I do not get {}.", (
+        "Do you get {}?", "Do you receive {}?", "Are you getting {}?", "Do you currently get {}?",
+        "Is {} something you currently get?"))),
+    (_FRESH_TOPIC, _GETTING),
+    (_PLACES, _Cond("living in {}", "I live in {}.", "I am not living in {}.", (
+        "Are you living in {}?", "Do you live in {}?", "Do you currently live in {}?", "Is your home in {}?"))),
+    (_AGES, _Cond("be over {}", "I am over {}.", "I am not over {}.", (
+        "Are you over {}?", "Are you aged over {}?", "Are you over {} years old?", "Are you over the age of {}?"))),
+    (_HOURS, _Cond("working at least {} hours a week", "I work at least {} hours a week.",
+                   "I am not working at least {} hours a week.", (
+        "Are you working at least {} hours a week?", "Do you work at least {} hours a week?",
+        "Are you working {} or more hours a week?"))),
+    (("full time", "part time"), _Cond("studying {}", "I am studying {}.", "I am not studying {}.", (
+        "Are you studying {}?", "Do you study {}?", "Are you currently studying {}?", "Do you currently study {}?"))),
+    ((16, 18), _Cond("responsible for a child under {}", "I am responsible for a child under {}.",
+                     "I am not responsible for any child under {}.", (
+        "Are you responsible for a child under {}?", "Are you the person responsible for a child under {}?",
+        "Do you have responsibility for a child under {}?"))),
+    ((), _Cond("living with a partner", "I live with a partner.", "I am not living with a partner.", (
+        "Are you living with a partner?", "Do you live with a partner?", "Are you currently living with a partner?",
+        "Do you share your home with a partner?"))),
+)
 
 
 @dataclass
@@ -287,23 +225,19 @@ def _draw_topic(rng: random.Random, used: set[str]) -> str:
 
 
 def _draw_conditions(rng: random.Random, depth: int, kind: str, used_topics: set[str]) -> list[_Cond]:
-    """Sample ``depth`` conditions, at most one per surface family."""
-    families: list[Callable[[], _Cond]] = [
-        lambda: _cond_benefit(_draw_topic(rng, used_topics)),
-        lambda: _cond_getting(_draw_topic(rng, used_topics)),
-        lambda: _cond_living(rng.choice(_PLACES)),
-        lambda: _cond_age(rng.choice(_AGES)),
-        lambda: _cond_hours(rng.choice(_HOURS)),
-        lambda: _cond_study(rng.choice(("full time", "part time"))),
-        lambda: _cond_child(rng.choice((16, 18))),
-        _cond_partner,
-    ]
-    picks = rng.sample(range(len(families)), depth)
-    conds = [families[i]() for i in picks]
+    """Sample ``depth`` conditions, at most one per surface family, drawing values in pick order."""
+    conds = []
+    for pick in rng.sample(range(len(_FAMILIES)), depth):
+        values, templates = _FAMILIES[pick]
+        if values is _FRESH_TOPIC:
+            value = _draw_topic(rng, used_topics)
+        else:
+            value = rng.choice(values) if values else None
+        conds.append(_cond(templates, value))
     if kind == "uconj" and depth >= 3 and rng.random() < 0.3:
         # fold one negated condition in, never in the last slot
         slot = rng.randrange(depth - 1)
-        conds[slot] = _cond_getting(_draw_topic(rng, used_topics), negated=True)
+        conds[slot] = _cond(_GETTING, _draw_topic(rng, used_topics), negated=True)
     return conds
 
 
@@ -373,16 +307,9 @@ def _make_tree(split: str, index: int, kind: str, rng: random.Random, used_topic
         if kind == "trap":
             depth = max(3, depth)
             name = _draw_topic(rng, used_topics)
-            conds = [_cond_getting(name)]
+            conds = [_cond(_GETTING, name)]
             conds.extend(_draw_conditions(rng, depth - 2, "plain", used_topics))
-            conds.append(
-                _Cond(
-                    text=f"getting {name} top-up",
-                    asks=(f"Are you getting {name} top-up?", f"Do you get {name} top-up?"),
-                    fact_yes=f"I am getting {name} top-up.",
-                    fact_no=f"I am not getting {name} top-up.",
-                )
-            )
+            conds.append(_cond(_TOP_UP, name))
             exempt = frozenset((frozenset((0, depth - 1)),))
         else:
             conds = _draw_conditions(rng, depth, kind, used_topics)

@@ -456,6 +456,16 @@ def test_out_equal_to_manifest_writes_nothing(corpus_file, tmp_path, capsys):
     assert err.startswith(f"error: --manifest {out}: same file as --out {out}")
 
 
+@pytest.mark.parametrize("command, out_name", [("annotate", "d.jsonl"), ("validate", "link.jsonl")])
+def test_out_that_resolves_to_an_input_writes_nothing(corpus_file, tmp_path, capsys, command, out_name):
+    data = tmp_path / "d.jsonl"
+    data.write_bytes(corpus_file.read_bytes())
+    (tmp_path / "link.jsonl").symlink_to(data)
+    out = tmp_path / out_name
+    err = _fails_and_changes_nothing([command, "--in", str(data), "--out", str(out)], tmp_path, capsys)
+    assert err == f"error: --out {out}: same file as --in {data}\n"
+
+
 def test_manifest_records_params_and_cues_digests(corpus_file, tmp_path):
     params = tmp_path / "params.json"
     params.write_text('{"rho": 0.5}', encoding="utf-8")
@@ -599,9 +609,9 @@ def test_manifest_metrics_are_numeric_and_outside_the_config_digest(corpus_file,
         manifests.append(json.loads((tmp_path / "markers.jsonl.manifest.json").read_text()))
     for manifest in manifests:
         metrics = manifest["metrics"]
-        assert sorted(metrics) == ["commit_s", "compute_s", "peak_rss_mib"]
+        assert sorted(metrics) == ["commit_s", "compute_s", "peak_rss_at_start_mib", "peak_rss_mib"]
         assert all(isinstance(value, float) and value >= 0 for value in metrics.values())
-        assert metrics["peak_rss_mib"] > 0
+        assert 0 < metrics["peak_rss_at_start_mib"] <= metrics["peak_rss_mib"]
         assert "metrics" not in manifest["config"]
     # The digest covers the config alone, as before the block existed.
     assert manifests[0]["config_digest"] == manifests[1]["config_digest"] == hashlib.sha256(

@@ -87,6 +87,8 @@ def test_toy_distribution_tracks_spec(toy_split):
 # bytes, so a reordered draw, a changed share or a changed template shows here.
 TOY_SHA256 = "f18737d5e6bb69b36d16977e269bbe2a20f507f39b7faccb2afd8ab534a03026"
 DEV_SHA256 = "589f683634beaafc6a88ef95d568a93f25211d471c5f62920a187e903c47c674"
+# Train's 460 trees draw the most conditions of every family and the most negated folds.
+TRAIN_SHA256 = "3b9eeac8b2f5d9539db2c3371e7490fffd8710b740787aeaea4b1739649fef86"
 
 
 def _written_sha256(path, corpus):
@@ -98,7 +100,12 @@ def test_toy_split_bytes_are_pinned(tmp_path, toy_split):
     assert _written_sha256(tmp_path / "toy.jsonl", toy_split) == TOY_SHA256
 
 
-def test_dev_split_bytes_are_pinned(tmp_path, dev_corpus):
-    if os.environ.get("SHARC_DEV_JSON"):
-        pytest.skip("SHARC_DEV_JSON replaces the generated dev split")
-    assert _written_sha256(tmp_path / "dev.jsonl", dev_corpus) == DEV_SHA256
+@pytest.mark.parametrize("name, env_var, expected", [
+    ("dev", "SHARC_DEV_JSON", DEV_SHA256),
+    ("train", "SHARC_TRAIN_JSON", TRAIN_SHA256),
+], ids=["dev", "train"])
+def test_generated_split_bytes_are_pinned(tmp_path, request, name, env_var, expected):
+    if os.environ.get(env_var):
+        pytest.skip(f"{env_var} replaces the generated {name} split")
+    corpus = request.getfixturevalue(f"{name}_corpus")
+    assert _written_sha256(tmp_path / f"{name}.jsonl", corpus) == expected
