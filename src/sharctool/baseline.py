@@ -243,7 +243,7 @@ class PolicyStats:
 
 
 def predict_corpus(
-    corpus: Sequence[Instance],
+    corpus: Iterable[Instance],
     params: PolicyParams = PolicyParams(),
     cues: CueSet = DEFAULT_CUES,
 ) -> tuple[list[Prediction], PolicyStats]:

@@ -242,7 +242,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         ])
 
     return _run(args, {"split_name": args.split_name, "min_support": args.min_support},
-                [("--in", args.infile, load_corpus)], [("--out", args.out)], compute)
+                [("--in", args.infile, iter_corpus)], [("--out", args.out)], compute)
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
@@ -316,7 +316,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                 f"  policy steps fired: {stats.to_dict()['step_counts']}")
 
     return _run(args, config,
-                [("--in", args.infile, load_corpus), ("--params", args.params, load_params),
+                [("--in", args.infile, iter_corpus), ("--params", args.params, load_params),
                  ("--cues", args.cues, load_cues)],
                 [("--out", args.out)], compute)
 
@@ -342,7 +342,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return render_report(report, title=Path(args.gold).name)
 
     return _run(args, {"sentence_bleu": args.sentence_bleu},
-                [("--gold", args.gold, load_corpus), ("--pred", args.pred, load_predictions)],
+                [("--gold", args.gold, iter_corpus), ("--pred", args.pred, load_predictions)],
                 [("--out", args.out)], compute)
 
 

@@ -420,6 +420,16 @@ def _decode(data: bytes, path: str | Path, lineno: int) -> str:
         raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc}") from None
 
 
+def _loads(text: str, path: str | Path, lineno: Optional[int] = None) -> object:
+    """``json.loads``, or ``CorpusError`` naming ``<path>[:<line>]`` for any decoder failure: a syntax
+    error, nesting past the recursion limit, or an integer longer than the interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise CorpusError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, decoded value)`` for each non-blank line of a JSONL file.
 
@@ -432,13 +442,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     with open(path, "rb") as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = _decode(raw, path, lineno)
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, value
+            if line.strip():
+                yield lineno, _loads(line, path, lineno)
 
 
 def _read_records(path: Path) -> Iterable:
@@ -449,10 +454,7 @@ def _read_records(path: Path) -> Iterable:
             head = chunk.lstrip()
     if not head.startswith(b"["):
         return (record for _, record in read_jsonl(path))
-    try:
-        records = json.loads(_decode(path.read_bytes(), path, 1))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    records = _loads(_decode(path.read_bytes(), path, 1), path)
     if not isinstance(records, list):
         raise CorpusError(f"{path}: top-level JSON value is not a list")
     return records
@@ -603,11 +605,10 @@ def write_json(path: str | Path, document: object) -> None:
 def read_json(path: str | Path) -> object:
     """The one JSON document in ``path``; ``CorpusError`` naming the path if it is not UTF-8 or not JSON."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+    return _loads(text, path)
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:

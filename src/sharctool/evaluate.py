@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import ClassLabel, Instance, derive_label, pass_memo, read_json, tokenize, write_json
 
@@ -63,8 +63,8 @@ class _GoldView:
     followups: tuple[tuple[str, str], ...]  # (utterance_id, gold answer) of the More instances
 
 
-def _gold_view(gold: Sequence[Instance]) -> _GoldView:
-    """Collect the gold ids, classes and follow-ups; raise on duplicate ids.
+def _gold_view(gold: Iterable[Instance]) -> _GoldView:
+    """Collect the gold ids, classes and follow-ups in one pass; raise on duplicate ids.
 
     Inside a :func:`~sharctool.corpus.corpus_pass` the view is built once per
     gold corpus object, so scoring many prediction sets against one corpus
@@ -76,14 +76,15 @@ def _gold_view(gold: Sequence[Instance]) -> _GoldView:
         entry = memo.get(id(gold))
         if entry is not None and entry[0] is gold:
             return entry[1]
-    ids = frozenset(inst.utterance_id for inst in gold)
-    if len(ids) != len(gold):
+    labels, followups = [], []
+    for inst in gold:
+        labels.append((inst.utterance_id, inst.label))
+        if inst.label is ClassLabel.MORE:
+            followups.append((inst.utterance_id, inst.gold_answer))
+    ids = frozenset(uid for uid, _ in labels)
+    if len(ids) != len(labels):
         raise ValueError("gold corpus contains duplicate utterance ids")
-    view = _GoldView(
-        ids=ids,
-        labels=tuple((inst.utterance_id, inst.label) for inst in gold),
-        followups=tuple((inst.utterance_id, inst.gold_answer) for inst in gold if inst.label is ClassLabel.MORE),
-    )
+    view = _GoldView(ids=ids, labels=tuple(labels), followups=tuple(followups))
     if memo is not None:
         memo[id(gold)] = (gold, view)  # holding gold keeps its id from being reused
     return view
@@ -105,7 +106,7 @@ def _confusion(gold: _GoldView, predictions: Mapping[str, str]) -> dict[ClassLab
 
 
 def confusion_matrix(
-    gold: Sequence[Instance], predictions: Mapping[str, str]
+    gold: Iterable[Instance], predictions: Mapping[str, str]
 ) -> dict[ClassLabel, dict[ClassLabel, int]]:
     """4x4 gold-by-predicted count matrix.
 
@@ -275,7 +276,7 @@ class EvalReport:
 
 
 def evaluate(
-    gold: Sequence[Instance],
+    gold: Iterable[Instance],
     predictions: Mapping[str, str],
     *,
     sentence_average_bleu: bool = False,
@@ -296,7 +297,7 @@ def evaluate(
         bleu4=bleu4,
         combined=combined_metric(macro, bleu4),
         bleu_instance_count=len(pairs),
-        instance_count=len(gold),
+        instance_count=len(view.labels),
         confusion={g.value: {p.value: matrix[g][p] for p in LABEL_ORDER} for g in LABEL_ORDER},
     )
 

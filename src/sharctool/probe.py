@@ -10,8 +10,9 @@ already asked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .corpus import ClassLabel, Instance
 
@@ -37,9 +38,6 @@ class AgreementStat:
     numerator: int
     denominator: int
 
-    def to_dict(self) -> dict:
-        return {"percent": self.percent, "numerator": self.numerator, "denominator": self.denominator}
-
 
 @dataclass(frozen=True)
 class TurnRate:
@@ -48,9 +46,6 @@ class TurnRate:
     rate: float
     followups: int
     total: int
-
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "followups": self.followups, "total": self.total}
 
 
 @dataclass(frozen=True)
@@ -61,64 +56,43 @@ class IrrelevantContextStats:
     empty_context_count: int
     irrelevant_and_empty_context: int
 
-    def to_dict(self) -> dict:
-        return {
-            "p_empty_context_given_irrelevant": self.p_empty_context_given_irrelevant,
-            "p_irrelevant_given_empty_context": self.p_irrelevant_given_empty_context,
-            "irrelevant_count": self.irrelevant_count,
-            "empty_context_count": self.empty_context_count,
-            "irrelevant_and_empty_context": self.irrelevant_and_empty_context,
-        }
 
+def _tally(corpus: Iterable[Instance]) -> Counter:
+    """Count the instances per (class, history length, last follow-up answer or None, empty context).
 
-def class_distribution(corpus: Sequence[Instance]) -> dict[ClassLabel, float]:
-    """Percentage of instances per class. Errors on an empty corpus."""
-    if not corpus:
-        raise ValueError("cannot compute a class distribution over an empty corpus")
-    counts = {label: 0 for label in ClassLabel}
-    for instance in corpus:
-        counts[instance.label] += 1
-    total = len(corpus)
-    return {label: 100.0 * count / total for label, count in counts.items()}
-
-
-def last_followup_agreement(corpus: Sequence[Instance], *, include_followup_labels: bool = False) -> AgreementStat:
-    """How often the gold class equals the last follow-up answer.
-
-    Measured over instances with a non-empty history whose gold label is Yes
-    or No; with ``include_followup_labels`` the denominator also admits
-    More-labeled instances (which can never agree), the stricter reading of
-    the same statistic. An empty denominator yields an undefined percentage,
-    never a zero.
+    Every statistic below is a sum over this one key, so a single pass over
+    a stream serves them all.
     """
-    numerator = 0
-    denominator = 0
-    for instance in corpus:
-        if not instance.history:
+    return Counter((inst.label, len(inst.history), inst.history[-1].follow_up_answer if inst.history else None,
+                    inst.has_empty_context) for inst in corpus)
+
+
+def _class_counts(tally: Counter) -> dict[ClassLabel, int]:
+    return {label: sum(n for (of, *_), n in tally.items() if of is label) for label in ClassLabel}
+
+
+def _class_distribution(tally: Counter) -> dict[ClassLabel, float]:
+    total = tally.total()
+    if not total:
+        raise ValueError("cannot compute a class distribution over an empty corpus")
+    return {label: 100.0 * count / total for label, count in _class_counts(tally).items()}
+
+
+def _agreement(tally: Counter, include_followup_labels: bool) -> AgreementStat:
+    numerator = denominator = 0
+    for (label, k, last, _), n in tally.items():
+        if not k or label is ClassLabel.IRRELEVANT or (label is ClassLabel.MORE and not include_followup_labels):
             continue
-        label = instance.label
-        if label not in (ClassLabel.YES, ClassLabel.NO) and not include_followup_labels:
-            continue
-        if label is ClassLabel.IRRELEVANT:
-            continue
-        denominator += 1
-        if label.value == instance.history[-1].follow_up_answer:
-            numerator += 1
+        denominator += n
+        numerator += n * (label.value == last)
     percent = 100.0 * numerator / denominator if denominator else None
     return AgreementStat(percent=percent, numerator=numerator, denominator=denominator)
 
 
-def irrelevant_context_stats(corpus: Sequence[Instance]) -> IrrelevantContextStats:
-    """Joint statistics of the Irrelevant class and an empty context."""
-    irrelevant = 0
-    empty_context = 0
-    both = 0
-    for instance in corpus:
-        is_irrelevant = instance.label is ClassLabel.IRRELEVANT
-        is_empty = instance.has_empty_context
-        irrelevant += is_irrelevant
-        empty_context += is_empty
-        both += is_irrelevant and is_empty
+def _irrelevant_context(tally: Counter) -> IrrelevantContextStats:
+    irrelevant = sum(n for (label, *_), n in tally.items() if label is ClassLabel.IRRELEVANT)
+    empty_context = sum(n for (*_, is_empty), n in tally.items() if is_empty)
+    both = sum(n for (label, *_, is_empty), n in tally.items() if is_empty and label is ClassLabel.IRRELEVANT)
     return IrrelevantContextStats(
         p_empty_context_given_irrelevant=both / irrelevant if irrelevant else None,
         p_irrelevant_given_empty_context=both / empty_context if empty_context else None,
@@ -128,19 +102,40 @@ def irrelevant_context_stats(corpus: Sequence[Instance]) -> IrrelevantContextSta
     )
 
 
-def followup_rate_by_turn(corpus: Sequence[Instance]) -> dict[int, TurnRate]:
+def _rate_by_turn(tally: Counter) -> dict[int, TurnRate]:
+    followups, totals = Counter(), Counter()
+    for (label, k, _, _), n in tally.items():
+        totals[k] += n
+        followups[k] += n * (label is ClassLabel.MORE)
+    return {k: TurnRate(rate=followups[k] / total, followups=followups[k], total=total)
+            for k, total in sorted(totals.items())}
+
+
+def class_distribution(corpus: Iterable[Instance]) -> dict[ClassLabel, float]:
+    """Percentage of instances per class. Errors on an empty corpus."""
+    return _class_distribution(_tally(corpus))
+
+
+def last_followup_agreement(corpus: Iterable[Instance], *, include_followup_labels: bool = False) -> AgreementStat:
+    """How often the gold class equals the last follow-up answer.
+
+    Measured over instances with a non-empty history whose gold label is Yes
+    or No; with ``include_followup_labels`` the denominator also admits
+    More-labeled instances (which can never agree), the stricter reading of
+    the same statistic. An empty denominator yields an undefined percentage,
+    never a zero.
+    """
+    return _agreement(_tally(corpus), include_followup_labels)
+
+
+def irrelevant_context_stats(corpus: Iterable[Instance]) -> IrrelevantContextStats:
+    """Joint statistics of the Irrelevant class and an empty context."""
+    return _irrelevant_context(_tally(corpus))
+
+
+def followup_rate_by_turn(corpus: Iterable[Instance]) -> dict[int, TurnRate]:
     """P(label = More | history length = k) for every k present in the corpus."""
-    followups: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for instance in corpus:
-        k = len(instance.history)
-        totals[k] = totals.get(k, 0) + 1
-        if instance.label is ClassLabel.MORE:
-            followups[k] = followups.get(k, 0) + 1
-    return {
-        k: TurnRate(rate=followups.get(k, 0) / total, followups=followups.get(k, 0), total=total)
-        for k, total in sorted(totals.items())
-    }
+    return _rate_by_turn(_tally(corpus))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -217,33 +212,28 @@ class ProbeReport:
             "instance_count": self.instance_count,
             "class_distribution": {label.value: pct for label, pct in self.class_distribution.items()},
             "class_counts": {label.value: n for label, n in self.class_counts.items()},
-            "last_followup_agreement": self.last_followup_agreement.to_dict(),
-            "last_followup_agreement_including_followups": (
-                self.last_followup_agreement_including_followups.to_dict()
-            ),
-            "irrelevant_context": self.irrelevant_context.to_dict(),
-            "followup_rate_by_turn": {str(k): tr.to_dict() for k, tr in self.followup_rate_by_turn.items()},
+            "last_followup_agreement": asdict(self.last_followup_agreement),
+            "last_followup_agreement_including_followups": asdict(self.last_followup_agreement_including_followups),
+            "irrelevant_context": asdict(self.irrelevant_context),
+            "followup_rate_by_turn": {str(k): asdict(tr) for k, tr in self.followup_rate_by_turn.items()},
             "followup_rate_spearman": self.followup_rate_spearman,
             "min_support": self.min_support,
             "notes": self.notes,
         }
 
 
-def probe_corpus(corpus: Sequence[Instance], split_name: str = "", *, min_support: int = 30) -> ProbeReport:
-    """Run every probe over a corpus and assemble the report."""
-    distribution = class_distribution(corpus)
-    counts = {label: 0 for label in ClassLabel}
-    for instance in corpus:
-        counts[instance.label] += 1
-    rates = followup_rate_by_turn(corpus)
+def probe_corpus(corpus: Iterable[Instance], split_name: str = "", *, min_support: int = 30) -> ProbeReport:
+    """Run every probe over one pass of a corpus, which may be a stream, and assemble the report."""
+    tally = _tally(corpus)
+    rates = _rate_by_turn(tally)
     return ProbeReport(
         split_name=split_name,
-        instance_count=len(corpus),
-        class_distribution=distribution,
-        class_counts=counts,
-        last_followup_agreement=last_followup_agreement(corpus),
-        last_followup_agreement_including_followups=last_followup_agreement(corpus, include_followup_labels=True),
-        irrelevant_context=irrelevant_context_stats(corpus),
+        instance_count=tally.total(),
+        class_distribution=_class_distribution(tally),
+        class_counts=_class_counts(tally),
+        last_followup_agreement=_agreement(tally, False),
+        last_followup_agreement_including_followups=_agreement(tally, True),
+        irrelevant_context=_irrelevant_context(tally),
         followup_rate_by_turn=rates,
         followup_rate_spearman=followup_rate_spearman(rates, min_support=min_support),
         min_support=min_support,

@@ -12,7 +12,7 @@ import pytest
 import sharctool
 from sharctool import cli
 from sharctool.cli import DATA_DIR_ENV, main
-from sharctool.corpus import ClassLabel, load_corpus, write_corpus
+from sharctool.corpus import ClassLabel, iter_corpus, load_corpus, write_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
 
 CLI_SPEC = SplitSpec(
@@ -405,6 +405,39 @@ def test_report_names_a_file_that_is_not_utf8_or_not_json(reports, tmp_path, cap
     assert _one_error_line(capsys) == f"error: {bogus}: {message}\n"
 
 
+# A value the decoder refuses although its syntax is fine: nesting past the
+# recursion limit, and an integer past the interpreter's digit limit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_UNDECODABLE = [
+    pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="deep"),
+    pytest.param(b"1" * (_DIGIT_LIMIT + 1), f"Exceeds the limit ({_DIGIT_LIMIT} digits)", id="digits",
+                 marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter has no integer digit limit")),
+]
+
+
+@pytest.mark.parametrize("value,reason", _UNDECODABLE)
+@pytest.mark.parametrize(
+    "argv,body,line",
+    [
+        (["probe", "--in", "{bad}", "--out", "{out}"], b'\n{"answer": %s}\n', 2),
+        (["probe", "--in", "{bad}", "--out", "{out}"], b'[{"answer": %s}]', None),
+        (["baseline", "--in", "{corpus}", "--params", "{bad}", "--out", "{out}"], b'{"rho": %s}', None),
+        (["evaluate", "--gold", "{corpus}", "--pred", "{bad}", "--out", "{out}"], b'{"answer": %s}\n', 1),
+        (["report", "--original", "{bad}", "--augmented", "{bad}", "--out", "{out}"], b'{"bleu4": %s}', None),
+    ],
+    ids=["jsonl-corpus", "list-corpus", "params", "pred", "report"],
+)
+def test_a_value_the_decoder_refuses_is_one_line_naming_the_file(corpus_file, tmp_path, capsys, argv, body, line,
+                                                                  value, reason):
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(body % value)
+    argv = [arg.format(bad=bad, out=out, corpus=corpus_file) for arg in argv]
+    assert main(argv) == 1
+    where = bad if line is None else f"{bad}:{line}"
+    assert _one_error_line(capsys).startswith(f"error: {where}: invalid JSON: {reason}")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # the command frame: every path is checked before anything is written
 # --------------------------------------------------------------------------
@@ -546,7 +579,7 @@ def test_no_manifest_beside_an_output_that_is_not_a_regular_file(corpus_file, tm
 
 def test_a_bad_params_file_fails_before_the_corpus_is_loaded(corpus_file, tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: calls.append(a) or load_corpus(*a, **k))
+    monkeypatch.setattr(cli, "iter_corpus", lambda *a, **k: calls.append(a) or iter_corpus(*a, **k))
     params = tmp_path / "params.json"
     params.write_bytes(b'{"rho": \xff}')
     out = tmp_path / "pred.jsonl"
@@ -577,21 +610,41 @@ _BAD_LAST_LINES = {
         (["annotate"], "markers.jsonl", "malformed"),
         (["validate", "--strict"], "train.valid.jsonl", "duplicate"),
         (["validate"], "train.valid.jsonl", "malformed"),
+        (["probe"], "probe.json", "duplicate"),
+        (["probe"], "probe.json", "malformed"),
+        (["baseline"], "pred.jsonl", "duplicate"),
+        (["baseline"], "pred.jsonl", "malformed"),
     ],
-    ids=["annotate-duplicate", "annotate-malformed", "validate-strict-duplicate", "validate-malformed"],
+    ids=["annotate-duplicate", "annotate-malformed", "validate-strict-duplicate", "validate-malformed",
+         "probe-duplicate", "probe-malformed", "baseline-duplicate", "baseline-malformed"],
 )
 def test_a_bad_last_record_keeps_the_previous_outputs(corpus_file, tmp_path, capsys, argv, output, last):
     infile, out_dir = tmp_path / "in.jsonl", tmp_path / "out"
     out_dir.mkdir()
+    _a_bad_last_record_changes_nothing([*argv, "--in", str(infile)], corpus_file, infile, out_dir / output, last,
+                                       capsys)
+
+
+@pytest.mark.parametrize("last", ["duplicate", "malformed"])
+def test_a_bad_last_gold_record_keeps_the_previous_report(corpus_file, tmp_path, capsys, last):
+    gold, pred, out_dir = tmp_path / "in.jsonl", tmp_path / "pred.jsonl", tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["baseline", "--in", str(corpus_file), "--out", str(pred)]) == 0
+    _a_bad_last_record_changes_nothing(["evaluate", "--gold", str(gold), "--pred", str(pred)], corpus_file, gold,
+                                       out_dir / "eval.json", last, capsys)
+
+
+def _a_bad_last_record_changes_nothing(argv, corpus_file, infile, out, last, capsys):
+    """Run ``argv`` on a good ``infile``, then on one with a bad last record: the outputs stay as they were."""
     good = corpus_file.read_bytes()
     infile.write_bytes(good)
-    argv = [*argv, "--in", str(infile), "--out", str(out_dir / output)]
+    argv = [*argv, "--out", str(out)]
     assert main(argv) == 0
-    assert sorted(os.listdir(out_dir)) == [output, f"{output}.manifest.json"]
+    assert sorted(os.listdir(out.parent)) == [out.name, f"{out.name}.manifest.json"]
 
     line, message = _BAD_LAST_LINES[last]
     infile.write_bytes(good + (line or good.splitlines(keepends=True)[0]))
-    err = _fails_and_changes_nothing(argv, out_dir, capsys)
+    err = _fails_and_changes_nothing(argv, out.parent, capsys)
     assert err == message.format(path=infile) + "\n"
 
 

@@ -335,7 +335,7 @@ def test_cli_freezes_the_loaded_corpus_and_restores_the_collector(tmp_path, rest
     corpus = _write_lines(tmp_path, _record())
     gc.unfreeze()
     try:
-        assert main(["probe", "--in", str(corpus), "--out", str(tmp_path / "probe.json")]) == 0
+        assert main(["tune", "--in", str(corpus), "--out", str(tmp_path / "params.json")]) == 0
         assert gc.get_freeze_count() > 0
         assert gc.isenabled()
     finally:

@@ -1,13 +1,17 @@
 """Dataset-statistics probes on small hand-built corpora."""
 
+import json
 import math
 import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sharctool.corpus import ClassLabel
+from sharctool.corpus import ClassLabel, DialogTurn, Instance
+from sharctool.evaluate import evaluate
 from sharctool.probe import (
+    AgreementStat,
+    IrrelevantContextStats,
     TurnRate,
     _spearman,
     class_distribution,
@@ -243,3 +247,152 @@ def test_probe_corpus_derives_each_class_once(make_instance, turn, monkeypatch):
     ]
     probe_corpus(corpus, split_name="fixture", min_support=1)
     assert 0 < len(calls) <= len(corpus)
+
+
+# --------------------------------------------------------------------------
+# Reference: each statistic as its own loop over the corpus
+# --------------------------------------------------------------------------
+
+
+def _reference_class_counts(corpus):
+    counts = {label: 0 for label in ClassLabel}
+    for instance in corpus:
+        counts[instance.label] += 1
+    return counts
+
+
+def _reference_class_distribution(corpus):
+    if not corpus:
+        raise ValueError("cannot compute a class distribution over an empty corpus")
+    total = len(corpus)
+    return {label: 100.0 * count / total for label, count in _reference_class_counts(corpus).items()}
+
+
+def _reference_agreement(corpus, include_followup_labels=False):
+    numerator = 0
+    denominator = 0
+    for instance in corpus:
+        if not instance.history:
+            continue
+        label = instance.label
+        if label not in (ClassLabel.YES, ClassLabel.NO) and not include_followup_labels:
+            continue
+        if label is ClassLabel.IRRELEVANT:
+            continue
+        denominator += 1
+        if label.value == instance.history[-1].follow_up_answer:
+            numerator += 1
+    percent = 100.0 * numerator / denominator if denominator else None
+    return AgreementStat(percent=percent, numerator=numerator, denominator=denominator)
+
+
+def _reference_irrelevant_context(corpus):
+    irrelevant = 0
+    empty_context = 0
+    both = 0
+    for instance in corpus:
+        is_irrelevant = instance.label is ClassLabel.IRRELEVANT
+        is_empty = instance.has_empty_context
+        irrelevant += is_irrelevant
+        empty_context += is_empty
+        both += is_irrelevant and is_empty
+    return IrrelevantContextStats(
+        p_empty_context_given_irrelevant=both / irrelevant if irrelevant else None,
+        p_irrelevant_given_empty_context=both / empty_context if empty_context else None,
+        irrelevant_count=irrelevant,
+        empty_context_count=empty_context,
+        irrelevant_and_empty_context=both,
+    )
+
+
+def _reference_rate_by_turn(corpus):
+    followups = {}
+    totals = {}
+    for instance in corpus:
+        k = len(instance.history)
+        totals[k] = totals.get(k, 0) + 1
+        if instance.label is ClassLabel.MORE:
+            followups[k] = followups.get(k, 0) + 1
+    return {
+        k: TurnRate(rate=followups.get(k, 0) / total, followups=followups.get(k, 0), total=total)
+        for k, total in sorted(totals.items())
+    }
+
+
+def _reference_report(corpus, split_name, min_support):
+    """The probe report's JSON document, built key by key from the reference loops."""
+
+    def agreement(stat):
+        return {"percent": stat.percent, "numerator": stat.numerator, "denominator": stat.denominator}
+
+    context = _reference_irrelevant_context(corpus)
+    rates = _reference_rate_by_turn(corpus)
+    return {
+        "split_name": split_name,
+        "instance_count": len(corpus),
+        "class_distribution": {k.value: v for k, v in _reference_class_distribution(corpus).items()},
+        "class_counts": {k.value: v for k, v in _reference_class_counts(corpus).items()},
+        "last_followup_agreement": agreement(_reference_agreement(corpus)),
+        "last_followup_agreement_including_followups": agreement(_reference_agreement(corpus, True)),
+        "irrelevant_context": {
+            "p_empty_context_given_irrelevant": context.p_empty_context_given_irrelevant,
+            "p_irrelevant_given_empty_context": context.p_irrelevant_given_empty_context,
+            "irrelevant_count": context.irrelevant_count,
+            "empty_context_count": context.empty_context_count,
+            "irrelevant_and_empty_context": context.irrelevant_and_empty_context,
+        },
+        "followup_rate_by_turn": {
+            str(k): {"rate": tr.rate, "followups": tr.followups, "total": tr.total} for k, tr in rates.items()
+        },
+        "followup_rate_spearman": followup_rate_spearman(rates, min_support=min_support),
+        "min_support": min_support,
+        "notes": [],
+    }
+
+
+# Few distinct values per field, so classes, history lengths, last answers
+# and empty contexts collide often and every denominator can be empty.
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["Yes", "No", "Irrelevant", " yes ", "Do you work?", "Are you 60?"]),
+        st.sampled_from(["", "  ", "I am 70."]),
+        st.lists(st.sampled_from(["Yes", "No"]), max_size=4),
+    ),
+    max_size=40,
+)
+
+
+def _corpus(rows):
+    return [
+        Instance(f"u-{i}", "t-0", "You can claim if you are over 60.", "Can I claim?", scenario,
+                 [DialogTurn(f"q{j}?", answer) for j, answer in enumerate(answers)], [], gold)
+        for i, (gold, scenario, answers) in enumerate(rows)
+    ]
+
+
+@given(rows=_ROWS, min_support=st.integers(0, 4))
+def test_every_statistic_equals_its_reference_loop(rows, min_support):
+    corpus = _corpus(rows)
+    assert last_followup_agreement(corpus) == _reference_agreement(corpus)
+    assert last_followup_agreement(corpus, include_followup_labels=True) == _reference_agreement(corpus, True)
+    assert irrelevant_context_stats(corpus) == _reference_irrelevant_context(corpus)
+    assert followup_rate_by_turn(corpus) == _reference_rate_by_turn(corpus)
+    if not corpus:
+        for run in (class_distribution, probe_corpus):
+            with pytest.raises(ValueError, match="empty corpus"):
+                run(corpus)
+        return
+    assert class_distribution(corpus) == _reference_class_distribution(corpus)
+    report = probe_corpus(corpus, split_name="gen", min_support=min_support)
+    # Serialized, so the key order of probe.json is compared too.
+    assert json.dumps(report.to_dict()) == json.dumps(_reference_report(corpus, "gen", min_support))
+
+
+@given(rows=_ROWS.filter(bool))
+def test_a_one_shot_stream_gives_what_the_list_gives(rows):
+    corpus = _corpus(rows)
+    assert probe_corpus(instance for instance in corpus) == probe_corpus(corpus)
+    # Every third prediction echoes the gold answer; the rest say Yes.
+    outputs = {inst.utterance_id: inst.gold_answer if i % 3 else "Yes" for i, inst in enumerate(corpus)}
+    streamed = evaluate((instance for instance in corpus), outputs).to_dict()
+    assert streamed == evaluate(corpus, outputs).to_dict()
