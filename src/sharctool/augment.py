@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -297,11 +298,11 @@ def build_augmented_corpus(
         ``make(parent, rng)`` returns a candidate, or raises ``ValueError`` to
         skip the parent for this pass. A duplicate candidate still counts as
         progress: the parent's stream moved, so a later pass can draw a new
-        variant. A stream depends only on (seed, ``purpose``, parent id), so
-        making it on the first visit draws what making it up front would.
-        Under ``per_parent`` a parent stops after that many admitted
-        candidates or four times as many attempts. The walk stops when the
-        deficit is met, after a pass without progress, or after 64 passes.
+        variant. A stream depends only on (seed, ``purpose``, parent id): the
+        first pass keeps none, and a second visit re-makes it and replays the
+        first call. Under ``per_parent`` a parent stops after that many
+        admitted candidates or four times as many attempts. The walk stops
+        when the deficit is met, after a pass without progress, or after 64 passes.
         """
         need = deficits[label]
         if not need:
@@ -310,7 +311,7 @@ def build_augmented_corpus(
         streams: dict[str, random.Random] = {}
         admitted: dict[str, int] = {}
         attempts: dict[str, int] = {}
-        for _ in range(64):
+        for sweep in range(64):
             progress = False
             for parent in parents:
                 if generated[label] >= need:
@@ -320,10 +321,14 @@ def build_augmented_corpus(
                     if admitted.get(pid, 0) >= per_parent or attempts.get(pid, 0) >= 4 * per_parent:
                         continue
                     attempts[pid] = attempts.get(pid, 0) + 1
-                if pid not in streams:
-                    streams[pid] = _stream(config.seed, purpose, pid)
+                if (rng := streams.get(pid)) is None:
+                    rng = _stream(config.seed, purpose, pid)
+                    if sweep:  # replay the first pass's call, whose stream was not kept
+                        with suppress(ValueError):
+                            make(parent, rng)
+                        streams[pid] = rng
                 try:
-                    candidate = make(parent, streams[pid])
+                    candidate = make(parent, rng)
                 except ValueError:
                     continue
                 progress = True

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -128,9 +129,8 @@ _TOKEN_RE = re.compile(r"\w+(?:['’`]\w+)*|[^\w\s]+")
 _EDGE_PUNCT_RE = re.compile(r"^[\W_]+|[\W_]+$")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One surface token with its character span in the source text."""
+class Token(NamedTuple):
+    """One surface token with its character span in the source text; a tuple, as a memo holds many."""
 
     surface: str
     normalized: str  # lowercased, edge punctuation stripped; "" for pure punctuation
@@ -336,6 +336,11 @@ _REQUIRED_STRING_FIELDS = ("utterance_id", "tree_id", "snippet", "question", "sc
 _ANSWER_WORDS = {"yes": "Yes", "no": "No"}
 
 
+def _shared(text: str) -> str:
+    """One object for equal strings, which a corpus repeats; ``intern`` refuses a subclass, kept as it is."""
+    return intern(text) if type(text) is str else text
+
+
 def _parse_turn(item: object, where: str) -> DialogTurn:
     """Parse a turn in full: normalize the answer's case or raise naming ``where``."""
     if not isinstance(item, dict):
@@ -349,7 +354,7 @@ def _parse_turn(item: object, where: str) -> DialogTurn:
     normalized = _ANSWER_WORDS.get(answer.strip().lower())
     if normalized is None:
         raise CorpusError(f"{where}: follow_up_answer must be Yes or No, got {answer!r}")
-    return DialogTurn(follow_up_question=question, follow_up_answer=normalized)
+    return DialogTurn(follow_up_question=_shared(question), follow_up_answer=normalized)
 
 
 def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[LoadAudit] = None) -> list[DialogTurn]:
@@ -368,7 +373,7 @@ def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[Lo
             question = item.get("follow_up_question")
             answer = item.get("follow_up_answer")
             if (answer == "Yes" or answer == "No") and type(question) is str and question.strip():
-                turns.append(DialogTurn(question, answer))
+                turns.append(DialogTurn(intern(question), _shared(answer)))
                 continue
         if drops is not None and isinstance(item, dict) and "follow_up_answer" not in item:
             reason = "evidence_missing_answer"
@@ -389,7 +394,7 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
     """Build one instance, or raise ``CorpusError`` naming the place inside the record.
 
     The caller prefixes the record's own location, so location strings are
-    built only on the path that raises.
+    built only on the path that raises. Every string but the (distinct) id is shared.
     """
     if not isinstance(record, dict):
         raise CorpusError("record is not an object")
@@ -402,13 +407,13 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
         raise CorpusError("history and evidence must be lists")
     return Instance(
         record["utterance_id"],
-        record["tree_id"],
-        record["snippet"],
-        record["question"],
-        record["scenario"],
+        _shared(record["tree_id"]),
+        _shared(record["snippet"]),
+        _shared(record["question"]),
+        _shared(record["scenario"]),
         _parse_turns(history_raw, "history"),
         _parse_turns(evidence_raw, "evidence", strict, audit),
-        record["answer"],
+        _shared(record["answer"]),
     )
 
 

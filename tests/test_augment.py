@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sharctool import augment
 from sharctool.augment import (
     DEFAULT_CLASS_TARGETS,
     AugmentConfig,
+    AugmentedInstance,
     Provenance,
     build_augmented_corpus,
     load_augmented,
@@ -17,7 +20,7 @@ from sharctool.augment import (
     shuffle_history_instance,
     write_augmented,
 )
-from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash
+from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash, content_key
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +356,141 @@ def test_build_drops_duplicate_originals(make_instance):
     items, manifest = build_augmented_corpus(corpus, config)
     assert manifest.original_duplicates_dropped == 1
     assert "y1-copy" not in {item.instance.utterance_id for item in items}
+
+
+def _reference_build(corpus, config):
+    """``build_augmented_corpus`` as it was when a fill kept every parent's stream until it returned.
+
+    Returns the items and the manifest fields that the fills decide.
+    """
+    config.validate(len(corpus))
+    out, seen, used_ids = [], set(), set()
+    duplicates = original_duplicates = 0
+    if config.keep_original:
+        for instance in corpus:
+            key = content_key(instance)
+            if key in seen:
+                original_duplicates += 1
+                continue
+            seen.add(key)
+            used_ids.add(instance.utterance_id)
+            out.append(AugmentedInstance(instance, Provenance.ORIGINAL, instance.utterance_id))
+    originals = Counter(item.instance.label for item in out)
+    targets = config.target_counts()
+    deficits = {label: max(0, targets[label] - originals[label]) for label in ClassLabel}
+    generated = {label: 0 for label in ClassLabel}
+
+    def fill(label, eligible, purpose, make, per_parent=None):
+        nonlocal duplicates
+        if not deficits[label]:
+            return
+        parents = [inst for inst in corpus if eligible(inst)]
+        streams, admitted, attempts = {}, Counter(), Counter()
+        for _ in range(64):
+            progress = False
+            for parent in parents:
+                if generated[label] >= deficits[label]:
+                    return
+                pid = parent.utterance_id
+                if per_parent is not None:
+                    if admitted[pid] >= per_parent or attempts[pid] >= 4 * per_parent:
+                        continue
+                    attempts[pid] += 1
+                if pid not in streams:
+                    streams[pid] = augment._stream(config.seed, purpose, pid)
+                try:
+                    candidate = make(parent, streams[pid])
+                except ValueError:
+                    continue
+                progress = True
+                key = content_key(candidate.instance)
+                if key in seen:
+                    duplicates += 1
+                    continue
+                if candidate.instance.utterance_id in used_ids:
+                    candidate.instance.utterance_id += "-dup"
+                seen.add(key)
+                used_ids.add(candidate.instance.utterance_id)
+                out.append(candidate)
+                generated[label] += 1
+                admitted[pid] += 1
+            if not progress:
+                return
+
+    fill(ClassLabel.IRRELEVANT, lambda inst: inst.scenario.strip(), "rule-replace",
+         lambda parent, rng: make_irrelevant_instance(
+             parent, corpus, rng, seed=config.seed, drop_history=config.drop_replaced_history))
+    for label in (ClassLabel.YES, ClassLabel.NO, ClassLabel.MORE):
+        fill(label, lambda inst: inst.label is label and len(inst.history) >= 2 and len(set(inst.history)) > 1,
+             f"shuffle-{label.value}", lambda parent, rng: shuffle_history_instance(parent, rng, seed=config.seed),
+             config.max_permutations_per_instance)
+    return out, {
+        "generated_counts": {label.value: n for label, n in generated.items()},
+        "shortfalls": {label.value: deficits[label] - generated[label] for label in ClassLabel},
+        "duplicates_dropped": duplicates,
+        "original_duplicates_dropped": original_duplicates,
+    }
+
+
+_GOLDS = ["Yes", "No", "Irrelevant", "Do you work?", "Are you married?"]
+
+
+@st.composite
+def _small_corpus(draw):
+    """Up to a dozen instances over three trees, most with a scenario and a history that can be reordered."""
+    corpus = []
+    for index in range(draw(st.integers(1, 12))):
+        tree = draw(st.integers(0, 2))
+        corpus.append(Instance(
+            f"u{index}", f"t{tree}", f"Rule of tree {tree}.", draw(st.sampled_from(["Can I?", "May I?"])),
+            draw(st.sampled_from(["", "I am 70.", "I live abroad."])), _history(*draw(st.lists(_QA, max_size=4))),
+            [], draw(st.sampled_from(_GOLDS)),
+        ))
+    return corpus
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _small_corpus(),
+    st.integers(0, 2**16),
+    st.integers(40, 400),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_a_fill_that_keeps_no_idle_stream_draws_what_keeping_every_stream_draws(
+    corpus, seed, total, max_perms, drop_history, keep_original
+):
+    # Targets far above what a dozen parents can give make every fill walk several passes.
+    config = AugmentConfig(seed=seed, total_target=total, class_targets=dict(EVEN_TARGETS),
+                           max_permutations_per_instance=max_perms, keep_original=keep_original,
+                           drop_replaced_history=drop_history)
+    items, manifest = build_augmented_corpus(corpus, config)
+    reference_items, reference_manifest = _reference_build(corpus, config)
+    assert [item.to_record() for item in items] == [item.to_record() for item in reference_items]
+    assert {key: getattr(manifest, key) for key in reference_manifest} == reference_manifest
+
+
+def test_a_fill_that_ends_in_its_first_pass_holds_one_stream_at_a_time(make_instance, monkeypatch):
+    made = []
+
+    def stream(*key):
+        assert sum(ref() is not None for ref in made) <= 1, "an earlier parent's stream is still held"
+        rng = make_stream(*key)
+        made.append(weakref.ref(rng))
+        return rng
+
+    make_stream = augment._stream
+    monkeypatch.setattr(augment, "_stream", stream)
+    corpus = [
+        make_instance(utterance_id=f"y{i}", tree_id=f"t{i % 5}", question=f"Question {i}?", scenario="I am 70.")
+        for i in range(10)
+    ]
+    config = AugmentConfig(seed=13, total_target=18,
+                           class_targets={ClassLabel.IRRELEVANT: 50.0, ClassLabel.YES: 50.0, ClassLabel.NO: 0.0,
+                                          ClassLabel.MORE: 0.0})
+    _, manifest = build_augmented_corpus(corpus, config)
+    assert manifest.generated_counts["Irrelevant"] == len(made) == 9
 
 
 def test_write_and_load_round_trip(tmp_path, make_instance):

@@ -168,6 +168,23 @@ def test_augment_rejects_incomplete_targets(corpus_file, tmp_path, capsys):
     assert "all four classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,error,loads",
+    [
+        (["--total", "50"], "error: --total 50 is below the corpus size 100 while originals are kept", 1),
+        (["--targets", "irr=10,yes=10,no=10,more=10"], "error: --targets sum to 40.0, expected 100 ± 0.05", 0),
+    ],
+    ids=["total-below-the-corpus", "targets-off-100"],
+)
+def test_augment_config_errors_name_their_flag(corpus_file, tmp_path, capsys, monkeypatch, flags, error, loads):
+    calls = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: calls.append(a) or load_corpus(*a, **k))
+    assert main(["augment", "--in", str(corpus_file), "--seed", "13", *flags, "--out", str(tmp_path / "a.jsonl")]) == 1
+    assert _one_error_line(capsys) == error + "\n"
+    assert len(calls) == loads  # the targets' sum is checked before the corpus is read
+    assert os.listdir(tmp_path) == []
+
+
 # --------------------------------------------------------------------------
 # annotate
 # --------------------------------------------------------------------------

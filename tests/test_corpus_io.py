@@ -22,6 +22,7 @@ from sharctool.corpus import (
     iter_corpus,
     load_corpus,
     load_corpus_audited,
+    record_to_instance,
     write_corpus,
     write_json,
     write_jsonl,
@@ -226,6 +227,36 @@ def test_load_corpus_audited_is_the_streaming_reader_listed(tmp_path, strictness
     assert list(iter_corpus(path, strictness, streamed_audit)) == instances
     assert streamed_audit == audit
     assert audit.instances_kept == 2 and audit.dropped_evidence_items >= 1
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "json-list"])
+@pytest.mark.parametrize("read", [load_corpus, lambda path: list(iter_corpus(path))], ids=["load", "iter"])
+def test_equal_strings_load_as_one_object(tmp_path, read, layout):
+    history = [_turn("Over 60?", "yes"), _turn("Retired?", "No")]
+    records = [_record(history=history), _record(utterance_id="u-2", scenario="I am 70.", history=history[::-1])]
+    if layout == "jsonl":
+        path = _write_lines(tmp_path, *records)
+    else:
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+    first, second = read(path)
+    for name in ("tree_id", "rule_text", "question", "gold_answer"):
+        assert getattr(first, name) is getattr(second, name), name
+    assert first.history[0].follow_up_question is second.history[1].follow_up_question
+    assert first.history[1].follow_up_question is second.history[0].follow_up_question
+    assert first.history[1].follow_up_answer is second.history[0].follow_up_answer
+
+
+def test_record_to_instance_takes_str_subclass_values():
+    class Text(str):
+        pass
+
+    record = _record(tree_id=Text("t-1"), snippet=Text("Rule."), question=Text("Q?"), scenario=Text("S."),
+                     answer=ClassLabel.YES, history=[_turn(Text("Over 60?"), ClassLabel.NO), _turn(answer=Text("yes"))])
+    instance = record_to_instance(record)
+    assert (instance.tree_id, instance.rule_text, instance.question, instance.scenario, instance.label) == (
+        "t-1", "Rule.", "Q?", "S.", ClassLabel.YES)
+    assert instance.history == [DialogTurn("Over 60?", "No"), DialogTurn("Over 60?", "Yes")]
 
 
 def test_iter_corpus_yields_each_instance_before_reading_the_next_line(tmp_path):
