@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .corpus import (
     ClassLabel,
@@ -48,6 +48,8 @@ __all__ = [
     "write_params",
     "write_predictions",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -246,17 +248,25 @@ def predict_corpus(
     corpus: Iterable[Instance],
     params: PolicyParams = PolicyParams(),
     cues: CueSet = DEFAULT_CUES,
-) -> tuple[list[Prediction], PolicyStats]:
-    """Predict every instance, parsing each distinct rule text once."""
+    *,
+    sink: Callable[[Iterator[Prediction]], _T] = list,
+) -> tuple[_T, PolicyStats]:
+    """Predict every instance, parsing each distinct rule text once; return ``(sink(predictions), stats)``.
+
+    ``sink`` gets the predictions as an iterator inside one corpus pass, and
+    ``stats`` is complete once it is used up.
+    """
     stats = PolicyStats()
-    predictions: list[Prediction] = []
-    for features in _corpus_features(corpus, cues):
-        prediction, step = _predict(features, params)
-        logic = features.plan.logic.value
-        stats.logic_counts[logic] = stats.logic_counts.get(logic, 0) + 1
-        stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
-        predictions.append(prediction)
-    return predictions, stats
+
+    def predictions() -> Iterator[Prediction]:
+        for features in _corpus_features(corpus, cues):
+            prediction, step = _predict(features, params)
+            logic = features.plan.logic.value
+            stats.logic_counts[logic] = stats.logic_counts.get(logic, 0) + 1
+            stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
+            yield prediction
+
+    return sink(predictions()), stats
 
 
 # --------------------------------------------------------------------------

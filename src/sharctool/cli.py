@@ -60,26 +60,6 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _load_frozen(load, path: Path):
-    """Call a loader, then move everything it built out of the collector's reach.
-
-    The process runs one command, so no collection needs to walk the corpus
-    again. The collector stays off until the freeze: re-enabling it first
-    would walk the whole new corpus once in the next young-generation
-    collection. A streaming loader (:func:`iter_corpus`) builds nothing here:
-    it reads as ``compute`` consumes it.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        loaded = load(path)
-        gc.freeze()
-        return loaded
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> int:
     """Run one command: check every path, load and compute, stage the outputs, commit them.
 
@@ -95,6 +75,10 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     ``config_digest`` does not cover, records the seconds spent loading and
     computing (``compute_s``) and replacing the outputs (``commit_s``), and
     the process's peak RSS at the frame's start and at its end.
+
+    The cyclic collector is off from the first load to the commit, as nothing
+    a command builds forms cycles that grow with the corpus; the caller's
+    setting comes back on any exit.
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     rss_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -114,7 +98,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             raise ValueError(f"{flag} {path}: input not found")
         if resolved.is_dir():
             raise ValueError(f"{flag} {path}: Is a directory")
-        checked = index == 0 and expect_digest
+        checked = index == 0 and expect_digest is not None
         if manifest_path or checked:
             digest = input_digests[str(resolved)] = input_digests.get(str(resolved)) or _sha256(resolved)
             if checked and digest != expect_digest:
@@ -133,15 +117,21 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         claimed[target] = f"{flag} {path}"
 
     def load(index: int):
-        return None if sources[index] is None else _load_frozen(inputs[index][2], sources[index])
+        return None if sources[index] is None else inputs[index][2](sources[index])
 
-    with staged_writes() as commit:
-        began = time.perf_counter()
-        side = [load(index) for index in range(1, len(inputs))]
-        summary = compute(load(0), *side)
-        computed = time.perf_counter()
-        commit()
-    committed = time.perf_counter()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with staged_writes() as commit:
+            began = time.perf_counter()
+            side = [load(index) for index in range(1, len(inputs))]
+            summary = compute(load(0), *side)
+            computed = time.perf_counter()
+            commit()
+        committed = time.perf_counter()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if manifest_path:
         write_json(manifest_path, {
             "argv": args.argv,
@@ -177,6 +167,14 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _sha256_hex(text: str) -> str:
+    """The argparse type of ``--expect-digest``: 64 hex digits in either case, lowercased."""
+    digest = text.lower()
+    if len(digest) != 64 or digest.strip("0123456789abcdef"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a sha256 digest (64 hex digits)")
+    return digest
 
 
 def _targets(spec: str) -> dict[ClassLabel, float]:
@@ -314,9 +312,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     def compute(corpus, params, cues):
         params = params or PolicyParams()
         config["params"] = params.to_dict()
-        predictions, stats = predict_corpus(corpus, params, cues or DEFAULT_CUES)
-        write_predictions(args.out, predictions)
-        return (f"baseline predictions: {len(predictions)} -> {Path(args.out)}\n"
+        _, stats = predict_corpus(corpus, params, cues or DEFAULT_CUES,
+                                  sink=lambda predictions: write_predictions(args.out, predictions))
+        return (f"baseline predictions: {sum(stats.step_counts.values())} -> {Path(args.out)}\n"
                 f"  policy steps fired: {stats.to_dict()['step_counts']}")
 
     return _run(args, config,
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if main_input:
             p.add_argument(main_input, dest="infile" if main_input == "--in" else None, required=True)
-            p.add_argument("--expect-digest", default=None, help=f"require this sha256 of {main_input}")
+            p.add_argument("--expect-digest", type=_sha256_hex, help=f"require this sha256 of {main_input}")
         return p
 
     p = command("validate", _cmd_validate, "check a corpus file and report an ingestion audit")

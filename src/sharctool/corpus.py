@@ -10,7 +10,6 @@ one-record-per-line serialization they round-trip through.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -505,21 +504,9 @@ def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[Lo
 
 
 def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
-    """Load a whole corpus file with :func:`iter_corpus`, returning instances plus the audit.
-
-    The cyclic garbage collector is paused while the corpus is built (the
-    loader makes no reference cycles, and each collection would re-walk the
-    growing corpus) and left as it was found afterwards.
-    """
+    """Load a whole corpus file with :func:`iter_corpus`, returning instances plus the audit."""
     audit = LoadAudit()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        instances = list(iter_corpus(path, strictness, audit))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return instances, audit
+    return list(iter_corpus(path, strictness, audit)), audit
 
 
 def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sharctool.corpus import ClassLabel
+from sharctool.corpus import ClassLabel, CorpusError, pass_memo
 from sharctool.baseline import (
     PolicyParams,
     generate_followup,
@@ -195,6 +195,30 @@ def test_predict_corpus_counts_logic_and_steps(make_instance):
     payload = stats.to_dict()
     assert set(payload) == {"logic_counts", "step_counts"}
     assert all(isinstance(k, str) for k in payload["step_counts"])
+
+
+def test_predict_corpus_hands_each_prediction_to_the_sink_inside_the_pass(make_instance):
+    def corpus():
+        yield make_instance(utterance_id="c1", rule_text=CONJ_RULE, question=ON_TOPIC)
+        yield make_instance(utterance_id="c2", rule_text=CONJ_RULE, question=OFF_TOPIC)
+        raise CorpusError("record 2 is bad")
+
+    received = []
+
+    def sink(predictions):
+        for prediction in predictions:
+            assert pass_memo("tokenize") is not None
+            received.append(prediction.utterance_id)
+        return len(received)
+
+    with pytest.raises(CorpusError, match="record 2"):
+        predict_corpus(corpus(), sink=sink)
+    assert received == ["c1", "c2"]
+    assert pass_memo("tokenize") is None
+
+    received.clear()
+    counted, stats = predict_corpus([make_instance(utterance_id="c1", rule_text=CONJ_RULE)], sink=sink)
+    assert counted == sum(stats.step_counts.values()) == 1
 
 
 def test_predictions_file_round_trip(tmp_path, make_instance):

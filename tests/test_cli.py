@@ -1,13 +1,18 @@
 """End-to-end checks of the command line interface on a small corpus."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sharctool
 from sharctool import cli
@@ -110,6 +115,23 @@ def test_expect_digest_guard(corpus_file, tmp_path, capsys):
 
     good = _sha256(corpus_file)
     assert main(["probe", "--in", str(corpus_file), "--out", str(out), "--expect-digest", good]) == 0
+
+
+@pytest.mark.parametrize("digest", ["", "0" * 63, "0" * 65, "g" * 64, " " + "0" * 63],
+                         ids=["empty", "short", "long", "not-hex", "space"])
+def test_an_expect_digest_that_is_no_sha256_exits_2_naming_the_flag(corpus_file, tmp_path, capsys, digest):
+    out = tmp_path / "probe.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["probe", "--in", str(corpus_file), "--out", str(out), "--expect-digest", digest])
+    assert exit_info.value.code == 2
+    assert "argument --expect-digest: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_expect_digest_takes_the_digest_in_upper_case(corpus_file, tmp_path):
+    out = tmp_path / "probe.json"
+    upper = _sha256(corpus_file).upper()
+    assert main(["probe", "--in", str(corpus_file), "--out", str(out), "--expect-digest", upper]) == 0
 
 
 # --------------------------------------------------------------------------
@@ -686,3 +708,96 @@ def test_manifest_metrics_are_numeric_and_outside_the_config_digest(corpus_file,
     # The digest covers the config alone, as before the block existed.
     assert manifests[0]["config_digest"] == manifests[1]["config_digest"] == hashlib.sha256(
         b'{"raw_tokens":false,"stopwords":"basic"}').hexdigest()
+
+
+# --------------------------------------------------------------------------
+# fuzz: mutated corpora through every command that reads one
+# --------------------------------------------------------------------------
+
+_FIELDS = ("utterance_id", "tree_id", "snippet", "question", "scenario", "history", "evidence", "answer")
+_TURNS = ("history", "evidence")
+_ODD_VALUES = (None, 0, 1.5, True, "", "Maybe", [], {}, ["Yes"], {"follow_up_question": "Over 60?"})
+_BAD_TURNS = (
+    42, "Yes", [], {"follow_up_answer": "Yes"}, {"follow_up_question": "Over 60?"},
+    {"follow_up_question": " ", "follow_up_answer": "Yes"},
+    {"follow_up_question": "Over 60?", "follow_up_answer": "Maybe"},
+    {"follow_up_question": "Over 60?", "follow_up_answer": None},
+)
+_STRAY_BYTES = (b"\xff", b"\xc3", b"\x00", b"\n", b"{", b"]", b",", b'"', b"\\")
+
+_record_edit = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 5), st.sampled_from(_FIELDS), st.sampled_from(_ODD_VALUES)),
+    st.tuples(st.just("drop"), st.integers(0, 5), st.sampled_from(_FIELDS)),
+    st.tuples(st.just("turn"), st.integers(0, 5), st.sampled_from(_TURNS), st.sampled_from(_BAD_TURNS)),
+)
+_byte_edit = st.one_of(
+    st.tuples(st.just("stray"), st.integers(0, 1 << 16), st.sampled_from(_STRAY_BYTES)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+)
+
+# Each command that reads a corpus: its flags after the corpus, and its outputs.
+_FUZZ_COMMANDS = {
+    "validate": ([], []),
+    "validate --strict --out": (["--strict", "--out", "{root}/canonical.jsonl"], ["canonical.jsonl"]),
+    "probe": (["--out", "{root}/probe.json"], ["probe.json"]),
+    "annotate": (["--out", "{root}/markers.jsonl"], ["markers.jsonl"]),
+    "baseline": (["--out", "{root}/pred.jsonl"], ["pred.jsonl"]),
+    "tune": (["--out", "{root}/params.json"], ["params.json"]),
+    "augment": (["--seed", "13", "--total", "30", "--out", "{root}/aug.jsonl"], ["aug.jsonl", "aug.jsonl.build.json"]),
+    "evaluate": (["--pred", "{root}/given-pred.jsonl", "--out", "{root}/eval.json"], ["eval.json"]),
+}
+
+
+def _mutated_corpus(records, layout, record_edits, byte_edits):
+    for kind, index, key, *value in record_edits:
+        record = records[index % len(records)]
+        if kind == "flip":
+            record[key] = value[0]
+        elif kind == "drop":
+            record.pop(key, None)
+        elif isinstance(record.get(key), list):
+            record[key] = [*record[key], value[0]]
+    text = "".join(json.dumps(r) + "\n" for r in records) if layout == "jsonl" else json.dumps(records)
+    data = text.encode("utf-8")
+    for kind, at, *stray in byte_edits:
+        at %= len(data) + 1
+        data = data[:at] + stray[0] + data[at:] if kind == "stray" else data[:at]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+    layout=st.sampled_from(["jsonl", "list"]),
+    record_edits=st.lists(_record_edit, max_size=3),
+    byte_edits=st.lists(_byte_edit, max_size=2),
+)
+def test_a_mutated_corpus_gives_a_result_or_one_error_line_and_changes_nothing(
+    corpus_file, command, layout, record_edits, byte_edits
+):
+    records = [json.loads(line) for line in corpus_file.read_text(encoding="utf-8").splitlines()[:6]]
+    flags, outputs = _FUZZ_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "given-pred.jsonl").write_text(
+            "".join(json.dumps({"utterance_id": r["utterance_id"], "answer": "Yes"}) + "\n" for r in records),
+            encoding="utf-8")
+        corpus = root / ("corpus.jsonl" if layout == "jsonl" else "corpus.json")
+        corpus.write_bytes(_mutated_corpus(records, layout, record_edits, byte_edits))
+        for name in [*outputs, *(f"{name}.manifest.json" for name in outputs[:1])]:
+            (root / name).write_text(f"previous {name}\n", encoding="utf-8")
+        before = _files(root)
+        argv = [command.split()[0], "--gold" if command == "evaluate" else "--in", str(corpus),
+                *(flag.format(root=root) for flag in flags)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        gc.enable()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert gc.isenabled()
+        err = stderr.getvalue()
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert _files(root) == before
+        assert not [path.name for path in root.iterdir() if path.name.endswith(".tmp")]

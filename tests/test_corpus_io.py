@@ -4,10 +4,12 @@ import gc
 import hashlib
 import json
 import os
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharctool import cli
 from sharctool.augment import AugmentConfig, build_augmented_corpus, load_augmented, write_augmented
 from sharctool.cli import main
 from sharctool.corpus import (
@@ -334,7 +336,7 @@ def test_augment_bytes_are_pinned_where_the_fill_limits_bind(tmp_path, overrides
 
 
 # --------------------------------------------------------------------------
-# The collector is paused during a load and left as it was found
+# A load leaves the collector as it was found
 # --------------------------------------------------------------------------
 
 
@@ -362,15 +364,126 @@ def test_load_leaves_the_collector_as_it_was(tmp_path, restore_gc, enabled_befor
     assert gc.isenabled() is enabled_before
 
 
-def test_cli_freezes_the_loaded_corpus_and_restores_the_collector(tmp_path, restore_gc):
-    corpus = _write_lines(tmp_path, _record())
-    gc.unfreeze()
-    try:
-        assert main(["tune", "--in", str(corpus), "--out", str(tmp_path / "params.json")]) == 0
-        assert gc.get_freeze_count() > 0
-        assert gc.isenabled()
-    finally:
-        gc.unfreeze()
+# --------------------------------------------------------------------------
+# Every command runs with the collector off and gives the caller's setting back
+# --------------------------------------------------------------------------
+
+FRAME_SPEC = SplitSpec(name="frame", seed=3, class_counts={label: 10 for label in ClassLabel}, tree_count=10)
+
+COMMANDS = ("validate", "probe", "augment", "annotate", "baseline", "tune", "evaluate", "report")
+
+
+@pytest.fixture(scope="module")
+def frame_instances():
+    return generate_split(FRAME_SPEC)
+
+
+def _command_argvs(root, instances, failing=False):
+    """One argv per subcommand over ``instances``, writing into ``root``.
+
+    With ``failing`` the corpus ends in a duplicate id and the second report
+    is of neither kind, so every command stops with an ``error:`` line part
+    way through its load.
+    """
+    write_corpus(root / "corpus.jsonl", instances)
+    lines = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (root / "bad.jsonl").write_text("".join(lines + lines[:1]), encoding="utf-8")
+    write_jsonl(root / "given-pred.jsonl", ({"utterance_id": i.utterance_id, "answer": "Yes"} for i in instances),
+                json.dumps)
+    write_json(root / "probe-report.json", {"class_distribution": {"Yes": 100.0}, "instance_count": len(instances)})
+    write_json(root / "bad-report.json", {"neither": "kind"})
+    corpus = str(root / ("bad.jsonl" if failing else "corpus.jsonl"))
+    second_report = str(root / ("bad-report.json" if failing else "probe-report.json"))
+    return {
+        "validate": ["validate", "--in", corpus, "--strict", "--out", str(root / "canonical.jsonl")],
+        "probe": ["probe", "--in", corpus, "--out", str(root / "probe.json")],
+        "augment": ["augment", "--in", corpus, "--seed", "13", "--total", str(3 * len(instances)),
+                    "--out", str(root / "aug.jsonl")],
+        "annotate": ["annotate", "--in", corpus, "--out", str(root / "markers.jsonl")],
+        "baseline": ["baseline", "--in", corpus, "--out", str(root / "pred.jsonl")],
+        "tune": ["tune", "--in", corpus, "--out", str(root / "params.json")],
+        "evaluate": ["evaluate", "--gold", corpus, "--pred", str(root / "given-pred.jsonl"),
+                     "--out", str(root / "eval.json")],
+        "report": ["report", "--original", str(root / "probe-report.json"), "--augmented", second_report,
+                   "--out", str(root / "report.txt")],
+    }
+
+
+@pytest.mark.parametrize("outcome", ["success", "error"])
+@pytest.mark.parametrize("enabled_before", [True, False])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_gives_the_collector_back_as_it_was(
+    tmp_path, capsys, restore_gc, frame_instances, command, enabled_before, outcome
+):
+    argv = _command_argvs(tmp_path, frame_instances[:4], failing=outcome == "error")[command]
+    (gc.enable if enabled_before else gc.disable)()
+    assert main(argv) == (0 if outcome == "success" else 1)
+    assert gc.isenabled() is enabled_before
+    if outcome == "error":
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# What ``gc.isenabled()`` read at each spied load and at each step of a walk over what a load returned.
+_collector_states: dict[str, list[bool]] = {"load": [], "walk": []}
+
+
+class _SpyList(list):
+    def __iter__(self):
+        _collector_states["walk"].append(gc.isenabled())
+        return super().__iter__()
+
+
+def _spy(load):
+    """Wrap a loader so that the load and every later walk of what it returns record ``gc.isenabled()``."""
+
+    def walk(items):
+        for item in items:
+            _collector_states["walk"].append(gc.isenabled())
+            yield item
+
+    def spied(*args, **kwargs):
+        _collector_states["load"].append(gc.isenabled())
+        loaded = load(*args, **kwargs)
+        if isinstance(loaded, list):
+            return _SpyList(loaded)
+        return walk(loaded) if isinstance(loaded, Iterator) else loaded
+
+    return spied
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_collector_is_off_while_a_command_loads_and_computes(
+    tmp_path, monkeypatch, capsys, restore_gc, frame_instances, command
+):
+    for name in ("iter_corpus", "load_corpus", "load_params", "load_cues", "load_predictions", "_load_report"):
+        monkeypatch.setattr(cli, name, _spy(getattr(cli, name)))
+    argv = _command_argvs(tmp_path, frame_instances[:4])[command]
+    for states in _collector_states.values():
+        states.clear()
+    gc.enable()
+    assert main(argv) == 0
+    loads, walks = _collector_states["load"], _collector_states["walk"]
+    # Every command but report walks its corpus inside compute.
+    assert loads and (walks or command == "report")
+    assert not any(loads + walks)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_leaves_no_more_cyclic_garbage_on_a_larger_corpus(
+    tmp_path, capsys, restore_gc, frame_instances, command
+):
+    found = []
+    # The first run only warms up whatever a command builds once per process.
+    for run, size in enumerate((4, 4, 40)):
+        root = tmp_path / str(run)
+        root.mkdir()
+        argv = _command_argvs(root, frame_instances[:size])[command]
+        gc.disable()
+        gc.collect()
+        assert main(argv) == 0
+        found.append(gc.collect())
+    assert found[1] == found[2]
 
 
 # --------------------------------------------------------------------------
