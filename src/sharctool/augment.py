@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import random
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -232,7 +232,7 @@ class AugmentManifest:
     original_duplicates_dropped: int
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def _stream(seed: int, purpose: str, parent_id: str) -> random.Random:

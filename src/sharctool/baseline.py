@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -62,7 +62,7 @@ class PolicyParams:
     l_max: int = 5  # stop asking follow-ups once the history reaches this many turns
 
     def to_dict(self) -> dict:
-        return {"tau_irr": self.tau_irr, "rho": self.rho, "rho_s": self.rho_s, "l_max": self.l_max}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,7 @@ class TuneResult:
     trials: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "best_params": self.best_params.to_dict(),
-            "best_combined": self.best_combined,
-            "instance_count": self.instance_count,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def tune(

@@ -12,6 +12,7 @@ require an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -90,22 +91,24 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         targets.append(("manifest", manifest_path))
 
     sources = [None if path is None else _resolve_input(path) for _, path, _ in inputs]
-    input_digests: dict[str, str] = {}
-    for index, ((flag, path, _), resolved) in enumerate(zip(inputs, sources)):
-        if resolved is None:
+    # Only a regular file can be read by the digest and then by the loader; a pipe
+    # is drained by the first read, and a FIFO with no writer blocks the first open.
+    for (flag, path, _), source in zip(inputs, sources):
+        if source is None or source.is_file():
             continue
-        if not resolved.exists():
-            raise ValueError(f"{flag} {path}: input not found")
-        if resolved.is_dir():
+        if source.is_dir():
             raise ValueError(f"{flag} {path}: Is a directory")
+        raise ValueError(f"{flag} {path}: {'not a regular file' if source.exists() else 'input not found'}")
+    input_digests: dict[str, str] = {}
+    for index, ((flag, path, _), source) in enumerate(zip(inputs, sources)):
         checked = index == 0 and expect_digest is not None
-        if manifest_path or checked:
-            digest = input_digests[str(resolved)] = input_digests.get(str(resolved)) or _sha256(resolved)
+        if source is not None and (manifest_path or checked):
+            digest = input_digests[str(source)] = input_digests.get(str(source)) or _sha256(source)
             if checked and digest != expect_digest:
                 raise ValueError(f"{flag} {path}: digest mismatch: expected {expect_digest}, got {digest}")
-    # An output may name neither another output nor a regular file the command reads.
+    # An output may name neither another output nor a file the command reads.
     claimed = {Path(os.path.realpath(source)): f"{flag} {path}"
-               for (flag, path, _), source in zip(inputs, sources) if source is not None and source.is_file()}
+               for (flag, path, _), source in zip(inputs, sources) if source is not None}
     for flag, path in targets:
         target = Path(os.path.realpath(path))
         if not target.parent.is_dir():
@@ -154,8 +157,8 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     return 0
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+def _int_at_least(minimum: int, maximum: float = math.inf):
+    """An argparse type: an integer no smaller than ``minimum`` and no larger than ``maximum``."""
 
     def parse(text: str) -> int:
         try:
@@ -164,6 +167,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {maximum}")
         return value
 
     return parse
@@ -411,6 +416,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sharctool",
@@ -438,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("augment", _cmd_augment, "rebalance the corpus toward target marginals")
     p.add_argument("--seed", type=int, required=True, help="explicit RNG seed (no clock seeding)")
-    p.add_argument("--total", type=_int_at_least(1), default=DEFAULT_TOTAL_TARGET)
+    # Up to 2**53 every count is a float exactly, so target percentages of it cannot overflow.
+    p.add_argument("--total", type=_int_at_least(1, 2**53), default=DEFAULT_TOTAL_TARGET)
     p.add_argument("--targets", type=_targets, default=None, help="e.g. irr=22.41,yes=27.09,no=28.11,more=22.39")
     p.add_argument("--max-perms", type=_int_at_least(1), default=3, help="shuffles emitted per parent instance")
     p.add_argument("--no-keep-original", action="store_true", help="emit generated instances only")

@@ -16,7 +16,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -321,14 +321,7 @@ class LoadAudit:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
     def to_dict(self) -> dict:
-        return {
-            "records_read": self.records_read,
-            "instances_kept": self.instances_kept,
-            "dropped_instances": self.dropped_instances,
-            "dropped_evidence_items": self.dropped_evidence_items,
-            "duplicate_ids_dropped": self.duplicate_ids_dropped,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
+        return {**asdict(self), "reasons": dict(sorted(self.reasons.items()))}
 
 
 _REQUIRED_STRING_FIELDS = ("utterance_id", "tree_id", "snippet", "question", "scenario", "answer")

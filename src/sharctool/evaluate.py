@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -247,8 +247,12 @@ def combined_metric(macro: Optional[float], bleu4: Optional[float]) -> Optional[
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvalReport:
+    """The scores of one run, fields in ``eval.json``'s key order."""
+
+    notes: tuple[str, ...] = SCORING_NOTES
+    instance_count: int
     micro_accuracy: float
     macro_accuracy: float
     per_class_accuracy: dict[str, Optional[float]]
@@ -256,23 +260,10 @@ class EvalReport:
     bleu4: Optional[float]
     combined: Optional[float]
     bleu_instance_count: int
-    instance_count: int
     confusion: dict[str, dict[str, int]]
-    notes: tuple[str, ...] = SCORING_NOTES
 
     def to_dict(self) -> dict:
-        return {
-            "notes": list(self.notes),
-            "instance_count": self.instance_count,
-            "micro_accuracy": self.micro_accuracy,
-            "macro_accuracy": self.macro_accuracy,
-            "per_class_accuracy": self.per_class_accuracy,
-            "bleu1": self.bleu1,
-            "bleu4": self.bleu4,
-            "combined": self.combined,
-            "bleu_instance_count": self.bleu_instance_count,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 def evaluate(

@@ -234,15 +234,6 @@ class AnnotationStats:
             return None
         return self.more_with_span / self.more_instances
 
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "more_instances": self.more_instances,
-            "more_with_span": self.more_with_span,
-            "span_coverage": self.span_coverage,
-            "flag_counts": dict(sorted(self.flag_counts.items())),
-        }
-
 
 def annotate_corpus(
     corpus: Iterable[Instance],

@@ -207,19 +207,11 @@ class ProbeReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "split_name": self.split_name,
-            "instance_count": self.instance_count,
-            "class_distribution": {label.value: pct for label, pct in self.class_distribution.items()},
-            "class_counts": {label.value: n for label, n in self.class_counts.items()},
-            "last_followup_agreement": asdict(self.last_followup_agreement),
-            "last_followup_agreement_including_followups": asdict(self.last_followup_agreement_including_followups),
-            "irrelevant_context": asdict(self.irrelevant_context),
-            "followup_rate_by_turn": {str(k): asdict(tr) for k, tr in self.followup_rate_by_turn.items()},
-            "followup_rate_spearman": self.followup_rate_spearman,
-            "min_support": self.min_support,
-            "notes": self.notes,
-        }
+        report = asdict(self)
+        report["class_distribution"] = {label.value: pct for label, pct in self.class_distribution.items()}
+        report["class_counts"] = {label.value: n for label, n in self.class_counts.items()}
+        report["followup_rate_by_turn"] = {str(k): rate for k, rate in report["followup_rate_by_turn"].items()}
+        return report
 
 
 def probe_corpus(corpus: Iterable[Instance], split_name: str = "", *, min_support: int = 30) -> ProbeReport:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface on a small corpus."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -595,8 +596,11 @@ def test_targets_outside_the_domain_exit_2_naming_the_flag(corpus_file, tmp_path
         (["augment", "--seed", "1", "--total", "-5", "--no-keep-original"], "--total"),
         (["augment", "--seed", "1", "--total", "0"], "--total"),
         (["augment", "--seed", "1", "--max-perms", "0"], "--max-perms"),
+        (["augment", "--seed", "1", "--total", str(2**53 + 1)], "--total"),
+        (["augment", "--seed", "1", "--total", "1" + "0" * 400], "--total"),
     ],
-    ids=["negative-min-support", "negative-total", "zero-total", "zero-max-perms"],
+    ids=["negative-min-support", "negative-total", "zero-total", "zero-max-perms", "total-past-2**53",
+         "total-past-a-float"],
 )
 def test_counts_below_their_minimum_exit_2_naming_the_flag(corpus_file, tmp_path, capsys, argv, flag):
     command, *rest = argv
@@ -605,6 +609,30 @@ def test_counts_below_their_minimum_exit_2_naming_the_flag(corpus_file, tmp_path
     assert excinfo.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "annotate", "probe"])
+def test_a_pipe_as_input_is_one_error_line_and_writes_nothing(corpus_file, tmp_path, capsys, command):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"".join(corpus_file.read_bytes().splitlines(keepends=True)[:6]))
+    os.close(write_end)
+    infile = f"/dev/fd/{read_end}"
+    try:
+        assert main([command, "--in", infile, "--out", str(tmp_path / "out")]) == 1
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr().err == f"error: --in {infile}: not a regular file\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_second_command_in_one_process_builds_no_parser(corpus_file, monkeypatch):
+    assert main(["validate", "--in", str(corpus_file)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(kwargs.get("prog")) or init(self, *args, **kwargs))
+    assert main(["validate", "--in", str(corpus_file)]) == 0
+    assert built == []
 
 
 def test_no_manifest_beside_an_output_that_is_not_a_regular_file(corpus_file, tmp_path, capsys):
@@ -801,3 +829,111 @@ def test_a_mutated_corpus_gives_a_result_or_one_error_line_and_changes_nothing(
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
             assert _files(root) == before
         assert not [path.name for path in root.iterdir() if path.name.endswith(".tmp")]
+
+
+# --------------------------------------------------------------------------
+# fuzz: argv drawn from each subcommand's flags, with edge values
+# --------------------------------------------------------------------------
+
+# Each subcommand's flags and the kind of value each takes, "!" marking those argparse requires; the
+# main input comes first.
+_ARGV_GRAMMAR = {
+    "validate": {"--in": "corpus!", "--expect-digest": "digest", "--strict": "switch", "--out": "output"},
+    "probe": {"--in": "corpus!", "--out": "output!", "--split-name": "text", "--min-support": "number"},
+    "augment": {"--in": "corpus!", "--seed": "number!", "--total": "number", "--targets": "targets",
+                "--max-perms": "number", "--no-keep-original": "switch", "--drop-replaced-history": "switch",
+                "--out": "output!", "--manifest": "output"},
+    "annotate": {"--in": "corpus!", "--out": "output!", "--stopwords": "text", "--raw-tokens": "switch"},
+    "baseline": {"--in": "corpus!", "--out": "output", "--params": "params", "--cues": "cues"},
+    "tune": {"--in": "corpus!", "--out": "output!", "--trials": "output", "--cues": "cues"},
+    "evaluate": {"--gold": "corpus!", "--pred": "pred!", "--out": "output!", "--sentence-bleu": "switch"},
+    "report": {"--original": "report!", "--augmented": "report!", "--out": "output"},
+}
+# Each kind's values, a good one first. A FIFO or a pipe is only ever an input: an output
+# FIFO waits for a reader, as `cat > fifo` does.
+_INPUTS = ("good", "dir", "missing", "not-utf8", "fifo", "pipe", "")
+_EDGE_VALUES = {
+    "number": ("30", "-1", "0", "nan", "inf", "-inf", str(2**53 + 1), "1" + "0" * 400, ""),
+    "output": ("new", "existing", "dir", "missing/out", "input", ""),
+    "text": ("none", "basic", "", "train"),
+    "targets": ("irr=25,yes=25,no=25,more=25", "irr=nan,yes=50,no=25,more=25", "irr=inf,yes=0,no=0,more=0",
+                "irr=-5,yes=55,no=25,more=25", "irr=100", ""),
+    "digest": ("good", "0" * 64, ""),
+    "switch": (None,),
+    **dict.fromkeys(("corpus", "params", "cues", "pred", "report"), _INPUTS),
+}
+
+
+def _argv_value(kind):
+    """An absent flag (None, for flags argparse does not require) or a 1-tuple: the good value half the time."""
+    values = _EDGE_VALUES[kind.rstrip("!")]
+    value = st.tuples(st.just(values[0]) | st.sampled_from(values))
+    return value if kind.endswith("!") else st.none() | value
+
+
+def _side_files(root, records):
+    """The good file of each input kind, written under ``root``."""
+    files = {
+        "corpus": "".join(json.dumps(record) + "\n" for record in records),
+        "params": json.dumps({"tau_irr": 0.2, "rho": 0.6, "rho_s": 0.6, "l_max": 5}),
+        "cues": "conj  and \ndisj  or \n",
+        "pred": "".join(json.dumps({"utterance_id": r["utterance_id"], "answer": "Yes"}) + "\n" for r in records),
+        "report": json.dumps({"class_distribution": {"Yes": 100.0}, "instance_count": len(records)}),
+    }
+    for kind, text in files.items():
+        (root / kind).write_text(text, encoding="utf-8")
+    return files
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_argv_from_each_commands_flags_gives_a_result_a_usage_error_or_one_error_line(corpus_file, data):
+    command = data.draw(st.sampled_from(sorted(_ARGV_GRAMMAR)), label="command")
+    grammar = _ARGV_GRAMMAR[command]
+    drawn = {flag: data.draw(_argv_value(kind), label=flag) for flag, kind in grammar.items()}
+    records = [json.loads(line) for line in corpus_file.read_text(encoding="utf-8").splitlines()[:6]]
+    pipes: list[int] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = _side_files(root, records)
+        (root / "dir").mkdir()
+        (root / "not-utf8").write_bytes(b'{"utterance_id": "\xff"}\n')
+        os.mkfifo(root / "fifo")
+        (root / "existing").write_text("previous output\n", encoding="utf-8")
+        (root / "input").symlink_to(root / next(iter(grammar.values())).rstrip("!"))
+
+        def value(kind, choice):
+            if choice == "good" and kind == "digest":
+                return hashlib.sha256(files["corpus"].encode("utf-8")).hexdigest()
+            if choice == "good":
+                return str(root / kind)
+            if choice == "pipe":
+                read_end, write_end = os.pipe()
+                pipes.append(read_end)
+                os.write(write_end, files[kind].encode("utf-8"))
+                os.close(write_end)
+                return f"/dev/fd/{read_end}"
+            return str(root / choice) if choice and kind in ("output", *files) else choice
+
+        argv = [command]
+        for flag, choice in drawn.items():
+            if choice is not None:
+                argv += [flag] if choice[0] is None else [flag, value(grammar[flag].rstrip("!"), choice[0])]
+        before = _files(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        finally:
+            for read_end in pipes:
+                os.close(read_end)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        if code != 0:
+            assert _files(root) == before, argv
+        assert not [path.name for path in root.rglob("*") if path.name.endswith(".tmp")]

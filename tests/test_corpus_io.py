@@ -1,5 +1,6 @@
 """Corpus file I/O: loader error messages, audits, writer byte stability."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharctool import cli
 from sharctool.augment import AugmentConfig, build_augmented_corpus, load_augmented, write_augmented
+from sharctool.baseline import PolicyParams, tune
 from sharctool.cli import main
 from sharctool.corpus import (
     ClassLabel,
@@ -29,6 +31,8 @@ from sharctool.corpus import (
     write_json,
     write_jsonl,
 )
+from sharctool.evaluate import evaluate
+from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
 
 
@@ -333,6 +337,52 @@ def test_augment_bytes_are_pinned_where_the_fill_limits_bind(tmp_path, overrides
     write_json(tmp_path / "build.json", build.to_dict())
     assert hashlib.sha256((tmp_path / "aug.jsonl").read_bytes()).hexdigest() == aug_sha
     assert hashlib.sha256((tmp_path / "build.json").read_bytes()).hexdigest() == build_sha
+
+
+# --------------------------------------------------------------------------
+# JSON reports: pinned bytes, and each one's keys are its dataclass fields
+# --------------------------------------------------------------------------
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    # Recorded while each to_dict still listed its keys by hand.
+    corpus = str(tmp_path / "pin.jsonl")
+    write_corpus(corpus, generate_split(PIN_SPEC))
+    for argv in (
+        ["probe", "--in", corpus, "--out", f"{tmp_path}/probe.json", "--split-name", "pin", "--min-support", "5"],
+        ["tune", "--in", corpus, "--out", f"{tmp_path}/params.json", "--trials", f"{tmp_path}/trials.json"],
+        ["baseline", "--in", corpus, "--params", f"{tmp_path}/params.json", "--out", f"{tmp_path}/pred.jsonl"],
+        ["evaluate", "--gold", corpus, "--pred", f"{tmp_path}/pred.jsonl", "--out", f"{tmp_path}/eval.json"],
+    ):
+        assert main(argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("probe.json", "eval.json", "params.json", "trials.json")} == {
+        "probe.json": "630504cdb97550abbbe9e4dd67aec33da255787162cb0ed75f52f13da5f53e82",
+        "eval.json": "c3b48e385ecf7dd9ff46e5af9bef90eae25b670d0a755303447039570b82d7f6",
+        "params.json": "f814ad6050e68d7da753b00cfba79585f22b9b85e11860f1d74d3ec2e649e288",
+        "trials.json": "85e554a05324b539d53c2cb3460c8c7fbc6d7313d38181e1a9ee6b3b6b430fbb",
+    }
+
+
+@pytest.fixture(scope="module")
+def reports():
+    corpus = generate_split(PIN_SPEC)[:40]
+    return {
+        "EvalReport": evaluate(corpus, {instance.utterance_id: "Yes" for instance in corpus}),
+        "TuneResult": tune(corpus, grid={"tau_irr": (0.2,), "rho": (0.6,), "rho_s": (0.6,), "l_max": (3, 5)}),
+        "PolicyParams": PolicyParams(),
+        "LoadAudit": LoadAudit(reasons={"missing answer": 2, "bad history": 1}),
+        "ProbeReport": probe_corpus(corpus, "pin", min_support=5),
+        "AugmentManifest": build_augmented_corpus(corpus, AugmentConfig(seed=13, total_target=60))[1],
+    }
+
+
+@pytest.mark.parametrize("name", ["EvalReport", "TuneResult", "PolicyParams", "LoadAudit", "ProbeReport",
+                                  "AugmentManifest"])
+def test_each_report_lists_its_fields_in_declared_order(reports, name):
+    report = reports[name]
+    assert type(report).__name__ == name
+    assert list(report.to_dict()) == [field.name for field in dataclasses.fields(report)]
 
 
 # --------------------------------------------------------------------------

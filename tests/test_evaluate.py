@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from sharctool.corpus import ClassLabel
 from sharctool.evaluate import (
+    EvalReport,
     bleu,
     combined_metric,
     confusion_matrix,
@@ -200,3 +201,11 @@ def test_report_round_trip(tmp_path, make_instance, turn):
     assert payload["confusion"]["Yes"]["Yes"] == 2
     assert payload["per_class_accuracy"]["Irrelevant"] is None
     assert payload["bleu_instance_count"] == 1
+
+
+def test_a_report_takes_its_fields_by_keyword_only(make_instance, turn):
+    gold, predictions = _toy_eval(make_instance, turn)
+    fields = evaluate(gold, predictions).to_dict()
+    assert EvalReport(**fields) == evaluate(gold, predictions)
+    with pytest.raises(TypeError):
+        EvalReport(*fields.values())
