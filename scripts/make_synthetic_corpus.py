@@ -2,8 +2,10 @@
 
 The real ShARC release cannot be redistributed, so the repository carries a
 deterministic generator instead. This script materializes both splits as
-JSONL files; point SHARC_TRAIN_JSON / SHARC_DEV_JSON at real data to make
-the rest of the tooling (and the test suite) use that instead.
+JSONL files. Only the test suite reads SHARC_TRAIN_JSON / SHARC_DEV_JSON
+(tests/conftest.py and tests/test_synthcorpus.py): point them at real data
+to run the tests on it. scripts/run_pipeline.py takes its splits from
+--train / --dev instead, and each sharctool command from its own flags.
 """
 
 import argparse

@@ -28,8 +28,6 @@ from .corpus import (
     content_key,
     dumps_record,
     instance_to_record,
-    read_jsonl,
-    record_to_instance,
     write_jsonl,
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "DEFAULT_CLASS_TARGETS",
     "Provenance",
     "build_augmented_corpus",
-    "load_augmented",
     "make_irrelevant_instance",
     "shuffle_history_instance",
     "write_augmented",
@@ -380,18 +377,3 @@ def build_augmented_corpus(
 def write_augmented(path: str | Path, items: Iterable[AugmentedInstance]) -> None:
     """Write augmented instances as one-record-per-line JSON with provenance, atomically."""
     write_jsonl(path, (item.to_record() for item in items), dumps_record)
-
-
-def load_augmented(path: str | Path) -> list[AugmentedInstance]:
-    """Read a file written by :func:`write_augmented`."""
-    items: list[AugmentedInstance] = []
-    for _, record in read_jsonl(path):
-        items.append(
-            AugmentedInstance(
-                instance=record_to_instance(record),
-                provenance=Provenance(record.get("provenance", Provenance.ORIGINAL.value)),
-                parent_id=record.get("parent_id", ""),
-                permutation=record.get("permutation"),
-            )
-        )
-    return items

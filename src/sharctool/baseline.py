@@ -27,7 +27,6 @@ from .corpus import (
     read_json,
     read_jsonl,
     tokenize,
-    write_json,
     write_jsonl,
 )
 from .evaluate import evaluate
@@ -45,7 +44,6 @@ __all__ = [
     "predict",
     "predict_corpus",
     "tune",
-    "write_params",
     "write_predictions",
 ]
 
@@ -360,10 +358,6 @@ def load_predictions(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{where}: duplicate utterance_id {record['utterance_id']!r}")
         outputs[record["utterance_id"]] = record["answer"]
     return outputs
-
-
-def write_params(path: str | Path, params: PolicyParams) -> None:
-    write_json(path, params.to_dict())
 
 
 def load_params(path: str | Path) -> PolicyParams:

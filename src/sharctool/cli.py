@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .augment import AugmentConfig, DEFAULT_TOTAL_TARGET, build_augmented_corpus, write_augmented
-from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_params, write_predictions
-from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, staged_writes, write_corpus, write_json,
-                     write_jsonl)
-from .evaluate import evaluate, load_report, render_report, write_report
+from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_predictions
+from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
+                     write_json, write_jsonl)
+from .evaluate import evaluate, render_report
 from .markers import BASIC_STOPWORDS, annotate_corpus
 from .probe import probe_corpus
 from .ruleparse import DEFAULT_CUES, load_cues
@@ -310,8 +310,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise ValueError("baseline requires --out (or the 'tune' mode)")
     config: dict = {}
 
     def compute(corpus, params, cues):
@@ -331,7 +329,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     def compute(corpus, cues):
         result = tune(corpus, cues=cues or DEFAULT_CUES)
-        write_params(args.out, result.best_params)
+        write_json(args.out, result.best_params.to_dict())
         if args.trials:
             write_json(args.trials, result.to_dict())
         return (f"tuned on {result.instance_count} instances over {len(result.trials)} grid points\n"
@@ -345,7 +343,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     def compute(gold, predictions):
         report = evaluate(gold, predictions, sentence_average_bleu=args.sentence_bleu)
-        write_report(args.out, report)
+        write_json(args.out, report.to_dict())
         return render_report(report, title=Path(args.gold).name)
 
     return _run(args, {"sentence_bleu": args.sentence_bleu},
@@ -384,7 +382,7 @@ def _fmt_cell(value: object) -> str:
 
 def _load_report(path: Path) -> tuple[dict, str]:
     """Read a report and tell its kind: ``probe`` or ``eval``."""
-    report = load_report(path)
+    report = read_json(path)
     if isinstance(report, dict):
         if "class_distribution" in report:
             return report, "probe"
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("baseline", _cmd_baseline,
                 "run the rule-based policy over a corpus ('baseline tune' is 'tune --out params.json')")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     p.add_argument("--params", default=None, help="policy parameter file (JSON)")
     p.add_argument("--cues", default=None, help="cue-word configuration file")
 

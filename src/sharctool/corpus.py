@@ -328,11 +328,6 @@ _REQUIRED_STRING_FIELDS = ("utterance_id", "tree_id", "snippet", "question", "sc
 _ANSWER_WORDS = {"yes": "Yes", "no": "No"}
 
 
-def _shared(text: str) -> str:
-    """One object for equal strings, which a corpus repeats; ``intern`` refuses a subclass, kept as it is."""
-    return intern(text) if type(text) is str else text
-
-
 def _parse_turn(item: object, where: str) -> DialogTurn:
     """Parse a turn in full: normalize the answer's case or raise naming ``where``."""
     if not isinstance(item, dict):
@@ -346,7 +341,7 @@ def _parse_turn(item: object, where: str) -> DialogTurn:
     normalized = _ANSWER_WORDS.get(answer.strip().lower())
     if normalized is None:
         raise CorpusError(f"{where}: follow_up_answer must be Yes or No, got {answer!r}")
-    return DialogTurn(follow_up_question=_shared(question), follow_up_answer=normalized)
+    return DialogTurn(follow_up_question=intern(question), follow_up_answer=normalized)
 
 
 def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[LoadAudit] = None) -> list[DialogTurn]:
@@ -365,7 +360,7 @@ def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[Lo
             question = item.get("follow_up_question")
             answer = item.get("follow_up_answer")
             if (answer == "Yes" or answer == "No") and type(question) is str and question.strip():
-                turns.append(DialogTurn(intern(question), _shared(answer)))
+                turns.append(DialogTurn(intern(question), intern(answer)))
                 continue
         if drops is not None and isinstance(item, dict) and "follow_up_answer" not in item:
             reason = "evidence_missing_answer"
@@ -399,13 +394,13 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
         raise CorpusError("history and evidence must be lists")
     return Instance(
         record["utterance_id"],
-        _shared(record["tree_id"]),
-        _shared(record["snippet"]),
-        _shared(record["question"]),
-        _shared(record["scenario"]),
+        intern(record["tree_id"]),
+        intern(record["snippet"]),
+        intern(record["question"]),
+        intern(record["scenario"]),
         _parse_turns(history_raw, "history"),
         _parse_turns(evidence_raw, "evidence", strict, audit),
-        _shared(record["answer"]),
+        intern(record["answer"]),
     )
 
 
@@ -506,14 +501,6 @@ def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:
     """Load a corpus file; see :func:`load_corpus_audited` for the audit."""
     instances, _ = load_corpus_audited(path, strictness)
     return instances
-
-
-def record_to_instance(record: dict) -> Instance:
-    """Parse one already-decoded record strictly; extra keys are ignored."""
-    try:
-        return _parse_record(record, True, LoadAudit())
-    except CorpusError as exc:
-        raise CorpusError(f"record: {exc}") from None
 
 
 def dumps_record(record: dict) -> str:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, derive_label, pass_memo, read_json, tokenize, write_json
+from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
 
 __all__ = [
     "SCORING_NOTES",
@@ -29,12 +28,10 @@ __all__ = [
     "combined_metric",
     "confusion_matrix",
     "evaluate",
-    "load_report",
     "macro_accuracy",
     "micro_accuracy",
     "per_class_accuracy",
     "render_report",
-    "write_report",
 ]
 
 LABEL_ORDER = (ClassLabel.YES, ClassLabel.NO, ClassLabel.IRRELEVANT, ClassLabel.MORE)
@@ -313,11 +310,3 @@ def render_report(report: EvalReport, title: str = "evaluation") -> str:
         recall = report.per_class_accuracy[gold_label.value]
         lines.append(f"{gold_label.value:>11}{cells}   recall {_fmt(recall)}")
     return "\n".join(lines)
-
-
-def write_report(path: str | Path, report: EvalReport) -> None:
-    write_json(path, report.to_dict())
-
-
-def load_report(path: str | Path) -> dict:
-    return read_json(path)

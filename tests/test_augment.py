@@ -15,12 +15,11 @@ from sharctool.augment import (
     AugmentedInstance,
     Provenance,
     build_augmented_corpus,
-    load_augmented,
     make_irrelevant_instance,
     shuffle_history_instance,
     write_augmented,
 )
-from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash, content_key
+from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash, content_key, iter_corpus, read_jsonl
 
 
 # --------------------------------------------------------------------------
@@ -499,5 +498,5 @@ def test_write_and_load_round_trip(tmp_path, make_instance):
     items, _ = build_augmented_corpus(corpus, config)
     path = tmp_path / "augmented.jsonl"
     write_augmented(path, items)
-    loaded = load_augmented(path)
-    assert [i.to_record() for i in loaded] == [i.to_record() for i in items]
+    assert [record for _, record in read_jsonl(path)] == [i.to_record() for i in items]
+    assert list(iter_corpus(path)) == [i.instance for i in items]

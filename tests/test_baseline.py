@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sharctool.corpus import ClassLabel, CorpusError, pass_memo
+from sharctool.corpus import ClassLabel, CorpusError, pass_memo, write_json
 from sharctool.baseline import (
     PolicyParams,
     generate_followup,
@@ -13,7 +13,6 @@ from sharctool.baseline import (
     predict,
     predict_corpus,
     tune,
-    write_params,
     write_predictions,
 )
 from sharctool.ruleparse import Clause, ClauseKind, parse_rule
@@ -242,7 +241,7 @@ def test_predictions_file_round_trip(tmp_path, make_instance):
 def test_params_file_round_trip(tmp_path):
     params = PolicyParams(tau_irr=0.1, rho=0.4, rho_s=1.01, l_max=8)
     path = tmp_path / "params.json"
-    write_params(path, params)
+    write_json(path, params.to_dict())
     assert load_params(path) == params
 
 

@@ -233,8 +233,11 @@ def test_annotate_emits_one_record_per_instance(corpus_file, tmp_path, capsys):
 
 
 def test_baseline_needs_out_or_tune_mode(corpus_file, capsys):
-    assert main(["baseline", "--in", str(corpus_file)]) == 1
-    assert "--out" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["baseline", "--in", str(corpus_file)])
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--out" in errors[0]
 
 
 def test_baseline_predicts_every_instance(corpus_file, tmp_path, capsys):
@@ -844,7 +847,7 @@ _ARGV_GRAMMAR = {
                 "--max-perms": "number", "--no-keep-original": "switch", "--drop-replaced-history": "switch",
                 "--out": "output!", "--manifest": "output"},
     "annotate": {"--in": "corpus!", "--out": "output!", "--stopwords": "text", "--raw-tokens": "switch"},
-    "baseline": {"--in": "corpus!", "--out": "output", "--params": "params", "--cues": "cues"},
+    "baseline": {"--in": "corpus!", "--out": "output!", "--params": "params", "--cues": "cues"},
     "tune": {"--in": "corpus!", "--out": "output!", "--trials": "output", "--cues": "cues"},
     "evaluate": {"--gold": "corpus!", "--pred": "pred!", "--out": "output!", "--sentence-bleu": "switch"},
     "report": {"--original": "report!", "--augmented": "report!", "--out": "output"},

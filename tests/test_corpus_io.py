@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sharctool import cli
-from sharctool.augment import AugmentConfig, build_augmented_corpus, load_augmented, write_augmented
+from sharctool.augment import AugmentConfig, build_augmented_corpus, write_augmented
 from sharctool.baseline import PolicyParams, tune
 from sharctool.cli import main
 from sharctool.corpus import (
@@ -26,7 +26,6 @@ from sharctool.corpus import (
     iter_corpus,
     load_corpus,
     load_corpus_audited,
-    record_to_instance,
     write_corpus,
     write_json,
     write_jsonl,
@@ -157,15 +156,10 @@ def test_invalid_json_list_names_the_path(tmp_path, capsys):
 _NOT_UTF8 = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
 
 
-@pytest.mark.parametrize("kind", ["corpus", "predictions", "augmented"])
+@pytest.mark.parametrize("kind", ["corpus", "predictions"])
 def test_invalid_utf8_line_names_the_path_and_line(tmp_path, capsys, kind):
     path = tmp_path / f"bad-{kind}.jsonl"
     path.write_bytes(json.dumps(_record()).encode() + b"\n\n{\xff}\n")
-    if kind == "augmented":
-        with pytest.raises(CorpusError) as raised:
-            load_augmented(path)
-        assert str(raised.value) == f"{path}:3: {_NOT_UTF8}"
-        return
     gold = _write_lines(tmp_path, _record())
     argv = {
         "corpus": ["validate", "--in", str(path)],
@@ -251,18 +245,6 @@ def test_equal_strings_load_as_one_object(tmp_path, read, layout):
     assert first.history[0].follow_up_question is second.history[1].follow_up_question
     assert first.history[1].follow_up_question is second.history[0].follow_up_question
     assert first.history[1].follow_up_answer is second.history[0].follow_up_answer
-
-
-def test_record_to_instance_takes_str_subclass_values():
-    class Text(str):
-        pass
-
-    record = _record(tree_id=Text("t-1"), snippet=Text("Rule."), question=Text("Q?"), scenario=Text("S."),
-                     answer=ClassLabel.YES, history=[_turn(Text("Over 60?"), ClassLabel.NO), _turn(answer=Text("yes"))])
-    instance = record_to_instance(record)
-    assert (instance.tree_id, instance.rule_text, instance.question, instance.scenario, instance.label) == (
-        "t-1", "Rule.", "Q?", "S.", ClassLabel.YES)
-    assert instance.history == [DialogTurn("Over 60?", "No"), DialogTurn("Over 60?", "Yes")]
 
 
 def test_iter_corpus_yields_each_instance_before_reading_the_next_line(tmp_path):
@@ -619,13 +601,6 @@ def test_out_pointing_at_a_directory_leaves_no_temp_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Is a directory" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
-
-
-def test_invalid_augmented_line_names_the_path_and_line(tmp_path):
-    path = tmp_path / "aug.jsonl"
-    path.write_text(json.dumps(_record()) + "\n[1,\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=r"aug\.jsonl:2: invalid JSON: "):
-        load_augmented(path)
 
 
 # --------------------------------------------------------------------------

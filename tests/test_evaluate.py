@@ -5,19 +5,17 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sharctool.corpus import ClassLabel
+from sharctool.corpus import ClassLabel, read_json, write_json
 from sharctool.evaluate import (
     EvalReport,
     bleu,
     combined_metric,
     confusion_matrix,
     evaluate,
-    load_report,
     macro_accuracy,
     micro_accuracy,
     per_class_accuracy,
     render_report,
-    write_report,
 )
 
 
@@ -195,8 +193,8 @@ def test_report_round_trip(tmp_path, make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
     report = evaluate(gold, predictions)
     path = tmp_path / "report.json"
-    write_report(path, report)
-    payload = load_report(path)
+    write_json(path, report.to_dict())
+    payload = read_json(path)
     assert payload["micro_accuracy"] == pytest.approx(75.0)
     assert payload["confusion"]["Yes"]["Yes"] == 2
     assert payload["per_class_accuracy"]["Irrelevant"] is None
