@@ -18,6 +18,7 @@ import random
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +29,7 @@ from .corpus import (
     content_key,
     dumps_record,
     instance_to_record,
+    record_encoder,
     write_jsonl,
 )
 
@@ -72,18 +74,18 @@ class AugmentConfig:
     drop_replaced_history: bool = False
 
     def validate(self, corpus_size: int) -> None:
+        """Raise ``ValueError`` naming the ``augment`` flag of the first setting that cannot hold."""
+        if set(self.class_targets) != set(ClassLabel):
+            raise ValueError("--targets must name all four classes")
         total_pct = sum(self.class_targets.values())
         if abs(total_pct - 100.0) > 0.05:
-            raise ValueError(f"class targets sum to {total_pct}, expected 100 ± 0.05")
-        if set(self.class_targets) != set(ClassLabel):
-            raise ValueError("class targets must cover exactly the four classes")
+            raise ValueError(f"--targets sum to {total_pct}, expected 100 ± 0.05")
         if self.keep_original and self.total_target < corpus_size:
             raise ValueError(
-                f"total_target {self.total_target} is below the corpus size {corpus_size} "
-                "while keep_original is set"
+                f"--total {self.total_target} is below the corpus size {corpus_size} while originals are kept"
             )
         if self.max_permutations_per_instance < 1:
-            raise ValueError("max_permutations_per_instance must be at least 1")
+            raise ValueError("--max-perms must be at least 1")
 
     def target_counts(self) -> dict[ClassLabel, int]:
         return {label: round(pct / 100.0 * self.total_target) for label, pct in self.class_targets.items()}
@@ -375,5 +377,14 @@ def build_augmented_corpus(
 
 
 def write_augmented(path: str | Path, items: Iterable[AugmentedInstance]) -> None:
-    """Write augmented instances as one-record-per-line JSON with provenance, atomically."""
-    write_jsonl(path, (item.to_record() for item in items), dumps_record)
+    """Write augmented instances as one-record-per-line JSON with provenance, atomically; each line is
+    ``dumps_record(item.to_record())``, built by :func:`~sharctool.corpus.record_encoder`."""
+    encode = record_encoder()
+
+    def encode_item(item: AugmentedInstance) -> str:
+        # Most items have no permutation, and an encoder call costs more than the literal.
+        permutation = "null" if item.permutation is None else dumps_record(item.permutation)
+        return encode(item.instance, f'"parent_id":{encode_basestring(item.parent_id)},"permutation":{permutation},'
+                                     f'"provenance":{encode_basestring(item.provenance.value)},')
+
+    write_jsonl(path, items, encode_item)

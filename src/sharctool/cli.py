@@ -249,10 +249,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    if args.targets is not None and len(args.targets) != 4:
-        raise ValueError("--targets must name all four classes")
-    if args.targets and abs((total_pct := sum(args.targets.values())) - 100.0) > 0.05:
-        raise ValueError(f"--targets sum to {total_pct}, expected 100 ± 0.05")
     config = AugmentConfig(
         seed=args.seed,
         total_target=args.total,
@@ -261,11 +257,10 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         drop_replaced_history=args.drop_replaced_history,
         **({"class_targets": args.targets} if args.targets else {}),
     )
+    config.validate(0)  # all but the --total check, which needs the corpus size, before the corpus is read
     build_path = args.manifest or args.out + ".build.json"
 
     def compute(corpus):
-        if config.keep_original and args.total < len(corpus):
-            raise ValueError(f"--total {args.total} is below the corpus size {len(corpus)} while originals are kept")
         augmented, build = build_augmented_corpus(corpus, config)
         write_augmented(args.out, augmented)
         write_json(build_path, build.to_dict())

@@ -19,6 +19,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -422,6 +423,11 @@ def _loads(text: str, path: str | Path, lineno: Optional[int] = None) -> object:
         raise CorpusError(f"{where}: invalid JSON: {exc}") from exc
 
 
+# What json.loads runs for one document: the C scanner between JSON whitespace.
+_scan_once = json.JSONDecoder().scan_once
+_whitespace = json.decoder.WHITESPACE.match
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, decoded value)`` for each non-blank line of a JSONL file.
 
@@ -429,11 +435,21 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     They end at a newline only: the writers emit U+0085, U+2028 and U+2029
     raw inside strings, where ``str.splitlines`` would cut a record in two.
     A line that is not UTF-8 or not JSON raises ``CorpusError`` naming
-    ``<path>:<line>``.
+    ``<path>:<line>``. Each line goes straight to the decoder's C scanner;
+    a blank line, trailing data and every scanner failure take the
+    :func:`_loads` path, so what is skipped and each error's text are
+    exactly ``json.loads``'s.
     """
     with open(path, "rb") as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = _decode(raw, path, lineno)
+            try:
+                value, end = _scan_once(line, _whitespace(line).end())
+                if _whitespace(line, end).end() == len(line):
+                    yield lineno, value
+                    continue
+            except (StopIteration, ValueError, RecursionError):
+                pass
             if line.strip():
                 yield lineno, _loads(line, path, lineno)
 
@@ -506,6 +522,48 @@ def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:
 def dumps_record(record: dict) -> str:
     """Canonical single-line JSON used for every file this package writes."""
     return _RECORD_ENCODER.encode(record)
+
+
+class _EncodedOnce(dict):
+    """``memo[key]`` is ``encode(key)``, computed at the first lookup of each key."""
+
+    def __init__(self, encode: Callable[[object], str]):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key: object) -> str:
+        value = self[key] = self.encode(key)
+        return value
+
+
+def _encode_turn(turn: DialogTurn) -> str:
+    question, answer = turn
+    return f'{{"follow_up_answer":{encode_basestring(answer)},"follow_up_question":{encode_basestring(question)}}}'
+
+
+def record_encoder() -> Callable[..., str]:
+    """A fresh ``encode(instance, extra="")``: ``dumps_record(instance_to_record(instance))`` without the dict.
+
+    ``extra`` is a run of already-encoded ``"key":value,`` pairs whose keys
+    sort between ``history`` and ``question``. Each distinct rule text,
+    question, answer, tree id and turn is escaped once, with the function
+    the record encoder itself calls, and kept for the encoder's lifetime,
+    one write; ids and scenarios, which seldom repeat, are escaped each time.
+    """
+    escaped = _EncodedOnce(encode_basestring)
+    turns = _EncodedOnce(_encode_turn)
+
+    def encode(instance: Instance, extra: str = "") -> str:
+        evidence = ",".join([turns[turn] for turn in instance.evidence])
+        history = ",".join([turns[turn] for turn in instance.history])
+        return (
+            f'{{"answer":{escaped[instance.gold_answer]},"evidence":[{evidence}],"history":[{history}],{extra}'
+            f'"question":{escaped[instance.question]},"scenario":{encode_basestring(instance.scenario)},'
+            f'"snippet":{escaped[instance.rule_text]},"tree_id":{escaped[instance.tree_id]},'
+            f'"utterance_id":{encode_basestring(instance.utterance_id)}}}'
+        )
+
+    return encode
 
 
 # Inside a staged_writes() block: the (temporary file, target) pairs whose
@@ -584,5 +642,6 @@ def read_json(path: str | Path) -> object:
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:
-    """Write instances as canonical one-record-per-line JSON, atomically."""
-    write_jsonl(path, map(instance_to_record, instances), dumps_record)
+    """Write instances as canonical one-record-per-line JSON, atomically; each line is
+    ``dumps_record(instance_to_record(instance))``, built by :func:`record_encoder`."""
+    write_jsonl(path, instances, record_encoder())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sharctool import cli
-from sharctool.augment import AugmentConfig, build_augmented_corpus, write_augmented
+from sharctool.augment import AugmentConfig, AugmentedInstance, Provenance, build_augmented_corpus, write_augmented
 from sharctool.baseline import PolicyParams, tune
 from sharctool.cli import main
 from sharctool.corpus import (
@@ -23,9 +23,11 @@ from sharctool.corpus import (
     content_hash,
     content_key,
     dumps_record,
+    instance_to_record,
     iter_corpus,
     load_corpus,
     load_corpus_audited,
+    read_jsonl,
     write_corpus,
     write_json,
     write_jsonl,
@@ -133,14 +135,35 @@ def test_strict_loader_error_messages(tmp_path, records, message):
     assert str(raised.value) == message
 
 
-def test_invalid_json_line_names_the_path_and_line(tmp_path):
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (json.dumps(_record()) + "\n\n{not json\n",
+         "3: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (json.dumps(_record()) + '\n\n{"a": 1} x\n', "3: invalid JSON: Extra data: line 1 column 10 (char 9)"),
+        ("\ufeff" + json.dumps(_record()) + "\n",
+         "1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (json.dumps(_record()) + '\n\n{"a": 1\n', "3: invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+    ],
+    ids=["not-json", "extra-data", "bom", "truncated"],
+)
+def test_invalid_json_line_names_the_path_and_line(tmp_path, body, message):
     path = tmp_path / "corpus.jsonl"
-    path.write_text(json.dumps(_record()) + "\n\n{not json\n", encoding="utf-8")
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(CorpusError) as raised:
         load_corpus_audited(path, "lenient")
-    assert str(raised.value) == (
-        f"{path}:3: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
-    )
+    assert str(raised.value) == f"{path}:{message}"
+
+
+def test_read_jsonl_gives_what_json_loads_gives_on_each_non_blank_line(tmp_path):
+    # CRLF endings, lines of only spaces, tabs or a form feed (blank to str.strip,
+    # not JSON whitespace), values between spaces, a NaN and no final newline.
+    body = '{"a": 1}\r\n   \r\n\t\t\n \x0c\n  [1, 2.5, "\u2028"]  \r\n\n{"b": NaN}\t\n 7'
+    path = tmp_path / "values.jsonl"
+    path.write_bytes(body.encode("utf-8"))
+    expected = [(n, json.loads(line)) for n, line in enumerate(body.split("\n"), start=1) if line.strip()]
+    assert [n for n, _ in expected] == [1, 5, 7, 8]
+    assert repr(list(read_jsonl(path))) == repr(expected)  # repr, as NaN equals no NaN
 
 
 def test_invalid_json_list_names_the_path(tmp_path, capsys):
@@ -607,31 +630,40 @@ def test_out_pointing_at_a_directory_leaves_no_temp_file(tmp_path, capsys):
 # Properties
 # --------------------------------------------------------------------------
 
-# Any Unicode but lone surrogates, which UTF-8 cannot encode; this includes
-# U+0085, U+2028 and U+2029, which the writer leaves raw inside strings.
-_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# Any Unicode but lone surrogates, which UTF-8 cannot encode, with the
+# characters an encoder can get wrong drawn often: a quote, a backslash,
+# control characters, U+0085, U+2028 and U+2029 (which the writer leaves raw
+# inside strings) and characters outside the Basic Multilingual Plane.
+_tricky = st.sampled_from(['"', "\\", "\x00", "\n", "\r", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\U0001f600"])
+_text = st.text(st.one_of(_tricky, st.characters(blacklist_categories=("Cs",))), max_size=12)
 _question = _text.filter(str.strip)
-_raw_turn = st.fixed_dictionaries(
-    {
-        "follow_up_question": _question,
-        "follow_up_answer": st.sampled_from(["Yes", "No", "yes", " NO ", "no"]),
-    }
-)
+
+
+def _shared(draw, strategy):
+    """``strategy``, or often one of up to three values drawn for the whole example, so writes meet strings again."""
+    return st.one_of(st.sampled_from(draw(st.lists(strategy, min_size=1, max_size=3))), strategy)
 
 
 @st.composite
 def _raw_corpus(draw):
+    text = _shared(draw, _text)
+    turn = st.fixed_dictionaries(
+        {
+            "follow_up_question": _shared(draw, _question),
+            "follow_up_answer": st.sampled_from(["Yes", "No", "yes", " NO ", "no"]),
+        }
+    )
     records = draw(
         st.lists(
             st.fixed_dictionaries(
                 {
-                    "tree_id": _text,
-                    "snippet": _text,
-                    "question": _text,
-                    "scenario": _text,
-                    "history": st.lists(_raw_turn, max_size=3),
-                    "evidence": st.lists(_raw_turn, max_size=2),
-                    "answer": _text,
+                    "tree_id": text,
+                    "snippet": text,
+                    "question": text,
+                    "scenario": text,
+                    "history": st.lists(turn, max_size=3),
+                    "evidence": st.lists(turn, max_size=2),
+                    "answer": text,
                 }
             ),
             max_size=4,
@@ -656,6 +688,28 @@ def test_load_write_round_trip_is_byte_stable(tmp_path_factory, records, ensure_
     write_corpus(second, load_corpus(first))
     assert first.read_bytes() == second.read_bytes()
     assert [i.utterance_id for i in load_corpus(second)] == [r["utterance_id"] for r in records]
+    lines = [dumps_record(instance_to_record(instance)) for instance in load_corpus(source)]
+    assert first.read_bytes().decode("utf-8").split("\n") == lines + [""]
+
+
+@st.composite
+def _augmented_items(draw):
+    text = _shared(draw, _text)
+    turns = st.lists(st.builds(DialogTurn, _shared(draw, _question), st.sampled_from(["Yes", "No"])), max_size=3)
+    instance = st.builds(Instance, utterance_id=_text, tree_id=text, rule_text=text, question=text, scenario=text,
+                         history=turns, evidence=turns, gold_answer=text)
+    permutation = st.none() | st.lists(st.integers(0, 7), max_size=4)
+    return draw(st.lists(st.builds(AugmentedInstance, instance, st.sampled_from(Provenance), _text, permutation),
+                         max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_augmented_items())
+def test_each_written_augmented_line_is_dumps_record_of_its_record(tmp_path_factory, items):
+    path = tmp_path_factory.mktemp("augmented") / "aug.jsonl"
+    write_augmented(path, items)
+    lines = [dumps_record(item.to_record()) for item in items]
+    assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
 
 
 _word = st.sampled_from(["", "a", "b", "Yes", "\u2028"])
