@@ -183,13 +183,15 @@ def _sha256_hex(text: str) -> str:
 
 
 def _targets(spec: str) -> dict[ClassLabel, float]:
-    """The argparse type of ``--targets``: class percentages, each finite and non-negative."""
+    """The argparse type of ``--targets``: class percentages, each class once, each finite and non-negative."""
     targets: dict[ClassLabel, float] = {}
     for part in spec.split(","):
         key, _, value = part.partition("=")
         key = key.strip().lower()
         if key not in _TARGET_KEYS:
             raise argparse.ArgumentTypeError(f"unknown class key {key!r} (want irr/yes/no/more)")
+        if _TARGET_KEYS[key] in targets:
+            raise argparse.ArgumentTypeError(f"class key {key!r} is given twice")
         try:
             percent = float(value)
         except ValueError:

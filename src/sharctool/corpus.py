@@ -30,7 +30,6 @@ __all__ = [
     "DialogTurn",
     "Instance",
     "LoadAudit",
-    "Token",
     "TokenizedText",
     "content_hash",
     "content_key",
@@ -129,21 +128,13 @@ _TOKEN_RE = re.compile(r"\w+(?:['’`]\w+)*|[^\w\s]+")
 _EDGE_PUNCT_RE = re.compile(r"^[\W_]+|[\W_]+$")
 
 
-class Token(NamedTuple):
-    """One surface token with its character span in the source text; a tuple, as a memo holds many."""
-
-    surface: str
-    normalized: str  # lowercased, edge punctuation stripped; "" for pure punctuation
-    start: int  # char offset into the source, inclusive
-    end: int  # char offset into the source, exclusive
-
-
 @dataclass(frozen=True)
 class TokenizedText:
-    """A text together with its token sequence."""
+    """A text with its tokens as two parallel tuples of interned strings."""
 
     text: str
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    normalized: tuple[str, ...]  # lowercased, edge punctuation stripped; "" for pure punctuation
     _matchable: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def matchable(
@@ -161,54 +152,39 @@ class TokenizedText:
         projection = self._matchable.get(key)
         if projection is None:
             kept = [
-                (i, t.normalized if use_normalized else t.surface)
-                for i, t in enumerate(self.tokens)
-                if (t.normalized or not use_normalized) and t.normalized not in stopwords
+                (i, normalized if use_normalized else surface)
+                for i, (surface, normalized) in enumerate(zip(self.surfaces, self.normalized))
+                if (normalized or not use_normalized) and normalized not in stopwords
             ]
             projection = self._matchable[key] = (tuple(i for i, _ in kept), tuple(s for _, s in kept))
         return projection
 
-    @property
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    @property
-    def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
-
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
 
 def _normalize_token(surface: str) -> str:
-    return _EDGE_PUNCT_RE.sub("", surface.lower())
+    return intern(_EDGE_PUNCT_RE.sub("", surface.lower()))
 
 
 def tokenize(text: str) -> TokenizedText:
     """Split ``text`` on whitespace and punctuation boundaries.
 
-    Offsets are exact: ``text[t.start:t.end] == t.surface`` for every token,
-    and the spans are strictly increasing and non-overlapping, so the source
-    string can be reconstructed from the tokens plus the gaps between them.
-    Markdown markers (``##``, ``*``) become their own tokens whose normalized
-    form is empty. Inside a :func:`corpus_pass`, equal texts share one
-    (immutable) result.
+    The surfaces partition the text's non-whitespace characters: they occur
+    in ``text`` in order, only whitespace lies between and around them, and
+    ``"".join(surfaces)`` is ``text`` with its whitespace removed. Markdown
+    markers (``##``, ``*``) become their own tokens whose normalized form is
+    empty. Every surface and normalized form is interned, so equal forms are
+    one object across texts. Inside a :func:`corpus_pass`, equal texts share
+    one (immutable) result.
     """
     memo = pass_memo("tokenize")
     if memo is not None:
         cached = memo.get(text)
         if cached is not None:
             return cached
-    tokens = [
-        Token(
-            surface=m.group(),
-            normalized=_normalize_token(m.group()),
-            start=m.start(),
-            end=m.end(),
-        )
-        for m in _TOKEN_RE.finditer(text)
-    ]
-    result = TokenizedText(text=text, tokens=tuple(tokens))
+    surfaces = tuple(map(intern, _TOKEN_RE.findall(text)))
+    result = TokenizedText(text, surfaces, tuple(map(_normalize_token, surfaces)))
     if memo is not None:
         memo[text] = result
     return result

@@ -144,7 +144,7 @@ def macro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> flo
 
 
 def _bleu_tokens(text: str) -> list[str]:
-    return [token.surface.lower() for token in tokenize(text).tokens]
+    return [surface.lower() for surface in tokenize(text).surfaces]
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:

@@ -153,8 +153,8 @@ def annotate_history(
     Turns are applied in order 1..N, so on conflicts the latest turn wins.
     Unmatched tokens stay (Phi, 0); the pairing Phi ⇔ turn 0 is invariant.
     """
-    markers = [MARKER_PHI] * len(rule.tokens)
-    turns = [0] * len(rule.tokens)
+    markers = [MARKER_PHI] * len(rule)
+    turns = [0] * len(rule)
     for turn_number, turn in enumerate(history, start=1):
         question = tokenize(turn.follow_up_question)
         for rule_token, _ in lcs_match(rule, question, use_normalized=use_normalized, stopwords=stopwords):
@@ -200,7 +200,7 @@ class MarkerAnnotation:
     """Parallel per-token label arrays for one instance."""
 
     utterance_id: str
-    tokens: list[str]
+    tokens: tuple[str, ...]
     history_marker: list[str]
     turn_index: list[int]
     scenario_marker: list[str]

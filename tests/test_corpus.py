@@ -48,22 +48,32 @@ def test_derive_label(answer, expected):
 # --------------------------------------------------------------------------
 
 
-def test_tokenize_offsets_reconstruct_surfaces():
+def _assert_surfaces_partition(text, surfaces):
+    """Each surface occurs in ``text`` in order, with only whitespace between and around them."""
+    cursor = 0
+    for surface in surfaces:
+        start = text.find(surface, cursor)
+        assert start >= 0 and text[cursor:start].strip() == "", (surface, text[cursor:])
+        cursor = start + len(surface)
+    assert text[cursor:].strip() == ""
+    assert "".join(surfaces) == "".join(ch for ch in text if not ch.isspace())
+
+
+def test_tokenize_surfaces_partition_the_text():
     text = "You can't claim Jobseeker's Allowance (JSA) if you're studying full-time!"
-    for token in tokenize(text).tokens:
-        assert text[token.start : token.end] == token.surface
+    _assert_surfaces_partition(text, tokenize(text).surfaces)
 
 
 def test_tokenize_contractions_stay_single_tokens():
     tokens = tokenize("can't won't you're").surfaces
-    assert tokens == ["can't", "won't", "you're"]
+    assert tokens == ("can't", "won't", "you're")
 
 
 def test_tokenize_normalization_strips_edge_punctuation_and_case():
     tokenized = tokenize("(Hello), WORLD!")
-    assert tokenized.surfaces == ["(", "Hello", "),", "WORLD", "!"]
+    assert tokenized.surfaces == ("(", "Hello", "),", "WORLD", "!")
     # punctuation runs are their own tokens and normalize to ""
-    assert tokenized.normalized == ["", "hello", "", "world", ""]
+    assert tokenized.normalized == ("", "hello", "", "world", "")
 
 
 def test_tokenize_empty_text():
@@ -71,23 +81,25 @@ def test_tokenize_empty_text():
     assert len(tokenize("   \n\t ")) == 0
 
 
+def test_texts_sharing_a_word_share_its_surface_and_normalized_objects():
+    # Built at run time, so the two texts are distinct objects with no shared substrings.
+    first = tokenize("".join(["Carer's ", "Allowance"]))
+    second = tokenize(" ".join(["claim", "the", "Carer's", "allowance", "now"]))
+    assert first.surfaces[0] is second.surfaces[2]
+    assert first.normalized[0] is second.normalized[2]
+    assert first.normalized[1] is second.normalized[3]
+
+
 @given(st.text(max_size=200))
-def test_tokenize_offsets_are_exact_everywhere(text):
+def test_tokenize_surfaces_partition_any_text(text):
     tokenized = tokenize(text)
-    previous_end = 0
-    for token in tokenized.tokens:
-        assert text[token.start : token.end] == token.surface
-        assert token.start >= previous_end
-        previous_end = token.end
+    _assert_surfaces_partition(text, tokenized.surfaces)
+    assert len(tokenized) == len(tokenized.surfaces) == len(tokenized.normalized)
 
 
 @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd", "Po")), max_size=80))
 def test_tokenize_covers_all_non_space_characters(text):
-    covered = set()
-    for token in tokenize(text).tokens:
-        covered.update(range(token.start, token.end))
-    expected = {i for i, ch in enumerate(text) if not ch.isspace()}
-    assert covered == expected
+    _assert_surfaces_partition(text, tokenize(text).surfaces)
 
 
 # --------------------------------------------------------------------------

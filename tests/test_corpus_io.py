@@ -358,14 +358,24 @@ def test_report_bytes_are_pinned(tmp_path):
         ["tune", "--in", corpus, "--out", f"{tmp_path}/params.json", "--trials", f"{tmp_path}/trials.json"],
         ["baseline", "--in", corpus, "--params", f"{tmp_path}/params.json", "--out", f"{tmp_path}/pred.jsonl"],
         ["evaluate", "--gold", corpus, "--pred", f"{tmp_path}/pred.jsonl", "--out", f"{tmp_path}/eval.json"],
+        ["annotate", "--in", corpus, "--out", f"{tmp_path}/markers.jsonl"],
+        ["annotate", "--in", corpus, "--raw-tokens", "--out", f"{tmp_path}/markers-raw.jsonl"],
+        ["annotate", "--in", corpus, "--stopwords", "basic", "--out", f"{tmp_path}/markers-basic.jsonl"],
     ):
         assert main(argv) == 0
+    # pred.jsonl and the three markers.jsonl modes were recorded while each
+    # token still carried its own strings and character offsets.
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("probe.json", "eval.json", "params.json", "trials.json")} == {
+            for name in ("probe.json", "eval.json", "params.json", "trials.json", "pred.jsonl", "markers.jsonl",
+                         "markers-raw.jsonl", "markers-basic.jsonl")} == {
         "probe.json": "630504cdb97550abbbe9e4dd67aec33da255787162cb0ed75f52f13da5f53e82",
         "eval.json": "c3b48e385ecf7dd9ff46e5af9bef90eae25b670d0a755303447039570b82d7f6",
         "params.json": "f814ad6050e68d7da753b00cfba79585f22b9b85e11860f1d74d3ec2e649e288",
         "trials.json": "85e554a05324b539d53c2cb3460c8c7fbc6d7313d38181e1a9ee6b3b6b430fbb",
+        "pred.jsonl": "622836432f169df394d7d6122026bfc89ec11ffca74635bbc934820da8948ac6",
+        "markers.jsonl": "fdc8975c460c8151a4c34d1a02c25d0e9a06d0923b2d13278bf2ccb4ec3a4870",
+        "markers-raw.jsonl": "40db3e055fd1319bf359667a15783507af64b0a828b83df973516278105a61ed",
+        "markers-basic.jsonl": "72c4a0429d1b1d59980285c2bc84f0e68e5f94e43b503eb3e012022af06a01be",
     }
 
 

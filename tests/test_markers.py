@@ -147,7 +147,7 @@ def test_lcs_match_returns_full_sequence_indices():
     rule = tokenize("## Grant. You must be over 60.")
     utterance = tokenize("over 60")
     pairs = lcs_match(rule, utterance)
-    assert [rule.tokens[i].surface for i, _ in pairs] == ["over", "60"]
+    assert [rule.surfaces[i] for i, _ in pairs] == ["over", "60"]
 
 
 def test_coverage_is_the_matched_share_of_normalized_clause_tokens():
@@ -167,11 +167,11 @@ _MODES = [(True, frozenset()), (True, BASIC_STOPWORDS), (False, frozenset()), (F
 def _reference_matchable(text, use_normalized, stopwords):
     """The tokens that take part in matching, decided token by token, independently of the library."""
     indices, symbols = [], []
-    for idx, token in enumerate(text.tokens):
-        symbol = token.normalized if use_normalized else token.surface
+    for idx, (surface, normalized) in enumerate(zip(text.surfaces, text.normalized)):
+        symbol = normalized if use_normalized else surface
         if use_normalized and not symbol:
             continue
-        if token.normalized in stopwords:
+        if normalized in stopwords:
             continue
         indices.append(idx)
         symbols.append(symbol)
@@ -249,8 +249,8 @@ def test_annotate_history_later_turn_overwrites(turn):
 
 def test_annotate_history_empty_history():
     markers, turns = annotate_history(RULE, [])
-    assert markers == [MARKER_PHI] * len(RULE.tokens)
-    assert turns == [0] * len(RULE.tokens)
+    assert markers == [MARKER_PHI] * len(RULE.surfaces)
+    assert turns == [0] * len(RULE.surfaces)
 
 
 @given(
@@ -268,7 +268,7 @@ def test_annotate_history_phi_iff_turn_zero(question_specs):
         for words, answer in question_specs
     ]
     markers, turns = annotate_history(RULE, history)
-    assert len(markers) == len(turns) == len(RULE.tokens)
+    assert len(markers) == len(turns) == len(RULE.surfaces)
     for marker, turn_number in zip(markers, turns):
         assert (marker == MARKER_PHI) == (turn_number == 0)
         if turn_number:
