@@ -29,7 +29,7 @@ from .corpus import (
     tokenize,
     write_jsonl,
 )
-from .evaluate import evaluate
+from .evaluate import evaluate, gold_view
 from .markers import content_words, coverage, jaccard
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
 
@@ -175,15 +175,15 @@ def _features(instance: Instance, plan: _RulePlan) -> _Features:
     )
 
 
-def _corpus_features(corpus: Iterable[Instance], cues: CueSet) -> Iterator[_Features]:
-    """Yield each instance's features inside one corpus pass, planning each distinct rule text once."""
+def _corpus_features(corpus: Iterable[Instance], cues: CueSet) -> Iterator[tuple[Instance, _Features]]:
+    """Yield each instance with its features inside one corpus pass, planning each distinct rule text once."""
     plans: dict[str, _RulePlan] = {}
     with corpus_pass():
         for instance in corpus:
             plan = plans.get(instance.rule_text)
             if plan is None:
                 plan = plans[instance.rule_text] = _plan(instance.rule_text, parse_rule(instance.rule_text, cues))
-            yield _features(instance, plan)
+            yield instance, _features(instance, plan)
 
 
 _FALLBACK_OUTPUT = {
@@ -257,7 +257,7 @@ def predict_corpus(
     stats = PolicyStats()
 
     def predictions() -> Iterator[Prediction]:
-        for features in _corpus_features(corpus, cues):
+        for _, features in _corpus_features(corpus, cues):
             prediction, step = _predict(features, params)
             logic = features.plan.logic.value
             stats.logic_counts[logic] = stats.logic_counts.get(logic, 0) + 1
@@ -291,31 +291,39 @@ class TuneResult:
 
 
 def tune(
-    corpus: Sequence[Instance],
+    corpus: Iterable[Instance],
     grid: Optional[Mapping[str, Sequence]] = None,
     cues: CueSet = DEFAULT_CUES,
 ) -> TuneResult:
     """Grid-search the policy thresholds, maximizing the combined metric.
 
-    Each rule text is planned once and each instance's features (coverage
-    fractions, overlaps) are computed once; every grid point reuses them
-    through the same decision path as :func:`predict`, so tuning cannot
-    drift from live prediction.
-    All grid points score inside one pass, so each distinct (output, gold)
-    pair's BLEU statistics are counted once. Ties keep the first grid point
-    in iteration order.
+    One pass over the corpus, which may be a stream, plans each rule text
+    once, computes each instance's features (coverage fractions, overlaps)
+    once and builds the gold view; nothing else of an instance is kept.
+    Every grid point then decides from those features through the same path
+    as :func:`predict`, so tuning cannot drift from live prediction, and is
+    scored against the one gold view. All grid points score inside one pass,
+    so each distinct (output, gold) pair's BLEU statistics are counted once.
+    Ties keep the first grid point in iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
     names = list(grid)
     best: Optional[PolicyParams] = None
     best_score = float("-inf")
     trials: list[dict] = []
+    features: list[_Features] = []
+
+    def instances() -> Iterator[Instance]:
+        for instance, instance_features in _corpus_features(corpus, cues):
+            features.append(instance_features)
+            yield instance
+
     with corpus_pass():
-        features = list(_corpus_features(corpus, cues))
+        gold = gold_view(instances())
         for values in itertools.product(*(grid[name] for name in names)):
             params = replace(PolicyParams(), **dict(zip(names, values)))
             outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
-            report = evaluate(corpus, outputs)
+            report = evaluate(gold, outputs)
             score = report.combined if report.combined is not None else -1.0
             trials.append({"params": params.to_dict(), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:
@@ -325,7 +333,7 @@ def tune(
     return TuneResult(
         best_params=best,
         best_combined=best_score,
-        instance_count=len(corpus),
+        instance_count=len(features),
         trials=trials,
     )
 

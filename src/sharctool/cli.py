@@ -29,7 +29,7 @@ from .augment import AugmentConfig, DEFAULT_TOTAL_TARGET, build_augmented_corpus
 from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_predictions
 from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
                      write_json, write_jsonl)
-from .evaluate import evaluate, render_report
+from .evaluate import evaluate, gold_view, render_report
 from .markers import BASIC_STOPWORDS, annotate_corpus
 from .probe import probe_corpus
 from .ruleparse import DEFAULT_CUES, load_cues
@@ -333,7 +333,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 f"  best combined: {result.best_combined:.2f} with {result.best_params.to_dict()}")
 
     return _run(args, {"grid": "default"},
-                [("--in", args.infile, load_corpus), ("--cues", args.cues, load_cues)],
+                [("--in", args.infile, iter_corpus), ("--cues", args.cues, load_cues)],
                 [("--out", args.out), ("--trials", args.trials)], compute)
 
 
@@ -344,7 +344,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return render_report(report, title=Path(args.gold).name)
 
     return _run(args, {"sentence_bleu": args.sentence_bleu},
-                [("--gold", args.gold, iter_corpus), ("--pred", args.pred, load_predictions)],
+                [("--gold", args.gold, lambda path: gold_view(iter_corpus(path))),
+                 ("--pred", args.pred, load_predictions)],
                 [("--out", args.out)], compute)
 
 

@@ -92,11 +92,10 @@ _memo: Optional[dict[str, dict]] = None
 
 @contextmanager
 def corpus_pass() -> Iterator[None]:
-    """Memoize ``tokenize``, ``lcs_match``, BLEU pair statistics and gold views for one pass.
+    """Memoize ``tokenize``, ``lcs_match`` and BLEU pair statistics for one pass.
 
     A pass over a corpus sees the same rule texts, questions and
-    (candidate, reference) pairs again and again, and ``tune`` scores every
-    grid point against the same gold corpus; inside the ``with`` block
+    (candidate, reference) pairs again and again; inside the ``with`` block
     each is computed once. The memo is dropped when the block exits, also on
     an exception. A nested pass shares the outer pass's memo. The memo is
     process-wide, so passes must not run in concurrent threads.
@@ -105,7 +104,7 @@ def corpus_pass() -> Iterator[None]:
     if _memo is not None:
         yield
         return
-    _memo = {"tokenize": {}, "lcs_match": {}, "bleu": {}, "gold": {}}
+    _memo = {"tokenize": {}, "lcs_match": {}, "bleu": {}}
     try:
         yield
     finally:

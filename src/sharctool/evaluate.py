@@ -24,10 +24,11 @@ from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
 __all__ = [
     "SCORING_NOTES",
     "EvalReport",
+    "GoldView",
     "bleu",
     "combined_metric",
-    "confusion_matrix",
     "evaluate",
+    "gold_view",
     "macro_accuracy",
     "micro_accuracy",
     "per_class_accuracy",
@@ -52,7 +53,7 @@ SCORING_NOTES = (
 
 
 @dataclass(frozen=True)
-class _GoldView:
+class GoldView:
     """What scoring reads from a gold corpus, in corpus order."""
 
     ids: frozenset[str]
@@ -60,34 +61,24 @@ class _GoldView:
     followups: tuple[tuple[str, str], ...]  # (utterance_id, gold answer) of the More instances
 
 
-def _gold_view(gold: Iterable[Instance]) -> _GoldView:
-    """Collect the gold ids, classes and follow-ups in one pass; raise on duplicate ids.
+def gold_view(instances: Iterable[Instance]) -> GoldView:
+    """Collect the gold ids, classes and follow-ups in one pass over a list or stream; raise on duplicate ids.
 
-    Inside a :func:`~sharctool.corpus.corpus_pass` the view is built once per
-    gold corpus object, so scoring many prediction sets against one corpus
-    (as ``tune`` does) derives each gold class once. The corpus must not
-    change while the pass runs.
+    Build it once and score any number of prediction sets against it.
     """
-    memo = pass_memo("gold")
-    if memo is not None:
-        entry = memo.get(id(gold))
-        if entry is not None and entry[0] is gold:
-            return entry[1]
     labels, followups = [], []
-    for inst in gold:
+    for inst in instances:
         labels.append((inst.utterance_id, inst.label))
         if inst.label is ClassLabel.MORE:
             followups.append((inst.utterance_id, inst.gold_answer))
     ids = frozenset(uid for uid, _ in labels)
     if len(ids) != len(labels):
         raise ValueError("gold corpus contains duplicate utterance ids")
-    view = _GoldView(ids=ids, labels=tuple(labels), followups=tuple(followups))
-    if memo is not None:
-        memo[id(gold)] = (gold, view)  # holding gold keeps its id from being reused
-    return view
+    return GoldView(ids=ids, labels=tuple(labels), followups=tuple(followups))
 
 
-def _confusion(gold: _GoldView, predictions: Mapping[str, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
+def _confusion(gold: GoldView, predictions: Mapping[str, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
+    """4x4 gold-by-predicted count matrix; raises ``ValueError`` unless the prediction ids are the gold ids."""
     missing = gold.ids - predictions.keys()
     extra = predictions.keys() - gold.ids
     if missing:
@@ -100,16 +91,6 @@ def _confusion(gold: _GoldView, predictions: Mapping[str, str]) -> dict[ClassLab
     for (label, output), count in pairs.items():
         matrix[label][derive_label(output)] += count
     return matrix
-
-
-def confusion_matrix(
-    gold: Iterable[Instance], predictions: Mapping[str, str]
-) -> dict[ClassLabel, dict[ClassLabel, int]]:
-    """4x4 gold-by-predicted count matrix.
-
-    Raises ``ValueError`` unless the prediction ids are exactly the gold ids.
-    """
-    return _confusion(_gold_view(gold), predictions)
 
 
 def micro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> float:
@@ -264,15 +245,14 @@ class EvalReport:
 
 
 def evaluate(
-    gold: Iterable[Instance],
+    gold: GoldView,
     predictions: Mapping[str, str],
     *,
     sentence_average_bleu: bool = False,
 ) -> EvalReport:
-    """Score predictions (a {utterance_id: output text} map) against gold."""
-    view = _gold_view(gold)
-    matrix = _confusion(view, predictions)
-    pairs = [(predictions[uid], reference) for uid, reference in view.followups]
+    """Score predictions (a {utterance_id: output text} map) against a gold view."""
+    matrix = _confusion(gold, predictions)
+    pairs = [(predictions[uid], reference) for uid, reference in gold.followups]
     bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu)
     bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu)
     macro = macro_accuracy(matrix)
@@ -285,7 +265,7 @@ def evaluate(
         bleu4=bleu4,
         combined=combined_metric(macro, bleu4),
         bleu_instance_count=len(pairs),
-        instance_count=len(view.labels),
+        instance_count=len(gold.labels),
         confusion={g.value: {p.value: matrix[g][p] for p in LABEL_ORDER} for g in LABEL_ORDER},
     )
 

@@ -21,11 +21,7 @@ __all__ = [
     "IrrelevantContextStats",
     "ProbeReport",
     "TurnRate",
-    "class_distribution",
-    "followup_rate_by_turn",
     "followup_rate_spearman",
-    "irrelevant_context_stats",
-    "last_followup_agreement",
     "probe_corpus",
 ]
 
@@ -72,6 +68,7 @@ def _class_counts(tally: Counter) -> dict[ClassLabel, int]:
 
 
 def _class_distribution(tally: Counter) -> dict[ClassLabel, float]:
+    """Percentage of instances per class. Errors on an empty corpus."""
     total = tally.total()
     if not total:
         raise ValueError("cannot compute a class distribution over an empty corpus")
@@ -79,6 +76,14 @@ def _class_distribution(tally: Counter) -> dict[ClassLabel, float]:
 
 
 def _agreement(tally: Counter, include_followup_labels: bool) -> AgreementStat:
+    """How often the gold class equals the last follow-up answer.
+
+    Measured over instances with a non-empty history whose gold label is Yes
+    or No; with ``include_followup_labels`` the denominator also admits
+    More-labeled instances (which can never agree), the stricter reading of
+    the same statistic. An empty denominator yields an undefined percentage,
+    never a zero.
+    """
     numerator = denominator = 0
     for (label, k, last, _), n in tally.items():
         if not k or label is ClassLabel.IRRELEVANT or (label is ClassLabel.MORE and not include_followup_labels):
@@ -90,6 +95,7 @@ def _agreement(tally: Counter, include_followup_labels: bool) -> AgreementStat:
 
 
 def _irrelevant_context(tally: Counter) -> IrrelevantContextStats:
+    """Joint statistics of the Irrelevant class and an empty context."""
     irrelevant = sum(n for (label, *_), n in tally.items() if label is ClassLabel.IRRELEVANT)
     empty_context = sum(n for (*_, is_empty), n in tally.items() if is_empty)
     both = sum(n for (label, *_, is_empty), n in tally.items() if is_empty and label is ClassLabel.IRRELEVANT)
@@ -103,39 +109,13 @@ def _irrelevant_context(tally: Counter) -> IrrelevantContextStats:
 
 
 def _rate_by_turn(tally: Counter) -> dict[int, TurnRate]:
+    """P(label = More | history length = k) for every k present in the corpus."""
     followups, totals = Counter(), Counter()
     for (label, k, _, _), n in tally.items():
         totals[k] += n
         followups[k] += n * (label is ClassLabel.MORE)
     return {k: TurnRate(rate=followups[k] / total, followups=followups[k], total=total)
             for k, total in sorted(totals.items())}
-
-
-def class_distribution(corpus: Iterable[Instance]) -> dict[ClassLabel, float]:
-    """Percentage of instances per class. Errors on an empty corpus."""
-    return _class_distribution(_tally(corpus))
-
-
-def last_followup_agreement(corpus: Iterable[Instance], *, include_followup_labels: bool = False) -> AgreementStat:
-    """How often the gold class equals the last follow-up answer.
-
-    Measured over instances with a non-empty history whose gold label is Yes
-    or No; with ``include_followup_labels`` the denominator also admits
-    More-labeled instances (which can never agree), the stricter reading of
-    the same statistic. An empty denominator yields an undefined percentage,
-    never a zero.
-    """
-    return _agreement(_tally(corpus), include_followup_labels)
-
-
-def irrelevant_context_stats(corpus: Iterable[Instance]) -> IrrelevantContextStats:
-    """Joint statistics of the Irrelevant class and an empty context."""
-    return _irrelevant_context(_tally(corpus))
-
-
-def followup_rate_by_turn(corpus: Iterable[Instance]) -> dict[int, TurnRate]:
-    """P(label = More | history length = k) for every k present in the corpus."""
-    return _rate_by_turn(_tally(corpus))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

@@ -21,7 +21,7 @@ from sharctool.augment import (
 )
 from sharctool.baseline import predict_corpus, tune
 from sharctool.corpus import ClassLabel, content_hash, tokenize
-from sharctool.evaluate import bleu, combined_metric, evaluate
+from sharctool.evaluate import bleu, combined_metric, evaluate, gold_view
 from sharctool.markers import annotate_corpus, lcs_match
 from sharctool.probe import probe_corpus
 
@@ -149,7 +149,7 @@ def test_criterion_06_tuned_baseline_collapses_on_augmented_dev(dev_corpus):
 
     def _score(corpus):
         predictions, _ = predict_corpus(corpus, result.best_params)
-        return evaluate(corpus, {p.utterance_id: p.output for p in predictions})
+        return evaluate(gold_view(corpus), {p.utterance_id: p.output for p in predictions})
 
     original = _score(dev_corpus)
     config = AugmentConfig(

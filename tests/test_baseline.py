@@ -343,3 +343,8 @@ def test_tune_matches_live_prediction(make_instance):
         "irr": "Irrelevant",
         "more": "Do you are over 60?",
     }
+
+
+def test_tune_reads_a_one_shot_stream_as_it_reads_the_list(make_instance):
+    corpus = _tuning_corpus(make_instance)
+    assert tune(instance for instance in corpus) == tune(corpus)

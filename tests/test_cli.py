@@ -684,9 +684,12 @@ _BAD_LAST_LINES = {
         (["probe"], "probe.json", "malformed"),
         (["baseline"], "pred.jsonl", "duplicate"),
         (["baseline"], "pred.jsonl", "malformed"),
+        (["tune"], "params.json", "duplicate"),
+        (["tune"], "params.json", "malformed"),
     ],
     ids=["annotate-duplicate", "annotate-malformed", "validate-strict-duplicate", "validate-malformed",
-         "probe-duplicate", "probe-malformed", "baseline-duplicate", "baseline-malformed"],
+         "probe-duplicate", "probe-malformed", "baseline-duplicate", "baseline-malformed",
+         "tune-duplicate", "tune-malformed"],
 )
 def test_a_bad_last_record_keeps_the_previous_outputs(corpus_file, tmp_path, capsys, argv, output, last):
     infile, out_dir = tmp_path / "in.jsonl", tmp_path / "out"

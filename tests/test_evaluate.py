@@ -10,8 +10,8 @@ from sharctool.evaluate import (
     EvalReport,
     bleu,
     combined_metric,
-    confusion_matrix,
     evaluate,
+    gold_view,
     macro_accuracy,
     micro_accuracy,
     per_class_accuracy,
@@ -42,7 +42,7 @@ def _toy_eval(make_instance, turn):
 
 def test_confusion_matrix_counts(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    matrix = confusion_matrix(gold, predictions)
+    matrix = evaluate(gold_view(gold), predictions).confusion
     assert matrix[ClassLabel.YES][ClassLabel.YES] == 2
     assert matrix[ClassLabel.NO][ClassLabel.MORE] == 1
     assert matrix[ClassLabel.NO][ClassLabel.NO] == 0
@@ -53,16 +53,16 @@ def test_confusion_matrix_counts(make_instance, turn):
 def test_confusion_matrix_requires_exact_id_cover(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
     with pytest.raises(ValueError, match="missing"):
-        confusion_matrix(gold, {k: v for k, v in predictions.items() if k != "y1"})
+        evaluate(gold_view(gold), {k: v for k, v in predictions.items() if k != "y1"})
     with pytest.raises(ValueError, match="unknown"):
-        confusion_matrix(gold, {**predictions, "ghost": "Yes"})
+        evaluate(gold_view(gold), {**predictions, "ghost": "Yes"})
     with pytest.raises(ValueError, match="duplicate"):
-        confusion_matrix(gold + [gold[0]], predictions)
+        gold_view(gold + [gold[0]])
 
 
 def test_accuracies(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    matrix = confusion_matrix(gold, predictions)
+    matrix = evaluate(gold_view(gold), predictions).confusion
     assert micro_accuracy(matrix) == pytest.approx(75.0)
     recalls = per_class_accuracy(matrix)
     assert recalls[ClassLabel.YES] == pytest.approx(100.0)
@@ -157,7 +157,7 @@ def test_combined_metric_products():
 
 def test_evaluate_end_to_end(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    report = evaluate(gold, predictions)
+    report = evaluate(gold_view(gold), predictions)
     assert report.instance_count == 4
     assert report.micro_accuracy == pytest.approx(75.0)
     assert report.macro_accuracy == pytest.approx(200.0 / 3.0)
@@ -173,7 +173,7 @@ def test_evaluate_without_followups_leaves_bleu_undefined(make_instance):
         make_instance(utterance_id="y1", gold_answer="Yes"),
         make_instance(utterance_id="n1", gold_answer="No"),
     ]
-    report = evaluate(gold, {"y1": "Yes", "n1": "No"})
+    report = evaluate(gold_view(gold), {"y1": "Yes", "n1": "No"})
     assert report.micro_accuracy == pytest.approx(100.0)
     assert report.bleu1 is None
     assert report.bleu4 is None
@@ -183,7 +183,7 @@ def test_evaluate_without_followups_leaves_bleu_undefined(make_instance):
 
 def test_render_report_smoke(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    text = render_report(evaluate(gold, predictions), title="toy")
+    text = render_report(evaluate(gold_view(gold), predictions), title="toy")
     assert "== toy (4 instances) ==" in text
     assert "micro" in text and "combined" in text
     assert "recall --" in text  # the Irrelevant row is undefined
@@ -191,7 +191,7 @@ def test_render_report_smoke(make_instance, turn):
 
 def test_report_round_trip(tmp_path, make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    report = evaluate(gold, predictions)
+    report = evaluate(gold_view(gold), predictions)
     path = tmp_path / "report.json"
     write_json(path, report.to_dict())
     payload = read_json(path)
@@ -203,7 +203,7 @@ def test_report_round_trip(tmp_path, make_instance, turn):
 
 def test_a_report_takes_its_fields_by_keyword_only(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    fields = evaluate(gold, predictions).to_dict()
-    assert EvalReport(**fields) == evaluate(gold, predictions)
+    fields = evaluate(gold_view(gold), predictions).to_dict()
+    assert EvalReport(**fields) == evaluate(gold_view(gold), predictions)
     with pytest.raises(TypeError):
         EvalReport(*fields.values())

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from sharctool import baseline
 from sharctool.baseline import PolicyParams, predict, predict_corpus, tune
 from sharctool.corpus import ClassLabel, corpus_pass, pass_memo, tokenize
-from sharctool.evaluate import bleu, evaluate
+from sharctool.evaluate import bleu, evaluate, gold_view
 from sharctool.markers import (
     BASIC_STOPWORDS,
     annotate_corpus,
@@ -29,7 +29,7 @@ MEMO_SPEC = SplitSpec(
     },
     tree_count=40,
 )
-KINDS = ("tokenize", "lcs_match", "bleu", "gold")
+KINDS = ("tokenize", "lcs_match", "bleu")
 SMALL_GRID = {"tau_irr": (0.1, 0.3), "rho": (0.4, 0.8), "l_max": (3, 8)}
 
 
@@ -130,10 +130,11 @@ def test_tune_matches_evaluate_outside_a_pass(corpus):
     result = tune(corpus, grid=SMALL_GRID)
     assert _memo_is_empty()
     assert len(result.trials) == 8
+    gold = gold_view(corpus)
     for trial in result.trials:
         params = PolicyParams(**trial["params"])
         outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in corpus}
-        report = evaluate(corpus, outputs)
+        report = evaluate(gold, outputs)
         assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
 
 
@@ -165,16 +166,15 @@ def test_per_rule_work_runs_once_per_distinct_rule_text(corpus, run, monkeypatch
 
 
 def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
-    half = corpus[::2]
+    golds = [(gold, gold_view(gold)) for gold in (corpus, corpus[::2])]
     runs = []
     for params in (PolicyParams(), PolicyParams(tau_irr=0.3, rho=0.4, rho_s=0.6, l_max=3)):
-        for gold in (corpus, half):
+        for gold, view in golds:
             outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in gold}
-            runs.append((gold, outputs))
-    outside = [evaluate(gold, outputs).to_dict() for gold, outputs in runs]
+            runs.append((gold, view, outputs))
+    outside = [evaluate(gold_view(gold), outputs).to_dict() for gold, _, outputs in runs]
     with corpus_pass():
-        inside = [evaluate(gold, outputs).to_dict() for gold, outputs in runs]
-        assert len(pass_memo("gold")) == 2
+        inside = [evaluate(view, outputs).to_dict() for _, view, outputs in runs]
     assert inside == outside
     assert _memo_is_empty()
 

@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sharctool.corpus import ClassLabel, DialogTurn, Instance
-from sharctool.evaluate import evaluate
+from sharctool.evaluate import evaluate, gold_view
 from sharctool.probe import (
     AgreementStat,
     IrrelevantContextStats,
     TurnRate,
     _spearman,
-    class_distribution,
-    followup_rate_by_turn,
     followup_rate_spearman,
-    irrelevant_context_stats,
-    last_followup_agreement,
     probe_corpus,
 )
 
@@ -30,7 +26,7 @@ def test_class_distribution_percentages(make_instance):
         make_instance(utterance_id="c", gold_answer="No"),
         make_instance(utterance_id="d", gold_answer="Irrelevant"),
     ]
-    distribution = class_distribution(corpus)
+    distribution = probe_corpus(corpus).class_distribution
     assert distribution[ClassLabel.YES] == 50.0
     assert distribution[ClassLabel.NO] == 25.0
     assert distribution[ClassLabel.IRRELEVANT] == 25.0
@@ -40,7 +36,7 @@ def test_class_distribution_percentages(make_instance):
 
 def test_class_distribution_rejects_empty_corpus():
     with pytest.raises(ValueError):
-        class_distribution([])
+        probe_corpus([])
 
 
 def test_last_followup_agreement_counts(make_instance, turn):
@@ -54,11 +50,11 @@ def test_last_followup_agreement_counts(make_instance, turn):
         # out of scope by default: a follow-up answer
         make_instance(utterance_id="d", history=[turn("q1?", "Yes")], gold_answer="Another question?"),
     ]
-    stat = last_followup_agreement(corpus)
+    stat = probe_corpus(corpus).last_followup_agreement
     assert (stat.numerator, stat.denominator) == (1, 2)
     assert stat.percent == pytest.approx(50.0)
 
-    stricter = last_followup_agreement(corpus, include_followup_labels=True)
+    stricter = probe_corpus(corpus).last_followup_agreement_including_followups
     assert (stricter.numerator, stricter.denominator) == (1, 3)
 
 
@@ -66,12 +62,12 @@ def test_last_followup_agreement_is_position_sensitive(make_instance, turn):
     history = [turn("q1?", "Yes"), turn("q2?", "No")]
     agree = make_instance(history=history, gold_answer="No")
     disagree = make_instance(history=list(reversed(history)), gold_answer="No")
-    assert last_followup_agreement([agree]).percent == pytest.approx(100.0)
-    assert last_followup_agreement([disagree]).percent == pytest.approx(0.0)
+    assert probe_corpus([agree]).last_followup_agreement.percent == pytest.approx(100.0)
+    assert probe_corpus([disagree]).last_followup_agreement.percent == pytest.approx(0.0)
 
 
 def test_last_followup_agreement_undefined_when_empty(make_instance):
-    stat = last_followup_agreement([make_instance(gold_answer="Yes")])
+    stat = probe_corpus([make_instance(gold_answer="Yes")]).last_followup_agreement
     assert stat.percent is None
     assert stat.denominator == 0
 
@@ -83,7 +79,7 @@ def test_irrelevant_context_stats(make_instance, turn):
         make_instance(utterance_id="c", gold_answer="Yes"),  # empty but not irrelevant
         make_instance(utterance_id="d", gold_answer="Yes", history=[turn("q?", "Yes")]),
     ]
-    stats = irrelevant_context_stats(corpus)
+    stats = probe_corpus(corpus).irrelevant_context
     assert stats.irrelevant_count == 2
     assert stats.empty_context_count == 2
     assert stats.irrelevant_and_empty_context == 1
@@ -92,7 +88,7 @@ def test_irrelevant_context_stats(make_instance, turn):
 
 
 def test_irrelevant_context_stats_undefined_sides(make_instance):
-    stats = irrelevant_context_stats([make_instance(scenario="Context.", gold_answer="Yes")])
+    stats = probe_corpus([make_instance(scenario="Context.", gold_answer="Yes")]).irrelevant_context
     assert stats.p_empty_context_given_irrelevant is None
     assert stats.p_irrelevant_given_empty_context is None
 
@@ -112,7 +108,7 @@ def _rate_corpus(make_instance, turn, spec):
 
 def test_followup_rate_by_turn(make_instance, turn):
     corpus = _rate_corpus(make_instance, turn, {0: (8, 10), 1: (5, 10), 2: (1, 10)})
-    rates = followup_rate_by_turn(corpus)
+    rates = probe_corpus(corpus).followup_rate_by_turn
     assert sorted(rates) == [0, 1, 2]
     assert rates[0].rate == pytest.approx(0.8)
     assert rates[1].rate == pytest.approx(0.5)
@@ -122,30 +118,30 @@ def test_followup_rate_by_turn(make_instance, turn):
 
 def test_spearman_perfectly_decreasing(make_instance, turn):
     corpus = _rate_corpus(make_instance, turn, {0: (9, 10), 1: (6, 10), 2: (3, 10), 3: (0, 10)})
-    rates = followup_rate_by_turn(corpus)
+    rates = probe_corpus(corpus).followup_rate_by_turn
     assert followup_rate_spearman(rates, min_support=10) == pytest.approx(-1.0)
 
 
 def test_spearman_perfectly_increasing(make_instance, turn):
     corpus = _rate_corpus(make_instance, turn, {0: (1, 10), 1: (5, 10), 2: (9, 10)})
-    rates = followup_rate_by_turn(corpus)
+    rates = probe_corpus(corpus).followup_rate_by_turn
     assert followup_rate_spearman(rates, min_support=10) == pytest.approx(1.0)
 
 
 def test_spearman_ignores_small_buckets(make_instance, turn):
     # the k=3 bucket would flip the sign but has too little support
     spec = {0: (9, 30), 1: (5, 30), 2: (1, 30), 3: (29, 29)}
-    rates = followup_rate_by_turn(_rate_corpus(make_instance, turn, spec))
+    rates = probe_corpus(_rate_corpus(make_instance, turn, spec)).followup_rate_by_turn
     assert followup_rate_spearman(rates, min_support=30) == pytest.approx(-1.0)
     assert followup_rate_spearman(rates, min_support=29) != pytest.approx(-1.0)
 
 
 def test_spearman_undefined_cases(make_instance, turn):
-    one_bucket = followup_rate_by_turn(_rate_corpus(make_instance, turn, {0: (5, 40)}))
+    one_bucket = probe_corpus(_rate_corpus(make_instance, turn, {0: (5, 40)})).followup_rate_by_turn
     assert followup_rate_spearman(one_bucket) is None
-    constant = followup_rate_by_turn(
+    constant = probe_corpus(
         _rate_corpus(make_instance, turn, {0: (20, 40), 1: (20, 40), 2: (20, 40)})
-    )
+    ).followup_rate_by_turn
     assert followup_rate_spearman(constant) is None
     assert followup_rate_spearman({}) is None
     assert _spearman([0, 1, 2], [0.4, 0.4, 0.4]) is None
@@ -373,17 +369,16 @@ def _corpus(rows):
 @given(rows=_ROWS, min_support=st.integers(0, 4))
 def test_every_statistic_equals_its_reference_loop(rows, min_support):
     corpus = _corpus(rows)
-    assert last_followup_agreement(corpus) == _reference_agreement(corpus)
-    assert last_followup_agreement(corpus, include_followup_labels=True) == _reference_agreement(corpus, True)
-    assert irrelevant_context_stats(corpus) == _reference_irrelevant_context(corpus)
-    assert followup_rate_by_turn(corpus) == _reference_rate_by_turn(corpus)
     if not corpus:
-        for run in (class_distribution, probe_corpus):
-            with pytest.raises(ValueError, match="empty corpus"):
-                run(corpus)
+        with pytest.raises(ValueError, match="empty corpus"):
+            probe_corpus(corpus)
         return
-    assert class_distribution(corpus) == _reference_class_distribution(corpus)
     report = probe_corpus(corpus, split_name="gen", min_support=min_support)
+    assert report.last_followup_agreement == _reference_agreement(corpus)
+    assert report.last_followup_agreement_including_followups == _reference_agreement(corpus, True)
+    assert report.irrelevant_context == _reference_irrelevant_context(corpus)
+    assert report.followup_rate_by_turn == _reference_rate_by_turn(corpus)
+    assert report.class_distribution == _reference_class_distribution(corpus)
     # Serialized, so the key order of probe.json is compared too.
     assert json.dumps(report.to_dict()) == json.dumps(_reference_report(corpus, "gen", min_support))
 
@@ -394,5 +389,5 @@ def test_a_one_shot_stream_gives_what_the_list_gives(rows):
     assert probe_corpus(instance for instance in corpus) == probe_corpus(corpus)
     # Every third prediction echoes the gold answer; the rest say Yes.
     outputs = {inst.utterance_id: inst.gold_answer if i % 3 else "Yes" for i, inst in enumerate(corpus)}
-    streamed = evaluate((instance for instance in corpus), outputs).to_dict()
-    assert streamed == evaluate(corpus, outputs).to_dict()
+    streamed = evaluate(gold_view(instance for instance in corpus), outputs).to_dict()
+    assert streamed == evaluate(gold_view(corpus), outputs).to_dict()

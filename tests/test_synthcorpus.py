@@ -6,7 +6,7 @@ import os
 import pytest
 
 from sharctool.corpus import ClassLabel, derive_label, instance_to_record, load_corpus, write_corpus
-from sharctool.probe import class_distribution
+from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import DEV_SPEC, TRAIN_SPEC, SplitSpec, generate_split
 
 TOY_SPEC = SplitSpec(
@@ -78,7 +78,7 @@ def test_split_specs_are_distinct():
 
 
 def test_toy_distribution_tracks_spec(toy_split):
-    distribution = class_distribution(toy_split)
+    distribution = probe_corpus(toy_split).class_distribution
     assert distribution[ClassLabel.IRRELEVANT] == pytest.approx(10.0)
     assert distribution[ClassLabel.YES] == pytest.approx(30.0)
 
