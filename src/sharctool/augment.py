@@ -28,7 +28,6 @@ from .corpus import (
     Instance,
     content_key,
     dumps_record,
-    instance_to_record,
     record_encoder,
     write_jsonl,
 )
@@ -99,13 +98,6 @@ class AugmentedInstance:
     provenance: Provenance
     parent_id: str
     permutation: Optional[list[int]] = None  # new_history[i] == parent_history[permutation[i]]
-
-    def to_record(self) -> dict:
-        record = instance_to_record(self.instance)
-        record["provenance"] = self.provenance.value
-        record["parent_id"] = self.parent_id
-        record["permutation"] = self.permutation
-        return record
 
 
 def _derive(
@@ -377,8 +369,11 @@ def build_augmented_corpus(
 
 
 def write_augmented(path: str | Path, items: Iterable[AugmentedInstance]) -> None:
-    """Write augmented instances as one-record-per-line JSON with provenance, atomically; each line is
-    ``dumps_record(item.to_record())``, built by :func:`~sharctool.corpus.record_encoder`."""
+    """Write augmented instances as one-record-per-line JSON with provenance, atomically.
+
+    Each line is the instance's record (see :func:`~sharctool.corpus.record_encoder`)
+    plus ``provenance``, ``parent_id`` and ``permutation``, in ``dumps_record``'s key order.
+    """
     encode = record_encoder()
 
     def encode_item(item: AugmentedInstance) -> str:

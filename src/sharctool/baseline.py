@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -22,8 +24,6 @@ from .corpus import (
     Instance,
     TokenizedText,
     corpus_pass,
-    derive_label,
-    dumps_record,
     read_json,
     read_jsonl,
     tokenize,
@@ -35,19 +35,17 @@ from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, Rule
 
 __all__ = [
     "PolicyParams",
-    "PolicyStats",
-    "Prediction",
     "TuneResult",
     "generate_followup",
     "load_params",
     "load_predictions",
-    "predict",
     "predict_corpus",
     "tune",
     "write_predictions",
 ]
 
 _T = TypeVar("_T")
+_Row = tuple[str, str, Optional[int], int]  # (utterance_id, output, asked ordinal or None, step fired)
 
 
 @dataclass(frozen=True)
@@ -61,17 +59,6 @@ class PolicyParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    utterance_id: str
-    output: str
-    predicted_class: ClassLabel
-    asked_clause_ordinal: Optional[int] = None
-
-    def to_record(self) -> dict:
-        return {"utterance_id": self.utterance_id, "answer": self.output}
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +99,7 @@ def generate_followup(clause: Clause) -> str:
 
 
 # --------------------------------------------------------------------------
-# Prediction
+# Decision
 # --------------------------------------------------------------------------
 
 
@@ -217,54 +204,29 @@ def _decide(features: _Features, params: PolicyParams) -> tuple[str, Optional[in
     return _FALLBACK_OUTPUT[logic], None, 6
 
 
-def _predict(features: _Features, params: PolicyParams) -> tuple[Prediction, int]:
-    """Decide one instance; returns its prediction and the policy step that fired."""
-    output, ordinal, step = _decide(features, params)
-    return Prediction(features.utterance_id, output, derive_label(output), ordinal), step
-
-
-def predict(instance: Instance, structure: RuleStructure, params: PolicyParams = PolicyParams()) -> Prediction:
-    """Predict the response for one instance. Total and deterministic."""
-    return _predict(_features(instance, _plan(instance.rule_text, structure)), params)[0]
-
-
-@dataclass
-class PolicyStats:
-    """Aggregate bookkeeping over one batch prediction run."""
-
-    logic_counts: dict[str, int] = field(default_factory=dict)
-    step_counts: dict[int, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "logic_counts": dict(sorted(self.logic_counts.items())),
-            "step_counts": {str(k): v for k, v in sorted(self.step_counts.items())},
-        }
-
-
 def predict_corpus(
     corpus: Iterable[Instance],
     params: PolicyParams = PolicyParams(),
     cues: CueSet = DEFAULT_CUES,
     *,
-    sink: Callable[[Iterator[Prediction]], _T] = list,
-) -> tuple[_T, PolicyStats]:
-    """Predict every instance, parsing each distinct rule text once; return ``(sink(predictions), stats)``.
+    sink: Callable[[Iterator[_Row]], _T] = list,
+) -> tuple[_T, Counter[int]]:
+    """Decide every instance, parsing each distinct rule text once; return ``(sink(rows), steps)``.
 
-    ``sink`` gets the predictions as an iterator inside one corpus pass, and
-    ``stats`` is complete once it is used up.
+    ``sink`` gets one ``(utterance_id, output, asked ordinal or None, step)``
+    row per instance, as an iterator inside one corpus pass. ``steps``
+    counts the policy steps that fired and is complete once the rows are
+    used up.
     """
-    stats = PolicyStats()
+    steps: Counter[int] = Counter()
 
-    def predictions() -> Iterator[Prediction]:
+    def rows() -> Iterator[_Row]:
         for _, features in _corpus_features(corpus, cues):
-            prediction, step = _predict(features, params)
-            logic = features.plan.logic.value
-            stats.logic_counts[logic] = stats.logic_counts.get(logic, 0) + 1
-            stats.step_counts[step] = stats.step_counts.get(step, 0) + 1
-            yield prediction
+            output, ordinal, step = _decide(features, params)
+            steps[step] += 1
+            yield features.utterance_id, output, ordinal, step
 
-    return sink(predictions()), stats
+    return sink(rows()), steps
 
 
 # --------------------------------------------------------------------------
@@ -300,11 +262,12 @@ def tune(
     One pass over the corpus, which may be a stream, plans each rule text
     once, computes each instance's features (coverage fractions, overlaps)
     once and builds the gold view; nothing else of an instance is kept.
-    Every grid point then decides from those features through the same path
-    as :func:`predict`, so tuning cannot drift from live prediction, and is
-    scored against the one gold view. All grid points score inside one pass,
-    so each distinct (output, gold) pair's BLEU statistics are counted once.
-    Ties keep the first grid point in iteration order.
+    Every grid point then decides from those features through
+    :func:`_decide`, as :func:`predict_corpus` does, so tuning cannot drift
+    from live prediction, and is scored against the one gold view. All grid
+    points score inside one pass, so each distinct (output, gold) pair's
+    BLEU statistics are counted once. Ties keep the first grid point in
+    iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
     names = list(grid)
@@ -343,8 +306,13 @@ def tune(
 # --------------------------------------------------------------------------
 
 
-def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
-    write_jsonl(path, (prediction.to_record() for prediction in predictions), dumps_record)
+def _encode_row(row: _Row) -> str:
+    return f'{{"answer":{encode_basestring(row[1])},"utterance_id":{encode_basestring(row[0])}}}'
+
+
+def write_predictions(path: str | Path, rows: Iterable[_Row]) -> None:
+    """Write each decision row as the line ``dumps_record({"answer": output, "utterance_id": id})``, atomically."""
+    write_jsonl(path, rows, _encode_row)
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:

@@ -312,10 +312,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     def compute(corpus, params, cues):
         params = params or PolicyParams()
         config["params"] = params.to_dict()
-        _, stats = predict_corpus(corpus, params, cues or DEFAULT_CUES,
-                                  sink=lambda predictions: write_predictions(args.out, predictions))
-        return (f"baseline predictions: {sum(stats.step_counts.values())} -> {Path(args.out)}\n"
-                f"  policy steps fired: {stats.to_dict()['step_counts']}")
+        _, steps = predict_corpus(corpus, params, cues or DEFAULT_CUES,
+                                  sink=lambda rows: write_predictions(args.out, rows))
+        fired = {str(step): count for step, count in sorted(steps.items())}
+        return f"baseline predictions: {steps.total()} -> {Path(args.out)}\n  policy steps fired: {fired}"
 
     return _run(args, config,
                 [("--in", args.infile, iter_corpus), ("--params", args.params, load_params),

@@ -35,7 +35,6 @@ __all__ = [
     "content_key",
     "corpus_pass",
     "derive_label",
-    "instance_to_record",
     "iter_corpus",
     "load_corpus",
     "load_corpus_audited",
@@ -227,25 +226,6 @@ class Instance:
     def has_empty_context(self) -> bool:
         """True when both the history and the scenario are empty."""
         return not self.history and not self.scenario.strip()
-
-
-def _turn_records(turns: list[DialogTurn]) -> list[dict]:
-    # A dict display, not DialogTurn._asdict(): it builds the same dicts in a third of the time.
-    return [{"follow_up_question": question, "follow_up_answer": answer} for question, answer in turns]
-
-
-def instance_to_record(instance: Instance) -> dict:
-    """Serialize an instance into the ShARC record layout."""
-    return {
-        "utterance_id": instance.utterance_id,
-        "tree_id": instance.tree_id,
-        "snippet": instance.rule_text,
-        "question": instance.question,
-        "scenario": instance.scenario,
-        "history": _turn_records(instance.history),
-        "evidence": _turn_records(instance.evidence),
-        "answer": instance.gold_answer,
-    }
 
 
 def content_key(instance: Instance) -> tuple:
@@ -517,7 +497,12 @@ def _encode_turn(turn: DialogTurn) -> str:
 
 
 def record_encoder() -> Callable[..., str]:
-    """A fresh ``encode(instance, extra="")``: ``dumps_record(instance_to_record(instance))`` without the dict.
+    """A fresh ``encode(instance, extra="")``: ``dumps_record`` of the instance's record, without the dict.
+
+    The record is the ShARC layout: ``utterance_id``, ``tree_id``,
+    ``snippet`` (the rule text), ``question``, ``scenario``, ``history`` and
+    ``evidence`` (lists of ``follow_up_question``/``follow_up_answer``
+    objects) and ``answer``.
 
     ``extra`` is a run of already-encoded ``"key":value,`` pairs whose keys
     sort between ``history`` and ``question``. Each distinct rule text,
@@ -617,6 +602,5 @@ def read_json(path: str | Path) -> object:
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:
-    """Write instances as canonical one-record-per-line JSON, atomically; each line is
-    ``dumps_record(instance_to_record(instance))``, built by :func:`record_encoder`."""
+    """Write instances as canonical one-record-per-line JSON, atomically, each line built by :func:`record_encoder`."""
     write_jsonl(path, instances, record_encoder())

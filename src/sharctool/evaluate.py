@@ -79,11 +79,11 @@ def gold_view(instances: Iterable[Instance]) -> GoldView:
 
 def _confusion(gold: GoldView, predictions: Mapping[str, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
     """4x4 gold-by-predicted count matrix; raises ``ValueError`` unless the prediction ids are the gold ids."""
-    missing = gold.ids - predictions.keys()
-    extra = predictions.keys() - gold.ids
-    if missing:
-        raise ValueError(f"predictions missing {len(missing)} ids (e.g. {sorted(missing)[:3]})")
-    if extra:
+    if predictions.keys() != gold.ids:
+        missing = gold.ids - predictions.keys()
+        if missing:
+            raise ValueError(f"predictions missing {len(missing)} ids (e.g. {sorted(missing)[:3]})")
+        extra = predictions.keys() - gold.ids
         raise ValueError(f"predictions contain {len(extra)} unknown ids (e.g. {sorted(extra)[:3]})")
     matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
     # Outputs repeat heavily, so each distinct (gold class, output) is mapped once.

@@ -74,9 +74,10 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     The walk below realizes that tie-break against a suffix-length table.
     At (i, j) the candidate columns for matching a[i] are exactly those j'
     where suffix[i][j'] still equals suffix[i][j] — skipping further would
-    lose length. a[i] joins the LCS iff one of them matches with an optimal
-    continuation, and the smallest such column is the right one: a smaller
-    b-index only widens the choices downstream.
+    lose length. a[i] joins the LCS iff one of them matches, and the
+    smallest such column is the right one: a smaller b-index only widens the
+    choices downstream. A match needs no test of its continuation, because a
+    matching cell is its diagonal plus one.
     """
     n, m = len(a), len(b)
     suffix = [[0] * (m + 1) for _ in range(n + 1)]
@@ -96,18 +97,13 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     while i < n and j < m and suffix[i][j]:
         length = suffix[i][j]
         column = j
-        hit = -1
         while column < m and suffix[i][column] == length:
-            if a[i] == b[column] and suffix[i + 1][column + 1] == length - 1:
-                hit = column
+            if a[i] == b[column]:
+                pairs.append((i, column))
+                j = column + 1
                 break
             column += 1
-        if hit < 0:
-            i += 1
-        else:
-            pairs.append((i, hit))
-            i += 1
-            j = hit + 1
+        i += 1
     return pairs
 
 

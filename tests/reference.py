@@ -1,0 +1,49 @@
+"""Plain references that the package's batch paths are checked against.
+
+``corpus.record_encoder`` and ``augment.write_augmented`` lay out each line
+without building a dict; ``dumps_record`` of the dicts below must give the
+same line. ``baseline.predict_corpus`` decides inside one corpus pass;
+:func:`decide` decides one instance outside any pass.
+"""
+
+from typing import Optional
+
+from sharctool import baseline
+from sharctool.augment import AugmentedInstance
+from sharctool.baseline import PolicyParams
+from sharctool.corpus import DialogTurn, Instance
+from sharctool.ruleparse import parse_rule
+
+
+def _turn_records(turns: list[DialogTurn]) -> list[dict]:
+    return [{"follow_up_question": question, "follow_up_answer": answer} for question, answer in turns]
+
+
+def instance_to_record(instance: Instance) -> dict:
+    """An instance in the ShARC record layout."""
+    return {
+        "utterance_id": instance.utterance_id,
+        "tree_id": instance.tree_id,
+        "snippet": instance.rule_text,
+        "question": instance.question,
+        "scenario": instance.scenario,
+        "history": _turn_records(instance.history),
+        "evidence": _turn_records(instance.evidence),
+        "answer": instance.gold_answer,
+    }
+
+
+def augmented_to_record(item: AugmentedInstance) -> dict:
+    """An augmented instance's record: the instance's, plus where it came from."""
+    return {
+        **instance_to_record(item.instance),
+        "provenance": item.provenance.value,
+        "parent_id": item.parent_id,
+        "permutation": item.permutation,
+    }
+
+
+def decide(instance: Instance, params: PolicyParams = PolicyParams()) -> tuple[str, Optional[int], int]:
+    """The policy's ``(output, asked ordinal or None, step fired)`` for one instance, its rule text planned anew."""
+    text = instance.rule_text
+    return baseline._decide(baseline._features(instance, baseline._plan(text, parse_rule(text))), params)

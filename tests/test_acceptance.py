@@ -148,8 +148,8 @@ def test_criterion_06_tuned_baseline_collapses_on_augmented_dev(dev_corpus):
     result = tune(dev_corpus)
 
     def _score(corpus):
-        predictions, _ = predict_corpus(corpus, result.best_params)
-        return evaluate(gold_view(corpus), {p.utterance_id: p.output for p in predictions})
+        rows, _ = predict_corpus(corpus, result.best_params)
+        return evaluate(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows})
 
     original = _score(dev_corpus)
     config = AugmentConfig(

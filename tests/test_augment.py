@@ -21,6 +21,8 @@ from sharctool.augment import (
 )
 from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash, content_key, iter_corpus, read_jsonl
 
+from reference import augmented_to_record
+
 
 # --------------------------------------------------------------------------
 # shuffle_history_instance
@@ -297,14 +299,14 @@ def test_build_is_deterministic(make_instance):
     corpus = _toy_corpus(make_instance)
     first, _ = build_augmented_corpus(corpus, AugmentConfig(seed=13, total_target=12, class_targets=dict(EVEN_TARGETS)))
     second, _ = build_augmented_corpus(corpus, AugmentConfig(seed=13, total_target=12, class_targets=dict(EVEN_TARGETS)))
-    assert [i.to_record() for i in first] == [i.to_record() for i in second]
+    assert [augmented_to_record(i) for i in first] == [augmented_to_record(i) for i in second]
 
 
 def test_build_seed_changes_the_output(make_instance):
     corpus = _toy_corpus(make_instance)
     first, _ = build_augmented_corpus(corpus, AugmentConfig(seed=13, total_target=12, class_targets=dict(EVEN_TARGETS)))
     second, _ = build_augmented_corpus(corpus, AugmentConfig(seed=14, total_target=12, class_targets=dict(EVEN_TARGETS)))
-    assert [i.to_record() for i in first] != [i.to_record() for i in second]
+    assert [augmented_to_record(i) for i in first] != [augmented_to_record(i) for i in second]
 
 
 def test_build_reports_unfillable_deficits_as_shortfalls(make_instance):
@@ -466,7 +468,7 @@ def test_a_fill_that_keeps_no_idle_stream_draws_what_keeping_every_stream_draws(
                            drop_replaced_history=drop_history)
     items, manifest = build_augmented_corpus(corpus, config)
     reference_items, reference_manifest = _reference_build(corpus, config)
-    assert [item.to_record() for item in items] == [item.to_record() for item in reference_items]
+    assert [augmented_to_record(item) for item in items] == [augmented_to_record(item) for item in reference_items]
     assert {key: getattr(manifest, key) for key in reference_manifest} == reference_manifest
 
 
@@ -498,5 +500,5 @@ def test_write_and_load_round_trip(tmp_path, make_instance):
     items, _ = build_augmented_corpus(corpus, config)
     path = tmp_path / "augmented.jsonl"
     write_augmented(path, items)
-    assert [record for _, record in read_jsonl(path)] == [i.to_record() for i in items]
+    assert [record for _, record in read_jsonl(path)] == [augmented_to_record(i) for i in items]
     assert list(iter_corpus(path)) == [i.instance for i in items]

@@ -1,21 +1,23 @@
 """The rule-based policy: templating, decision steps, tuning, serialization."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from sharctool.corpus import ClassLabel, CorpusError, pass_memo, write_json
+from sharctool.corpus import ClassLabel, CorpusError, derive_label, pass_memo, write_json
 from sharctool.baseline import (
     PolicyParams,
     generate_followup,
     load_params,
     load_predictions,
-    predict,
     predict_corpus,
     tune,
     write_predictions,
 )
-from sharctool.ruleparse import Clause, ClauseKind, parse_rule
+from sharctool.ruleparse import Clause, ClauseKind
+
+from reference import decide
 
 CONJ_RULE = (
     "You can claim the grant if all of the following apply:\n"
@@ -76,80 +78,74 @@ def test_generate_followup_rejects_headers_and_empty_clauses():
 
 
 def _run(make_instance, rule, params=PolicyParams(), **overrides):
-    instance = make_instance(rule_text=rule, **overrides)
-    return predict(instance, parse_rule(rule), params)
+    """``(output, asked ordinal, step fired)`` for one instance of ``rule``."""
+    return decide(make_instance(rule_text=rule, **overrides), params)
 
 
 def test_step1_offtopic_empty_context_is_irrelevant(make_instance):
-    prediction = _run(make_instance, CONJ_RULE, question=OFF_TOPIC)
-    assert prediction.output == "Irrelevant"
-    assert prediction.predicted_class is ClassLabel.IRRELEVANT
-    assert prediction.asked_clause_ordinal is None
+    output, ordinal, step = _run(make_instance, CONJ_RULE, question=OFF_TOPIC)
+    assert output == "Irrelevant"
+    assert derive_label(output) is ClassLabel.IRRELEVANT
+    assert (ordinal, step) == (None, 1)
 
 
 def test_step1_needs_an_empty_context(make_instance):
-    prediction = _run(make_instance, CONJ_RULE, question=OFF_TOPIC, scenario="I am 70.")
-    assert prediction.predicted_class is not ClassLabel.IRRELEVANT
+    output, _, _ = _run(make_instance, CONJ_RULE, question=OFF_TOPIC, scenario="I am 70.")
+    assert derive_label(output) is not ClassLabel.IRRELEVANT
 
 
 def test_step1_spares_on_topic_questions(make_instance):
-    prediction = _run(make_instance, CONJ_RULE, question=ON_TOPIC)
+    output, ordinal, step = _run(make_instance, CONJ_RULE, question=ON_TOPIC)
     # overlap 2/9 clears the default threshold; the first bullet gets asked
-    assert prediction.output == "Do you are over 60?"
-    assert prediction.predicted_class is ClassLabel.MORE
-    assert prediction.asked_clause_ordinal == 2  # the lead-in sentence is not askable
+    assert output == "Do you are over 60?"
+    assert derive_label(output) is ClassLabel.MORE
+    assert ordinal == 2  # the lead-in sentence is not askable
+    assert step == 4
 
 
 def test_step2_disjunctive_yes_short_circuits(make_instance, turn):
-    prediction = _run(
+    decision = _run(
         make_instance, DISJ_RULE, question="Do I qualify?",
         history=[turn("Are you a carer?", "Yes")],
     )
-    assert prediction.output == "Yes"
-    assert prediction.asked_clause_ordinal is None
+    assert decision == ("Yes", None, 2)
 
 
 def test_step2_conjunctive_no_short_circuits(make_instance, turn):
-    prediction = _run(
+    decision = _run(
         make_instance, CONJ_RULE, question=ON_TOPIC,
         history=[turn("Are you over 60?", "No"), turn("Do you live in England?", "Yes")],
     )
-    assert prediction.output == "No"
+    assert decision == ("No", None, 2)
 
 
 def test_step4_skips_clauses_already_asked(make_instance, turn):
-    prediction = _run(
+    decision = _run(
         make_instance, CONJ_RULE, question=ON_TOPIC,
         history=[turn("Are you over 60?", "Yes")],
     )
-    assert prediction.output == "Do you live in England?"
-    assert prediction.asked_clause_ordinal == 3
+    assert decision == ("Do you live in England?", 3, 4)
 
 
 def test_step4_skips_clauses_resolved_by_the_scenario(make_instance):
-    prediction = _run(make_instance, CONJ_RULE, question=ON_TOPIC, scenario="You are over 60.")
-    assert prediction.output == "Do you live in England?"
-    assert prediction.asked_clause_ordinal == 3
+    decision = _run(make_instance, CONJ_RULE, question=ON_TOPIC, scenario="You are over 60.")
+    assert decision == ("Do you live in England?", 3, 4)
 
 
 def test_rho_s_above_one_disables_scenario_resolution(make_instance):
     params = PolicyParams(rho_s=1.01)
-    prediction = _run(
-        make_instance, CONJ_RULE, question=ON_TOPIC, scenario="You are over 60.", params=params
-    )
-    assert prediction.output == "Do you are over 60?"
-    assert prediction.asked_clause_ordinal == 2
+    decision = _run(make_instance, CONJ_RULE, question=ON_TOPIC, scenario="You are over 60.", params=params)
+    assert decision == ("Do you are over 60?", 2, 4)
 
 
 def test_step5_echoes_last_answer_once_budget_is_spent(make_instance, turn):
     params = PolicyParams(l_max=1)
-    prediction = _run(
+    decision = _run(
         make_instance, UNKNOWN_RULE, question="Must I register?",
         history=[turn("Are you a resident?", "No")], params=params,
     )
     # the Unknown fallback would say Yes; the echo repeats the last answer
-    assert prediction.output == "No"
-    assert prediction.asked_clause_ordinal is None
+    assert decision == ("No", None, 5)
 
 
 @pytest.mark.parametrize(
@@ -163,16 +159,13 @@ def test_step5_echoes_last_answer_once_budget_is_spent(make_instance, turn):
 )
 def test_step6_fallback_by_logic_type(make_instance, rule, expected):
     params = PolicyParams(l_max=0)  # no follow-up budget, no history to echo
-    prediction = _run(make_instance, rule, question="Am I covered?", scenario="I am 70.", params=params)
-    assert prediction.output == expected
-    assert prediction.asked_clause_ordinal is None
+    decision = _run(make_instance, rule, question="Am I covered?", scenario="I am 70.", params=params)
+    assert decision == (expected, None, 6)
 
 
 def test_predictions_are_deterministic(make_instance, turn):
     instance = make_instance(rule_text=CONJ_RULE, question=ON_TOPIC, history=[turn("Are you over 60?", "Yes")])
-    structure = parse_rule(CONJ_RULE)
-    outputs = {predict(instance, structure).output for _ in range(5)}
-    assert len(outputs) == 1
+    assert len({decide(instance) for _ in range(5)}) == 1
 
 
 # --------------------------------------------------------------------------
@@ -180,20 +173,18 @@ def test_predictions_are_deterministic(make_instance, turn):
 # --------------------------------------------------------------------------
 
 
-def test_predict_corpus_counts_logic_and_steps(make_instance):
+def test_predict_corpus_counts_steps(make_instance):
     corpus = [
         make_instance(utterance_id="c1", rule_text=CONJ_RULE, question=ON_TOPIC),
         make_instance(utterance_id="c2", rule_text=CONJ_RULE, question=OFF_TOPIC),
         make_instance(utterance_id="d1", rule_text=DISJ_RULE, question="Do I qualify?", scenario="x"),
     ]
-    predictions, stats = predict_corpus(corpus)
-    assert [p.utterance_id for p in predictions] == ["c1", "c2", "d1"]
-    assert stats.logic_counts == {"Conjunctive": 2, "Disjunctive": 1}
-    assert sum(stats.step_counts.values()) == 3
-    assert stats.step_counts[1] == 1  # the off-topic empty-context instance
-    payload = stats.to_dict()
-    assert set(payload) == {"logic_counts", "step_counts"}
-    assert all(isinstance(k, str) for k in payload["step_counts"])
+    rows, steps = predict_corpus(corpus)
+    assert [row[0] for row in rows] == ["c1", "c2", "d1"]
+    assert rows == [(instance.utterance_id, *decide(instance)) for instance in corpus]
+    assert steps.total() == 3
+    assert steps[1] == 1  # the off-topic empty-context instance
+    assert steps == Counter(row[3] for row in rows)
 
 
 def test_predict_corpus_hands_each_prediction_to_the_sink_inside_the_pass(make_instance):
@@ -204,10 +195,10 @@ def test_predict_corpus_hands_each_prediction_to_the_sink_inside_the_pass(make_i
 
     received = []
 
-    def sink(predictions):
-        for prediction in predictions:
+    def sink(rows):
+        for utterance_id, *_ in rows:
             assert pass_memo("tokenize") is not None
-            received.append(prediction.utterance_id)
+            received.append(utterance_id)
         return len(received)
 
     with pytest.raises(CorpusError, match="record 2"):
@@ -216,8 +207,8 @@ def test_predict_corpus_hands_each_prediction_to_the_sink_inside_the_pass(make_i
     assert pass_memo("tokenize") is None
 
     received.clear()
-    counted, stats = predict_corpus([make_instance(utterance_id="c1", rule_text=CONJ_RULE)], sink=sink)
-    assert counted == sum(stats.step_counts.values()) == 1
+    counted, steps = predict_corpus([make_instance(utterance_id="c1", rule_text=CONJ_RULE)], sink=sink)
+    assert counted == steps.total() == 1
 
 
 def test_predictions_file_round_trip(tmp_path, make_instance):
@@ -225,9 +216,9 @@ def test_predictions_file_round_trip(tmp_path, make_instance):
         make_instance(utterance_id="a", rule_text=CONJ_RULE, question=ON_TOPIC),
         make_instance(utterance_id="b", rule_text=CONJ_RULE, question=OFF_TOPIC),
     ]
-    predictions, _ = predict_corpus(corpus)
+    rows, _ = predict_corpus(corpus)
     path = tmp_path / "predictions.jsonl"
-    write_predictions(path, predictions)
+    write_predictions(path, rows)
 
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 2
@@ -235,7 +226,7 @@ def test_predictions_file_round_trip(tmp_path, make_instance):
         assert set(json.loads(line)) == {"utterance_id", "answer"}
 
     loaded = load_predictions(path)
-    assert loaded == {p.utterance_id: p.output for p in predictions}
+    assert loaded == {utterance_id: output for utterance_id, output, _, _ in rows}
 
 
 def test_params_file_round_trip(tmp_path):
@@ -338,8 +329,8 @@ def test_tune_ties_keep_the_first_grid_point(make_instance):
 def test_tune_matches_live_prediction(make_instance):
     corpus = _tuning_corpus(make_instance)
     result = tune(corpus, grid={"tau_irr": (0.3, 0.2)})
-    predictions, _ = predict_corpus(corpus, result.best_params)
-    assert {p.utterance_id: p.output for p in predictions} == {
+    rows, _ = predict_corpus(corpus, result.best_params)
+    assert {utterance_id: output for utterance_id, output, _, _ in rows} == {
         "irr": "Irrelevant",
         "more": "Do you are over 60?",
     }

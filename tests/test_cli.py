@@ -19,6 +19,7 @@ import sharctool
 from sharctool import cli
 from sharctool.cli import DATA_DIR_ENV, main
 from sharctool.corpus import ClassLabel, iter_corpus, load_corpus, write_corpus
+from sharctool.evaluate import bleu
 from sharctool.synthcorpus import SplitSpec, generate_split
 
 CLI_SPEC = SplitSpec(
@@ -246,7 +247,11 @@ def test_baseline_predicts_every_instance(corpus_file, tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 100
     assert set(json.loads(lines[0])) == {"utterance_id", "answer"}
-    assert "policy steps fired" in capsys.readouterr().out
+    # the step keys print as strings, in step order
+    assert capsys.readouterr().out == (
+        f"baseline predictions: 100 -> {out}\n"
+        "  policy steps fired: {'1': 14, '2': 8, '4': 27, '5': 37, '6': 14}\n"
+    )
 
 
 def test_baseline_tune_mode_writes_params(corpus_file, tmp_path):
@@ -285,6 +290,34 @@ def test_evaluate_scores_predictions(corpus_file, tmp_path, capsys):
     manifest = json.loads((tmp_path / "eval.json.manifest.json").read_text())
     assert str(pred) in manifest["input_digests"]
     assert "gold \\ pred" in capsys.readouterr().out
+
+
+def test_evaluate_sentence_bleu_averages_per_pair_scores(tmp_path, make_instance):
+    followups = [
+        ("Are you over 60 years old?", "Are you over 60 years old?"),  # (gold, predicted)
+        ("Do you live in England now?", "Do you live in Wales?"),
+    ]
+    gold = [make_instance(utterance_id=f"m{n}", gold_answer=answer) for n, (answer, _) in enumerate(followups)]
+    gold.append(make_instance(utterance_id="y", gold_answer="Yes"))
+    write_corpus(tmp_path / "gold.jsonl", gold)
+    answers = [(f"m{n}", output) for n, (_, output) in enumerate(followups)] + [("y", "No")]
+    (tmp_path / "pred.jsonl").write_text(
+        "".join(json.dumps({"utterance_id": uid, "answer": output}) + "\n" for uid, output in answers), encoding="utf-8"
+    )
+    reports = {}
+    for name, switch in (("pooled", []), ("averaged", ["--sentence-bleu"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["evaluate", "--gold", str(tmp_path / "gold.jsonl"), "--pred", str(tmp_path / "pred.jsonl"),
+                     "--out", str(out), *switch]) == 0
+        reports[name] = json.loads(out.read_text())
+        config = json.loads((tmp_path / f"{name}.json.manifest.json").read_text())["config"]
+        assert config == {"sentence_bleu": bool(switch)}
+    pairs = [(output, answer) for answer, output in followups]
+    for key, order in (("bleu1", 1), ("bleu4", 4)):
+        assert reports["averaged"][key] == bleu(pairs, max_order=order, sentence_average=True)
+        assert reports["pooled"][key] == bleu(pairs, max_order=order)
+        assert reports["averaged"][key] != reports["pooled"][key]
+    assert reports["averaged"]["bleu_instance_count"] == 2
 
 
 def test_report_side_by_side_for_probes(corpus_file, tmp_path, capsys):

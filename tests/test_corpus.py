@@ -11,12 +11,13 @@ from sharctool.corpus import (
     content_hash,
     derive_label,
     dumps_record,
-    instance_to_record,
     load_corpus,
     load_corpus_audited,
     tokenize,
     write_corpus,
 )
+
+from reference import instance_to_record
 
 
 # --------------------------------------------------------------------------

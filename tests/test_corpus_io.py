@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sharctool import cli
 from sharctool.augment import AugmentConfig, AugmentedInstance, Provenance, build_augmented_corpus, write_augmented
-from sharctool.baseline import PolicyParams, tune
+from sharctool.baseline import PolicyParams, tune, write_predictions
 from sharctool.cli import main
 from sharctool.corpus import (
     ClassLabel,
@@ -23,7 +23,6 @@ from sharctool.corpus import (
     content_hash,
     content_key,
     dumps_record,
-    instance_to_record,
     iter_corpus,
     load_corpus,
     load_corpus_audited,
@@ -35,6 +34,8 @@ from sharctool.corpus import (
 from sharctool.evaluate import evaluate, gold_view
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
+
+from reference import augmented_to_record, instance_to_record
 
 
 def _record(**overrides):
@@ -718,7 +719,16 @@ def _augmented_items(draw):
 def test_each_written_augmented_line_is_dumps_record_of_its_record(tmp_path_factory, items):
     path = tmp_path_factory.mktemp("augmented") / "aug.jsonl"
     write_augmented(path, items)
-    lines = [dumps_record(item.to_record()) for item in items]
+    lines = [dumps_record(augmented_to_record(item)) for item in items]
+    assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_text, _text, st.none() | st.integers(1, 9), st.integers(1, 6)), max_size=5))
+def test_each_written_prediction_line_is_dumps_record_of_its_record(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("predictions") / "pred.jsonl"
+    write_predictions(path, rows)
+    lines = [dumps_record({"utterance_id": utterance_id, "answer": output}) for utterance_id, output, _, _ in rows]
     assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
 
 

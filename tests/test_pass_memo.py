@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sharctool import baseline
-from sharctool.baseline import PolicyParams, predict, predict_corpus, tune
+from sharctool.baseline import PolicyParams, predict_corpus, tune
 from sharctool.corpus import ClassLabel, corpus_pass, pass_memo, tokenize
 from sharctool.evaluate import bleu, evaluate, gold_view
 from sharctool.markers import (
@@ -17,6 +17,8 @@ from sharctool.markers import (
 )
 from sharctool.ruleparse import ClauseKind, parse_rule
 from sharctool.synthcorpus import SplitSpec, generate_split
+
+from reference import decide
 
 MEMO_SPEC = SplitSpec(
     name="memotoy",
@@ -119,11 +121,11 @@ def test_annotate_corpus_matches_per_instance_annotators(corpus, mode):
             assert annotation.gold_span == extract_gold_span(rule, instance.gold_answer, **mode)
 
 
-def test_predict_corpus_matches_predict(corpus):
+def test_predict_corpus_matches_deciding_each_instance_alone(corpus):
     params = PolicyParams(tau_irr=0.3, rho=0.4, rho_s=0.6, l_max=3)
-    predictions, _ = predict_corpus(corpus, params)
+    rows, _ = predict_corpus(corpus, params)
     assert _memo_is_empty()
-    assert predictions == [predict(instance, parse_rule(instance.rule_text), params) for instance in corpus]
+    assert rows == [(instance.utterance_id, *decide(instance, params)) for instance in corpus]
 
 
 def test_tune_matches_evaluate_outside_a_pass(corpus):
@@ -133,7 +135,7 @@ def test_tune_matches_evaluate_outside_a_pass(corpus):
     gold = gold_view(corpus)
     for trial in result.trials:
         params = PolicyParams(**trial["params"])
-        outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in corpus}
+        outputs = {i.utterance_id: decide(i, params)[0] for i in corpus}
         report = evaluate(gold, outputs)
         assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
 
@@ -170,7 +172,7 @@ def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
     runs = []
     for params in (PolicyParams(), PolicyParams(tau_irr=0.3, rho=0.4, rho_s=0.6, l_max=3)):
         for gold, view in golds:
-            outputs = {i.utterance_id: predict(i, parse_rule(i.rule_text), params).output for i in gold}
+            outputs = {i.utterance_id: decide(i, params)[0] for i in gold}
             runs.append((gold, view, outputs))
     outside = [evaluate(gold_view(gold), outputs).to_dict() for gold, _, outputs in runs]
     with corpus_pass():

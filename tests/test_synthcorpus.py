@@ -5,9 +5,11 @@ import os
 
 import pytest
 
-from sharctool.corpus import ClassLabel, derive_label, instance_to_record, load_corpus, write_corpus
+from sharctool.corpus import ClassLabel, derive_label, load_corpus, write_corpus
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import DEV_SPEC, TRAIN_SPEC, SplitSpec, generate_split
+
+from reference import instance_to_record
 
 TOY_SPEC = SplitSpec(
     name="toy",
