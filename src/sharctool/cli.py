@@ -30,7 +30,7 @@ from .baseline import PolicyParams, load_params, load_predictions, predict_corpu
 from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
                      write_json, write_jsonl)
 from .evaluate import evaluate, gold_view, render_report
-from .markers import BASIC_STOPWORDS, annotate_corpus
+from .markers import BASIC_STOPWORDS, annotate_corpus, write_markers
 from .probe import probe_corpus
 from .ruleparse import DEFAULT_CUES, load_cues
 
@@ -280,26 +280,20 @@ def _cmd_augment(args: argparse.Namespace) -> int:
                 compute)
 
 
-# markers.jsonl keeps its own encoding, not dumps_record's: non-ASCII kept,
-# default separators, keys in insertion order.
-_ANNOTATION_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def _cmd_annotate(args: argparse.Namespace) -> int:
     stopwords = BASIC_STOPWORDS if args.stopwords == "basic" else frozenset()
 
-    def write(annotations):
-        write_jsonl(args.out, (a.to_record() for a in annotations), _ANNOTATION_ENCODER.encode)
-
     def compute(corpus):
-        _, stats = annotate_corpus(corpus, use_normalized=not args.raw_tokens, stopwords=stopwords, sink=write)
+        _, stats = annotate_corpus(corpus, use_normalized=not args.raw_tokens, stopwords=stopwords,
+                                   sink=lambda rows: write_markers(args.out, rows))
         coverage = stats.span_coverage
         lines = [
             f"annotated {stats.instances} instances -> {Path(args.out)}",
             f"  gold-span coverage on More: {'n/a' if coverage is None else f'{100 * coverage:.2f}%'}",
         ]
-        if stats.flag_counts:
-            lines.append(f"  flags: {dict(sorted(stats.flag_counts.items()))}")
+        flagged = stats.more_instances - stats.more_with_span
+        if flagged:
+            lines.append(f"  flags: {dict(empty_gold_span=flagged)}")
         return "\n".join(lines)
 
     return _run(args, {"stopwords": args.stopwords, "raw_tokens": args.raw_tokens},

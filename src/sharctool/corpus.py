@@ -360,12 +360,26 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
     )
 
 
+# Only a text with the \u escape of a UTF-16 surrogate can decode to a string
+# that UTF-8 cannot encode. _escapes matches each escape whole and in turn: a
+# surrogate pair, a lone surrogate (group 1), or any other escape.
+_surrogate_escape = re.compile(rb"\\u[dD][89a-fA-F]").search
+_escapes = re.compile(r"\\(?:u[dD][89abAB][\da-fA-F]{2}\\u[dD][c-fC-F][\da-fA-F]{2}|(u[dD][89a-fA-F][\da-fA-F]{2})|.)")
+
+
 def _decode(data: bytes, path: str | Path, lineno: int) -> str:
+    """``data`` as text; ``CorpusError`` naming ``<path>:<line>`` for a byte not UTF-8 or a lone surrogate."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno += data.count(b"\n", 0, exc.start)
         raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc}") from None
+    if _surrogate_escape(data):
+        for escape in _escapes.finditer(text):
+            if escape[1]:
+                lineno += text.count("\n", 0, escape.start())
+                raise CorpusError(f"{path}:{lineno}: lone surrogate escape \\{escape[1]}, which UTF-8 cannot encode")
+    return text
 
 
 def _loads(text: str, path: str | Path, lineno: Optional[int] = None) -> object:
@@ -378,9 +392,8 @@ def _loads(text: str, path: str | Path, lineno: Optional[int] = None) -> object:
         raise CorpusError(f"{where}: invalid JSON: {exc}") from exc
 
 
-# What json.loads runs for one document: the C scanner between JSON whitespace.
+# What json.loads runs for one document: the C scanner, then only JSON whitespace to the end.
 _scan_once = json.JSONDecoder().scan_once
-_whitespace = json.decoder.WHITESPACE.match
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
@@ -389,18 +402,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     Lines are read one at a time, so no more than one undecoded line is held.
     They end at a newline only: the writers emit U+0085, U+2028 and U+2029
     raw inside strings, where ``str.splitlines`` would cut a record in two.
-    A line that is not UTF-8 or not JSON raises ``CorpusError`` naming
-    ``<path>:<line>``. Each line goes straight to the decoder's C scanner;
-    a blank line, trailing data and every scanner failure take the
-    :func:`_loads` path, so what is skipped and each error's text are
-    exactly ``json.loads``'s.
+    A line that is not UTF-8, escapes a lone surrogate or is not JSON raises
+    ``CorpusError`` naming ``<path>:<line>``. Each line goes straight to the
+    decoder's C scanner; leading whitespace, a blank line, trailing data and
+    every scanner failure take the :func:`_loads` path, so what is skipped
+    and each error's text are exactly ``json.loads``'s.
     """
-    with open(path, "rb") as lines:
+    with open(path, "rb", buffering=1 << 16) as lines:  # 64 KiB reads, not the block size (often 4 KiB)
         for lineno, raw in enumerate(lines, start=1):
             line = _decode(raw, path, lineno)
             try:
-                value, end = _scan_once(line, _whitespace(line).end())
-                if _whitespace(line, end).end() == len(line):
+                value, end = _scan_once(line, 0)
+                if not line[end:].strip(" \t\n\r"):
                     yield lineno, value
                     continue
             except (StopIteration, ValueError, RecursionError):

@@ -10,30 +10,32 @@ utterance's tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, pass_memo, tokenize
+from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, pass_memo, tokenize, write_jsonl
 
 __all__ = [
     "AnnotationStats",
     "BASIC_STOPWORDS",
     "MARKER_PHI",
-    "MarkerAnnotation",
     "annotate_corpus",
     "annotate_history",
-    "annotate_scenario",
     "content_words",
     "coverage",
     "extract_gold_span",
     "jaccard",
     "lcs_match",
     "lcs_pairs",
+    "write_markers",
 ]
 
 MARKER_PHI = "Phi"
 
 _T = TypeVar("_T")
+_Row = tuple[str, tuple[str, ...], list[str], list[int], list[str], Optional[tuple[int, int]], bool]
 
 # Function words. Matching drops them only in the optional stopword-excluded
 # mode (the default matches everything); content_words always leaves them
@@ -159,21 +161,6 @@ def annotate_history(
     return markers, turns
 
 
-def annotate_scenario(
-    rule: TokenizedText,
-    evidence: Sequence[DialogTurn],
-    *,
-    use_normalized: bool = True,
-    stopwords: frozenset[str] = frozenset(),
-) -> list[str]:
-    """Three-class evidence labels per rule token (Yes / No / Phi).
-
-    The marker row of :func:`annotate_history` applied to the evidence turns
-    behind the scenario.
-    """
-    return annotate_history(rule, evidence, use_normalized=use_normalized, stopwords=stopwords)[0]
-
-
 def extract_gold_span(
     rule: TokenizedText,
     gold_followup: str,
@@ -192,36 +179,10 @@ def extract_gold_span(
 
 
 @dataclass
-class MarkerAnnotation:
-    """Parallel per-token label arrays for one instance."""
-
-    utterance_id: str
-    tokens: tuple[str, ...]
-    history_marker: list[str]
-    turn_index: list[int]
-    scenario_marker: list[str]
-    gold_span: Optional[tuple[int, int]] = None
-    flags: list[str] = field(default_factory=list)
-
-    def to_record(self) -> dict:
-        return {
-            "utterance_id": self.utterance_id,
-            "tokens": self.tokens,
-            "history_marker": self.history_marker,
-            "turn_index": self.turn_index,
-            "scenario_marker": self.scenario_marker,
-            "gold_span": list(self.gold_span) if self.gold_span is not None else None,
-            "flags": self.flags,
-            "scenario_marker_source": "gold-evidence",
-        }
-
-
-@dataclass
 class AnnotationStats:
     instances: int = 0
     more_instances: int = 0
-    more_with_span: int = 0
-    flag_counts: dict[str, int] = field(default_factory=dict)
+    more_with_span: int = 0  # the rest of more_instances are flagged empty_gold_span
 
     @property
     def span_coverage(self) -> Optional[float]:
@@ -236,47 +197,59 @@ def annotate_corpus(
     *,
     use_normalized: bool = True,
     stopwords: frozenset[str] = frozenset(),
-    sink: Callable[[Iterator[MarkerAnnotation]], _T] = list,
+    sink: Callable[[Iterator[_Row]], _T] = list,
 ) -> tuple[_T, AnnotationStats]:
-    """Run all three annotators over a corpus; return ``(sink(annotations), stats)``.
+    """Annotate each instance of a corpus; return ``(sink(rows), stats)``.
 
+    Each instance gives one row, ``(utterance_id, rule surfaces, history
+    markers, turn indices, scenario markers, gold span or None, flagged)``.
     Gold spans are extracted only for More-labeled instances (the gold answer
-    is a follow-up question there); instances whose span comes back empty are
-    flagged rather than dropped. The annotations reach ``sink`` as an
-    iterator, one instance at a time and inside one corpus pass, so a
-    streamed corpus and a sink that writes them hold no more than one
-    instance and its annotation; ``stats`` is complete once the iterator is
-    used up.
+    is a follow-up question there); one whose span comes back empty is
+    flagged rather than dropped. The rows reach ``sink`` as an iterator, one
+    instance at a time and inside one corpus pass, so a streamed corpus and a
+    sink that writes them hold no more than one instance and its row;
+    ``stats`` is complete once the iterator is used up.
     """
     stats = AnnotationStats()
     mode = {"use_normalized": use_normalized, "stopwords": stopwords}
 
-    def annotations() -> Iterator[MarkerAnnotation]:
+    def rows() -> Iterator[_Row]:
         for instance in corpus:
             rule = tokenize(instance.rule_text)
             history_marker, turn_index = annotate_history(rule, instance.history, **mode)
-            scenario_marker = annotate_scenario(rule, instance.evidence, **mode)
-            gold_span = None
-            flags: list[str] = []
-            if instance.label is ClassLabel.MORE:
-                stats.more_instances += 1
-                gold_span = extract_gold_span(rule, instance.gold_answer, **mode)
-                if gold_span is None:
-                    flags.append("empty_gold_span")
-                else:
-                    stats.more_with_span += 1
-            for flag in flags:
-                stats.flag_counts[flag] = stats.flag_counts.get(flag, 0) + 1
+            scenario_marker = annotate_history(rule, instance.evidence, **mode)[0]
+            more = instance.label is ClassLabel.MORE
+            gold_span = extract_gold_span(rule, instance.gold_answer, **mode) if more else None
             stats.instances += 1
-            yield MarkerAnnotation(
-                utterance_id=instance.utterance_id,
-                tokens=rule.surfaces,
-                history_marker=history_marker,
-                turn_index=turn_index,
-                scenario_marker=scenario_marker,
-                gold_span=gold_span,
-                flags=flags,
-            )
+            stats.more_instances += more
+            stats.more_with_span += gold_span is not None
+            yield (instance.utterance_id, rule.surfaces, history_marker, turn_index, scenario_marker, gold_span,
+                   more and gold_span is None)
 
     with corpus_pass():
-        return sink(annotations()), stats
+        return sink(rows()), stats
+
+
+def _strings(values: Iterable[str]) -> str:
+    return ", ".join(map(encode_basestring, values))
+
+
+def _encode_row(row: _Row) -> str:
+    utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
+    span = "null" if gold_span is None else f"[{gold_span[0]}, {gold_span[1]}]"
+    flags = '"empty_gold_span"' if flagged else ""
+    return (
+        f'{{"utterance_id": {encode_basestring(utterance_id)}, "tokens": [{_strings(tokens)}], '
+        f'"history_marker": [{_strings(history_marker)}], "turn_index": [{", ".join(map(str, turn_index))}], '
+        f'"scenario_marker": [{_strings(scenario_marker)}], "gold_span": {span}, '
+        f'"flags": [{flags}], "scenario_marker_source": "gold-evidence"}}'
+    )
+
+
+def write_markers(path: str | Path, rows: Iterable[_Row]) -> None:
+    """Write each row of :func:`annotate_corpus` as one ``markers.jsonl`` line, atomically.
+
+    A line is ``json.dumps(record, ensure_ascii=False)`` of the record that
+    :func:`_encode_row` lays out, keys in its order.
+    """
+    write_jsonl(path, rows, _encode_row)

@@ -2,8 +2,10 @@
 
 ``corpus.record_encoder`` and ``augment.write_augmented`` lay out each line
 without building a dict; ``dumps_record`` of the dicts below must give the
-same line. ``baseline.predict_corpus`` decides inside one corpus pass;
-:func:`decide` decides one instance outside any pass.
+same line, and ``markers.write_markers`` must give ``json.dumps(record,
+ensure_ascii=False)`` of :func:`markers_record`. ``baseline.predict_corpus``
+decides inside one corpus pass; :func:`decide` decides one instance outside
+any pass.
 """
 
 from typing import Optional
@@ -47,3 +49,18 @@ def decide(instance: Instance, params: PolicyParams = PolicyParams()) -> tuple[s
     """The policy's ``(output, asked ordinal or None, step fired)`` for one instance, its rule text planned anew."""
     text = instance.rule_text
     return baseline._decide(baseline._features(instance, baseline._plan(text, parse_rule(text))), params)
+
+
+def markers_record(row: tuple) -> dict:
+    """A row of ``markers.annotate_corpus`` as its ``markers.jsonl`` record, keys in line order."""
+    utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
+    return {
+        "utterance_id": utterance_id,
+        "tokens": tokens,
+        "history_marker": history_marker,
+        "turn_index": turn_index,
+        "scenario_marker": scenario_marker,
+        "gold_span": list(gold_span) if gold_span is not None else None,
+        "flags": ["empty_gold_span"] if flagged else [],
+        "scenario_marker_source": "gold-evidence",
+    }

@@ -228,6 +228,24 @@ def test_annotate_emits_one_record_per_instance(corpus_file, tmp_path, capsys):
     assert "gold-span coverage" in capsys.readouterr().out
 
 
+def test_annotate_prints_the_flagged_count(tmp_path, capsys, make_instance):
+    rule = "You qualify if you are over 60."
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "markers.jsonl"
+    write_corpus(corpus, [
+        make_instance(utterance_id="m-1", rule_text=rule, gold_answer="Are you over 60?"),
+        make_instance(utterance_id="m-2", rule_text=rule, gold_answer="Any zebras nearby?"),  # shares no token
+        make_instance(utterance_id="y-1", rule_text=rule, gold_answer="Yes"),
+    ])
+    assert main(["annotate", "--in", str(corpus), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"annotated 3 instances -> {out}\n"
+        "  gold-span coverage on More: 50.00%\n"
+        "  flags: {'empty_gold_span': 1}\n"
+    )
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["gold_span"], r["flags"]) for r in records] == [([0, 6], []), (None, ["empty_gold_span"]), (None, [])]
+
+
 # --------------------------------------------------------------------------
 # baseline / tune / evaluate / report
 # --------------------------------------------------------------------------

@@ -32,10 +32,11 @@ from sharctool.corpus import (
     write_jsonl,
 )
 from sharctool.evaluate import evaluate, gold_view
+from sharctool.markers import MARKER_PHI, write_markers
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
 
-from reference import augmented_to_record, instance_to_record
+from reference import augmented_to_record, instance_to_record, markers_record
 
 
 def _record(**overrides):
@@ -191,6 +192,70 @@ def test_invalid_utf8_line_names_the_path_and_line(tmp_path, capsys, kind):
     }[kind]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}:3: {_NOT_UTF8}\n"
+
+
+# json.dumps escapes every character outside ASCII, so a lone surrogate
+# reaches the file as the escape \ud800, which the decoder accepts.
+@pytest.mark.parametrize("layout", ["jsonl", "list"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["validate", "--strict"], ["validate", "--out", "{out}"], ["probe", "--out", "{out}"],
+     ["annotate", "--out", "{out}"], ["baseline", "--out", "{out}"]],
+    ids=["validate-lenient", "validate-strict", "validate-out", "probe", "annotate", "baseline"],
+)
+def test_a_lone_surrogate_is_one_error_line_naming_the_path_and_line(tmp_path, capsys, argv, layout):
+    records = [_record(), _record(utterance_id="u-2", scenario="I am \ud800 over 60.")]
+    path, out = tmp_path / f"bad.{layout}", tmp_path / "out.json"
+    if layout == "jsonl":
+        text = "".join(json.dumps(record) + "\n" for record in records)
+    else:
+        text = json.dumps(records, indent=1)
+    path.write_text(text, encoding="utf-8")
+    line = text[:text.index("\\ud800")].count("\n") + 1
+    assert line == 2 if layout == "jsonl" else line > 2
+    assert main([argv[0], "--in", str(path), *(arg.format(out=out) for arg in argv[1:])]) == 1
+    message = f"error: {path}:{line}: lone surrogate escape \\ud800, which UTF-8 cannot encode\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        (r'{"a": "\ud800"}', r"\ud800"),
+        (r'{"a": ["x", "\uDC00y"]}', r"\uDC00"),
+        (r'{"a": "\ude00\ud83d"}', r"\ude00"),  # a low surrogate before its high one pairs with nothing
+        (r'{"a": "\ud83d\ud83d\ude00"}', r"\ud83d"),  # two high ones: the second takes the low one
+        (r'{"a": "\\\udbff"}', r"\udbff"),  # an escaped backslash, then the lone escape
+        (r'{"\udbff": 1}', r"\udbff"),
+        (r'{"a": "\ud83d\ude00", "b": "\uD83D\uDE00"}', None),
+        (r'{"a": "\\ud800"}', None),  # an escaped backslash, then the letters ud800
+    ],
+    ids=["high", "low-in-list", "reversed-pair", "two-highs", "after-backslash", "key", "pair", "escaped-backslash"],
+)
+def test_read_jsonl_refuses_only_a_lone_surrogate(tmp_path, text, refused):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(f'{{"b": 2}}\n{text}\n', encoding="utf-8")
+    if refused is None:
+        assert [value for _, value in read_jsonl(path)] == [{"b": 2}, json.loads(text)]
+    else:
+        with pytest.raises(CorpusError) as raised:
+            list(read_jsonl(path))
+        assert str(raised.value) == f"{path}:2: lone surrogate escape {refused}, which UTF-8 cannot encode"
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "list"])
+def test_an_escaped_surrogate_pair_round_trips(tmp_path, layout):
+    records = [_record(scenario="I am over 60 \U0001f600", history=[_turn("Over 60 \U0001f600?")])]
+    path, first, second = tmp_path / f"pair.{layout}", tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    text = json.dumps(records[0]) + "\n" if layout == "jsonl" else json.dumps(records)
+    assert "\\ud83d\\ude00" in text
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--strict", "--in", str(path), "--out", str(first)]) == 0
+    assert main(["validate", "--strict", "--in", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert "\U0001f600" in first.read_text(encoding="utf-8")
+    assert [instance_to_record(i) for i in load_corpus(first)] == [instance_to_record(i) for i in load_corpus(path)]
 
 
 def test_lenient_audit_counts_and_reasons(tmp_path):
@@ -729,6 +794,30 @@ def test_each_written_prediction_line_is_dumps_record_of_its_record(tmp_path_fac
     path = tmp_path_factory.mktemp("predictions") / "pred.jsonl"
     write_predictions(path, rows)
     lines = [dumps_record({"utterance_id": utterance_id, "answer": output}) for utterance_id, output, _, _ in rows]
+    assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
+
+
+@st.composite
+def _marker_rows(draw):
+    token = _shared(draw, _text)
+    rows = []
+    for utterance_id in draw(st.lists(_text, max_size=4)):
+        tokens = tuple(draw(st.lists(token, max_size=6)))
+        per_token = st.lists(st.sampled_from([MARKER_PHI, "Yes", "No"]) | _text,
+                             min_size=len(tokens), max_size=len(tokens))
+        turns = st.lists(st.integers(0, 12), min_size=len(tokens), max_size=len(tokens))
+        span = st.none() | st.tuples(st.integers(0, 99), st.integers(0, 99))
+        rows.append((utterance_id, tokens, draw(per_token), draw(turns), draw(per_token), draw(span),
+                     draw(st.booleans())))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_marker_rows())
+def test_each_written_marker_line_is_dumps_of_its_record(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("markers") / "markers.jsonl"
+    write_markers(path, rows)
+    lines = [json.dumps(markers_record(row), ensure_ascii=False) for row in rows]
     assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
 
 

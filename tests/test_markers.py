@@ -11,7 +11,6 @@ from sharctool.markers import (
     MARKER_PHI,
     annotate_corpus,
     annotate_history,
-    annotate_scenario,
     content_words,
     coverage,
     extract_gold_span,
@@ -195,15 +194,6 @@ def test_matchable_equals_the_reference_in_every_mode(text):
     assert content_words(tokenized) == set(tokenized.matchable(True, BASIC_STOPWORDS)[1])
 
 
-@given(_TEXTS, st.lists(st.tuples(_TEXTS, st.sampled_from(["Yes", "No"])), max_size=4), st.sampled_from(_MODES))
-def test_annotate_scenario_is_the_marker_row_of_annotate_history(rule_text, specs, mode):
-    rule = tokenize(rule_text)
-    evidence = [DialogTurn(follow_up_question=q, follow_up_answer=a) for q, a in specs]
-    use_normalized, stopwords = mode
-    kwargs = {"use_normalized": use_normalized, "stopwords": stopwords}
-    assert annotate_scenario(rule, evidence, **kwargs) == annotate_history(rule, evidence, **kwargs)[0]
-
-
 def test_matchable_is_built_once_per_object_and_mode():
     text = tokenize("## Rules\n* You can't be over 60.")
     projections = {mode: text.matchable(*mode) for mode in _MODES}
@@ -275,10 +265,12 @@ def test_annotate_history_phi_iff_turn_zero(question_specs):
             assert marker == history[turn_number - 1].follow_up_answer
 
 
-def test_annotate_scenario(turn):
-    evidence = _turns(turn, ("Are you over 60?", "Yes"))
-    markers = annotate_scenario(RULE, evidence, stopwords=BASIC_STOPWORDS)
-    by_surface = dict(zip(RULE.surfaces, markers))
+def test_annotate_scenario(make_instance, turn):
+    # the scenario markers of a row come from the evidence turns, not the history
+    instance = make_instance(rule_text=RULE.text, history=_turns(turn, ("Do you live in England?", "No")),
+                             evidence=_turns(turn, ("Are you over 60?", "Yes")))
+    [row], _ = annotate_corpus([instance], stopwords=BASIC_STOPWORDS)
+    by_surface = dict(zip(RULE.surfaces, row[4]))
     assert by_surface["over"] == "Yes"
     assert by_surface["60"] == "Yes"
     assert by_surface["live"] == MARKER_PHI
@@ -311,22 +303,19 @@ def test_annotate_corpus_records_and_stats(make_instance, turn):
         make_instance(utterance_id="m-2", rule_text=RULE.text, gold_answer="Any zebras nearby?"),
         make_instance(utterance_id="y-1", rule_text=RULE.text, gold_answer="Yes"),
     ]
-    annotations, stats = annotate_corpus(corpus, stopwords=BASIC_STOPWORDS)
+    rows, stats = annotate_corpus(corpus, stopwords=BASIC_STOPWORDS)
 
     assert stats.instances == 3
     assert stats.more_instances == 2
     assert stats.more_with_span == 1
     assert stats.span_coverage == 0.5
-    assert stats.flag_counts == {"empty_gold_span": 1}
 
-    first = annotations[0].to_record()
-    assert first["utterance_id"] == "m-1"
-    assert first["tokens"] == RULE.surfaces
-    assert first["gold_span"] is not None and len(first["gold_span"]) == 2
-    assert first["scenario_marker_source"] == "gold-evidence"
-    assert annotations[1].flags == ["empty_gold_span"]
-    assert annotations[1].gold_span is None
-    assert annotations[2].gold_span is None  # Yes-labeled: no span extraction
+    first = rows[0]
+    assert first[:2] == ("m-1", RULE.surfaces)
+    assert first[5] == (RULE.surfaces.index("live"), RULE.surfaces.index("England"))
+    assert first[6] is False
+    assert rows[1][5:] == (None, True)  # More with an empty span: flagged
+    assert rows[2][5:] == (None, False)  # Yes-labeled: no span extraction, no flag
     assert corpus[2].label is ClassLabel.YES
 
 
@@ -343,9 +332,9 @@ def test_annotate_corpus_hands_each_annotation_to_the_sink_as_it_is_made(make_in
 
     received = []
 
-    def sink(annotations):
-        for annotation in annotations:
-            received.append(annotation.utterance_id)
+    def sink(rows):
+        for row in rows:
+            received.append(row[0])
 
     with pytest.raises(CorpusError, match="record 3"):
         annotate_corpus(corpus(), sink=sink)
@@ -353,9 +342,9 @@ def test_annotate_corpus_hands_each_annotation_to_the_sink_as_it_is_made(make_in
 
 
 def test_annotate_corpus_returns_what_the_sink_returns_with_complete_stats(make_instance):
-    def count_inside_the_pass(annotations):
+    def count_inside_the_pass(rows):
         assert pass_memo("tokenize") is not None
-        return sum(1 for _ in annotations)
+        return sum(1 for _ in rows)
 
     corpus = [make_instance(utterance_id=f"u-{i}", gold_answer=answer) for i, answer in enumerate(["Yes", "Why?"])]
     counted, stats = annotate_corpus(iter(corpus), sink=count_inside_the_pass)

@@ -11,7 +11,6 @@ from sharctool.markers import (
     BASIC_STOPWORDS,
     annotate_corpus,
     annotate_history,
-    annotate_scenario,
     extract_gold_span,
     lcs_match,
 )
@@ -110,15 +109,17 @@ def test_lcs_modes_do_not_share_entries():
     "mode", [{}, {"use_normalized": False}, {"stopwords": BASIC_STOPWORDS}], ids=["default", "raw", "stopwords"]
 )
 def test_annotate_corpus_matches_per_instance_annotators(corpus, mode):
-    annotations, _ = annotate_corpus(corpus, **mode)
+    rows, _ = annotate_corpus(corpus, **mode)
     assert _memo_is_empty()
-    for instance, annotation in zip(corpus, annotations, strict=True):
+    for instance, row in zip(corpus, rows, strict=True):
+        utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
         rule = tokenize(instance.rule_text)
-        assert annotation.tokens == rule.surfaces
-        assert (annotation.history_marker, annotation.turn_index) == annotate_history(rule, instance.history, **mode)
-        assert annotation.scenario_marker == annotate_scenario(rule, instance.evidence, **mode)
-        if instance.label is ClassLabel.MORE:
-            assert annotation.gold_span == extract_gold_span(rule, instance.gold_answer, **mode)
+        assert (utterance_id, tokens) == (instance.utterance_id, rule.surfaces)
+        assert (history_marker, turn_index) == annotate_history(rule, instance.history, **mode)
+        assert scenario_marker == annotate_history(rule, instance.evidence, **mode)[0]
+        more = instance.label is ClassLabel.MORE
+        assert gold_span == (extract_gold_span(rule, instance.gold_answer, **mode) if more else None)
+        assert flagged == (more and gold_span is None)
 
 
 def test_predict_corpus_matches_deciding_each_instance_alone(corpus):
