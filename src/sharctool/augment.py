@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import random
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -221,9 +221,6 @@ class AugmentManifest:
     provenance_counts: dict[str, int]
     duplicates_dropped: int
     original_duplicates_dropped: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _stream(seed: int, purpose: str, parent_id: str) -> random.Random:

@@ -57,9 +57,6 @@ class PolicyParams:
     rho_s: float = 0.6  # scenario coverage at which a clause counts as resolved (1.01 disables)
     l_max: int = 5  # stop asking follow-ups once the history reaches this many turns
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # --------------------------------------------------------------------------
 # Follow-up templating
@@ -248,9 +245,6 @@ class TuneResult:
     instance_count: int
     trials: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def tune(
     corpus: Iterable[Instance],
@@ -288,7 +282,7 @@ def tune(
             outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
             report = evaluate(gold, outputs)
             score = report.combined if report.combined is not None else -1.0
-            trials.append({"params": params.to_dict(), "combined": score, "micro": report.micro_accuracy})
+            trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:
                 best = params
                 best_score = score
@@ -346,7 +340,7 @@ def load_params(path: str | Path) -> PolicyParams:
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: parameter file is not a JSON object")
-    known = PolicyParams().to_dict()
+    known = asdict(PolicyParams())
     for key, value in data.items():
         if key not in known:
             raise ValueError(f"{path}: unknown parameter {key!r} (want one of {', '.join(known)})")

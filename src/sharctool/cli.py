@@ -21,6 +21,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -130,6 +131,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             side = [load(index) for index in range(1, len(inputs))]
             summary = compute(load(0), *side)
             computed = time.perf_counter()
+            _check_printable(summary)
             commit()
         committed = time.perf_counter()
     finally:
@@ -155,6 +157,26 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         })
     print(summary)
     return 0
+
+
+def _check_printable(summary: str) -> None:
+    """Raise ``ValueError`` if stdout's codec cannot encode ``summary`` (a strict one and an output path that is
+    not UTF-8); ``_run`` asks before its commit, so a summary that cannot print leaves every file as it was."""
+    encoding = getattr(sys.stdout, "encoding", None)  # None for an in-memory stream, which takes any str
+    if encoding:
+        try:
+            summary.encode(encoding, sys.stdout.errors or "strict")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"stdout cannot print the summary: {exc}") from None
+
+
+def _utf8(text: str) -> str:
+    """The argparse type of ``--split-name``, which the probe report records: text UTF-8 can encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text") from None
+    return text
 
 
 def _int_at_least(minimum: int, maximum: float = math.inf):
@@ -236,7 +258,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     def compute(corpus):
         report = probe_corpus(corpus, split_name=args.split_name, min_support=args.min_support)
-        write_json(args.out, report.to_dict())
+        write_json(args.out, asdict(report))
         dist = report.class_distribution
         agreement = report.last_followup_agreement.percent
         return "\n".join([
@@ -265,7 +287,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     def compute(corpus):
         augmented, build = build_augmented_corpus(corpus, config)
         write_augmented(args.out, augmented)
-        write_json(build_path, build.to_dict())
+        write_json(build_path, asdict(build))
         lines = [f"augmented corpus: {build.achieved_total} instances -> {Path(args.out)}"]
         lines += [f"  {label}: {pct:.2f}%" for label, pct in build.achieved_marginals.items()]
         shortfalls = {k: v for k, v in build.shortfalls.items() if v}
@@ -305,7 +327,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
     def compute(corpus, params, cues):
         params = params or PolicyParams()
-        config["params"] = params.to_dict()
+        config["params"] = asdict(params)
         _, steps = predict_corpus(corpus, params, cues or DEFAULT_CUES,
                                   sink=lambda rows: write_predictions(args.out, rows))
         fired = {str(step): count for step, count in sorted(steps.items())}
@@ -320,11 +342,11 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     def compute(corpus, cues):
         result = tune(corpus, cues=cues or DEFAULT_CUES)
-        write_json(args.out, result.best_params.to_dict())
+        write_json(args.out, asdict(result.best_params))
         if args.trials:
-            write_json(args.trials, result.to_dict())
+            write_json(args.trials, asdict(result))
         return (f"tuned on {result.instance_count} instances over {len(result.trials)} grid points\n"
-                f"  best combined: {result.best_combined:.2f} with {result.best_params.to_dict()}")
+                f"  best combined: {result.best_combined:.2f} with {asdict(result.best_params)}")
 
     return _run(args, {"grid": "default"},
                 [("--in", args.infile, iter_corpus), ("--cues", args.cues, load_cues)],
@@ -334,7 +356,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     def compute(gold, predictions):
         report = evaluate(gold, predictions, sentence_average_bleu=args.sentence_bleu)
-        write_json(args.out, report.to_dict())
+        write_json(args.out, asdict(report))
         return render_report(report, title=Path(args.gold).name)
 
     return _run(args, {"sentence_bleu": args.sentence_bleu},
@@ -429,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("probe", _cmd_probe, "measure class balance and shortcut statistics")
     p.add_argument("--out", required=True)
-    p.add_argument("--split-name", default="")
+    p.add_argument("--split-name", type=_utf8, default="")
     p.add_argument("--min-support", type=_int_at_least(0), default=30)
 
     p = command("augment", _cmd_augment, "rebalance the corpus toward target marginals")

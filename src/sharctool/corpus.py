@@ -16,7 +16,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -276,9 +276,6 @@ class LoadAudit:
     def note(self, reason: str) -> None:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "reasons": dict(sorted(self.reasons.items()))}
-
 
 _REQUIRED_STRING_FIELDS = ("utterance_id", "tree_id", "snippet", "question", "scenario", "answer")
 _ANSWER_WORDS = {"yes": "Yes", "no": "No"}
@@ -430,7 +427,7 @@ def _read_records(path: Path) -> Iterable:
             head = chunk.lstrip()
     if not head.startswith(b"["):
         return (record for _, record in read_jsonl(path))
-    records = _loads(_decode(path.read_bytes(), path, 1), path)
+    records = read_json(path)
     if not isinstance(records, list):
         raise CorpusError(f"{path}: top-level JSON value is not a list")
     return records
@@ -606,12 +603,9 @@ def write_json(path: str | Path, document: object) -> None:
 
 
 def read_json(path: str | Path) -> object:
-    """The one JSON document in ``path``; ``CorpusError`` naming the path if it is not UTF-8 or not JSON."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    return _loads(text, path)
+    """The one JSON document in ``path``; ``CorpusError`` naming ``<path>:<line>`` for a byte not UTF-8 or a
+    lone surrogate escape, and ``<path>`` if it is not JSON."""
+    return _loads(_decode(Path(path).read_bytes(), path, 1), path)
 
 
 def write_corpus(path: str | Path, instances: Iterable[Instance]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
@@ -239,9 +239,6 @@ class EvalReport:
     combined: Optional[float]
     bleu_instance_count: int
     confusion: dict[str, dict[str, int]]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .corpus import ClassLabel, Instance
@@ -185,13 +185,6 @@ class ProbeReport:
     followup_rate_spearman: Optional[float]
     min_support: int = 30
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        report = asdict(self)
-        report["class_distribution"] = {label.value: pct for label, pct in self.class_distribution.items()}
-        report["class_counts"] = {label.value: n for label, n in self.class_counts.items()}
-        report["followup_rate_by_turn"] = {str(k): rate for k, rate in report["followup_rate_by_turn"].items()}
-        return report
 
 
 def probe_corpus(corpus: Iterable[Instance], split_name: str = "", *, min_support: int = 30) -> ProbeReport:

@@ -130,6 +130,16 @@ def test_an_expect_digest_that_is_no_sha256_exits_2_naming_the_flag(corpus_file,
     assert not out.exists()
 
 
+def test_a_split_name_utf8_cannot_encode_exits_2_naming_the_flag(corpus_file, tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["probe", "--in", str(corpus_file), "--out", str(out), "--split-name", "\udcff"])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["sharctool probe: error: argument --split-name: '\\udcff' is not UTF-8 text"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_expect_digest_takes_the_digest_in_upper_case(corpus_file, tmp_path):
     out = tmp_path / "probe.json"
     upper = _sha256(corpus_file).upper()
@@ -181,6 +191,19 @@ def test_augment_writes_build_manifest(corpus_file, tmp_path, capsys):
     run_manifest = json.loads((tmp_path / "aug.jsonl.manifest.json").read_text())
     assert str(build) in run_manifest["output_digests"]
     assert "augmented corpus:" in capsys.readouterr().out
+
+
+def test_augment_prints_the_classes_it_could_not_fill(corpus_file, tmp_path, capsys):
+    out = tmp_path / "aug.jsonl"
+    assert main(["augment", "--in", str(corpus_file), "--seed", "13", "--total", "300", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"augmented corpus: 242 instances -> {out}\n"
+        "  Yes: 25.62%\n"
+        "  No: 29.34%\n"
+        "  Irrelevant: 27.69%\n"
+        "  More: 17.36%\n"
+        "  shortfalls: {'Yes': 19, 'No': 13, 'More': 25}\n"
+    )
 
 
 def test_augment_rejects_incomplete_targets(corpus_file, tmp_path, capsys):
@@ -395,6 +418,21 @@ def test_out_pointing_at_a_directory_is_one_error_line(corpus_file, tmp_path, ca
     assert "Is a directory" in _one_error_line(capsys)
 
 
+def test_a_summary_stdout_cannot_print_fails_before_the_commit(corpus_file, tmp_path, capsys, monkeypatch):
+    # Under a POSIX locale the argv bytes b"\xff.jsonl" reach the command as "\udcff.jsonl",
+    # which a strict UTF-8 stdout cannot print in the summary line.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out = tmp_path / "\udcff.jsonl"
+    out.write_text("old markers\n", encoding="utf-8")
+    assert main(["annotate", "--in", str(corpus_file), "--out", str(out)]) == 1
+    assert _one_error_line(capsys).startswith("error: stdout cannot print the summary: 'utf-8' codec can't encode")
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+    assert out.read_text(encoding="utf-8") == "old markers\n"
+    assert os.listdir(tmp_path) == [out.name]
+
+
 def test_failing_replace_keeps_the_old_probe_report_and_no_temp_file(corpus_file, tmp_path, capsys, monkeypatch):
     out = tmp_path / "probe.json"
     out.write_text("old report\n", encoding="utf-8")
@@ -486,8 +524,8 @@ def test_report_refuses_a_file_that_is_no_report(reports, tmp_path, capsys, side
 @pytest.mark.parametrize(
     "body,message",
     [
-        (b"\xff{}", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", ":1: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"not json", ": invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["bytes", "syntax"],
 )
@@ -496,7 +534,22 @@ def test_report_names_a_file_that_is_not_utf8_or_not_json(reports, tmp_path, cap
     bogus = tmp_path / "bogus.json"
     bogus.write_bytes(body)
     assert main(["report", "--original", str(bogus), "--augmented", str(reports["probe"])]) == 1
-    assert _one_error_line(capsys) == f"error: {bogus}: {message}\n"
+    assert _one_error_line(capsys) == f"error: {bogus}{message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--params", "--original"])
+def test_a_lone_surrogate_in_a_json_document_is_one_error_line_naming_its_line(corpus_file, reports, tmp_path, capsys,
+                                                                              flag):
+    capsys.readouterr()
+    bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
+    bad.write_text('{\n  "rho": "\\ud800"\n}\n', encoding="utf-8")
+    argv = {
+        "--params": ["baseline", "--in", str(corpus_file), "--params", str(bad)],
+        "--original": ["report", "--original", str(bad), "--augmented", str(reports["probe"])],
+    }[flag]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {bad}:2: lone surrogate escape \\ud800, which UTF-8 cannot encode\n"
+    assert not out.exists()
 
 
 # A value the decoder refuses although its syntax is fine: nesting past the
@@ -705,7 +758,7 @@ def test_a_bad_params_file_fails_before_the_corpus_is_loaded(corpus_file, tmp_pa
     params.write_bytes(b'{"rho": \xff}')
     out = tmp_path / "pred.jsonl"
     assert main(["baseline", "--in", str(corpus_file), "--params", str(params), "--out", str(out)]) == 1
-    assert _one_error_line(capsys).startswith(f"error: {params}: ")
+    assert _one_error_line(capsys).startswith(f"error: {params}:1: not valid UTF-8: ")
     assert calls == []
     assert main(["baseline", "--in", str(corpus_file), "--out", str(out)]) == 0
     assert len(calls) == 1

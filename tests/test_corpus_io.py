@@ -26,6 +26,7 @@ from sharctool.corpus import (
     iter_corpus,
     load_corpus,
     load_corpus_audited,
+    read_json,
     read_jsonl,
     write_corpus,
     write_json,
@@ -274,7 +275,7 @@ def test_lenient_audit_counts_and_reasons(tmp_path):
     assert [len(i.evidence) for i in instances] == [0, 1, 1, 0]
     assert instances[2].evidence[0].follow_up_answer == "No"
     assert instances[3].history[0].follow_up_answer == "Yes"
-    assert audit.to_dict() == {
+    assert dataclasses.asdict(audit) == {
         "records_read": 7,
         "instances_kept": 4,
         "dropped_instances": 3,
@@ -405,7 +406,7 @@ def test_write_augmented_bytes_are_pinned(tmp_path):
 def test_augment_bytes_are_pinned_where_the_fill_limits_bind(tmp_path, overrides, aug_sha, build_sha):
     items, build = build_augmented_corpus(generate_split(PIN_SPEC), AugmentConfig(seed=13, **overrides))
     write_augmented(tmp_path / "aug.jsonl", items)
-    write_json(tmp_path / "build.json", build.to_dict())
+    write_json(tmp_path / "build.json", dataclasses.asdict(build))
     assert hashlib.sha256((tmp_path / "aug.jsonl").read_bytes()).hexdigest() == aug_sha
     assert hashlib.sha256((tmp_path / "build.json").read_bytes()).hexdigest() == build_sha
 
@@ -460,10 +461,11 @@ def reports():
 
 @pytest.mark.parametrize("name", ["EvalReport", "TuneResult", "PolicyParams", "LoadAudit", "ProbeReport",
                                   "AugmentManifest"])
-def test_each_report_lists_its_fields_in_declared_order(reports, name):
+def test_each_report_lists_its_fields_in_declared_order(reports, tmp_path, name):
     report = reports[name]
     assert type(report).__name__ == name
-    assert list(report.to_dict()) == [field.name for field in dataclasses.fields(report)]
+    write_json(tmp_path / "report.json", dataclasses.asdict(report))
+    assert list(read_json(tmp_path / "report.json")) == [field.name for field in dataclasses.fields(report)]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scoring: confusion counts, accuracies, corpus BLEU, combined metric."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,7 +194,7 @@ def test_report_round_trip(tmp_path, make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
     report = evaluate(gold_view(gold), predictions)
     path = tmp_path / "report.json"
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
     payload = read_json(path)
     assert payload["micro_accuracy"] == pytest.approx(75.0)
     assert payload["confusion"]["Yes"]["Yes"] == 2
@@ -203,7 +204,7 @@ def test_report_round_trip(tmp_path, make_instance, turn):
 
 def test_a_report_takes_its_fields_by_keyword_only(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    fields = evaluate(gold_view(gold), predictions).to_dict()
+    fields = asdict(evaluate(gold_view(gold), predictions))
     assert EvalReport(**fields) == evaluate(gold_view(gold), predictions)
     with pytest.raises(TypeError):
         EvalReport(*fields.values())

@@ -1,5 +1,7 @@
 """The pass-scoped memo: same results inside a pass as outside, nothing kept after."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -175,9 +177,9 @@ def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
         for gold, view in golds:
             outputs = {i.utterance_id: decide(i, params)[0] for i in gold}
             runs.append((gold, view, outputs))
-    outside = [evaluate(gold_view(gold), outputs).to_dict() for gold, _, outputs in runs]
+    outside = [asdict(evaluate(gold_view(gold), outputs)) for gold, _, outputs in runs]
     with corpus_pass():
-        inside = [evaluate(view, outputs).to_dict() for _, view, outputs in runs]
+        inside = [asdict(evaluate(view, outputs)) for _, view, outputs in runs]
     assert inside == outside
     assert _memo_is_empty()
 

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,7 +215,7 @@ def test_probe_corpus_assembles_everything(make_instance, turn):
     assert report.instance_count == 20
     assert report.class_counts[ClassLabel.MORE] == 10
     assert report.followup_rate_spearman == pytest.approx(-1.0)
-    payload = report.to_dict()
+    payload = json.loads(json.dumps(asdict(report)))  # what probe.json holds
     assert payload["class_distribution"]["More"] == pytest.approx(50.0)
     assert payload["followup_rate_by_turn"]["0"]["total"] == 10
     assert payload["last_followup_agreement"]["denominator"] == 8
@@ -380,7 +381,7 @@ def test_every_statistic_equals_its_reference_loop(rows, min_support):
     assert report.followup_rate_by_turn == _reference_rate_by_turn(corpus)
     assert report.class_distribution == _reference_class_distribution(corpus)
     # Serialized, so the key order of probe.json is compared too.
-    assert json.dumps(report.to_dict()) == json.dumps(_reference_report(corpus, "gen", min_support))
+    assert json.dumps(asdict(report)) == json.dumps(_reference_report(corpus, "gen", min_support))
 
 
 @given(rows=_ROWS.filter(bool))
@@ -389,5 +390,5 @@ def test_a_one_shot_stream_gives_what_the_list_gives(rows):
     assert probe_corpus(instance for instance in corpus) == probe_corpus(corpus)
     # Every third prediction echoes the gold answer; the rest say Yes.
     outputs = {inst.utterance_id: inst.gold_answer if i % 3 else "Yes" for i, inst in enumerate(corpus)}
-    streamed = evaluate(gold_view(instance for instance in corpus), outputs).to_dict()
-    assert streamed == evaluate(gold_view(corpus), outputs).to_dict()
+    streamed = asdict(evaluate(gold_view(instance for instance in corpus), outputs))
+    assert streamed == asdict(evaluate(gold_view(corpus), outputs))
