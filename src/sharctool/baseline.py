@@ -29,7 +29,7 @@ from .corpus import (
     tokenize,
     write_jsonl,
 )
-from .evaluate import evaluate, gold_view
+from .evaluate import GoldView, evaluate
 from .markers import content_words, coverage, jaccard
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
 
@@ -246,6 +246,29 @@ class TuneResult:
     trials: list[dict] = field(default_factory=list)
 
 
+def _grid_outputs(points: Sequence[PolicyParams]) -> Callable[[_Features], tuple[str, ...]]:
+    """A function giving ``_decide(features, point)[0]`` for each of ``points``, in order.
+
+    ``_decide`` reads ``tau_irr`` only in ``empty_context and question_overlap < tau_irr`` and ``l_max`` only in
+    ``len(answers) < l_max``. Points that agree on both tests and on ``(rho, rho_s)`` decide alike, so ``_decide``
+    runs once per such class; the classes are worked out once per distinct triple of those three features.
+    """
+    shapes: dict[tuple, list[int]] = {}  # the triple -> each point's class, as the index of its first point
+
+    def outputs(features: _Features) -> tuple[str, ...]:
+        tested = features.empty_context, features.question_overlap, len(features.answers)
+        classes = shapes.get(tested)
+        if classes is None:
+            empty, overlap, turns = tested
+            keys = [(empty and overlap < p.tau_irr, turns < p.l_max, p.rho, p.rho_s) for p in points]
+            first: dict[tuple, int] = {}
+            classes = shapes[tested] = [first.setdefault(key, k) for k, key in enumerate(keys)]
+        decided = {k: _decide(features, points[k])[0] for k in set(classes)}
+        return tuple(map(decided.__getitem__, classes))
+
+    return outputs
+
+
 def tune(
     corpus: Iterable[Instance],
     grid: Optional[Mapping[str, Sequence]] = None,
@@ -253,34 +276,30 @@ def tune(
 ) -> TuneResult:
     """Grid-search the policy thresholds, maximizing the combined metric.
 
-    One pass over the corpus, which may be a stream, plans each rule text
-    once, computes each instance's features (coverage fractions, overlaps)
-    once and builds the gold view; nothing else of an instance is kept.
-    Every grid point then decides from those features through
-    :func:`_decide`, as :func:`predict_corpus` does, so tuning cannot drift
-    from live prediction, and is scored against the one gold view. All grid
-    points score inside one pass, so each distinct (output, gold) pair's
-    BLEU statistics are counted once. Ties keep the first grid point in
+    One pass over the corpus, which may be a stream, plans each rule text once, computes each instance's
+    features once and decides it at every grid point through :func:`_decide` (by :func:`_grid_outputs`), as
+    :func:`predict_corpus` does, so tuning cannot drift from live prediction. Only a tally is kept: a count
+    of each distinct row of gold class, gold follow-up if More, and outputs. Each grid point is scored by one
+    :func:`~sharctool.evaluate.evaluate` of the rows, weighted by their counts, all inside one pass, so each
+    distinct (output, gold) pair's BLEU statistics are counted once. Ties keep the first grid point in
     iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
-    names = list(grid)
+    points = [replace(PolicyParams(), **dict(zip(grid, values))) for values in itertools.product(*grid.values())]
+    outputs = _grid_outputs(points)
+    rows: Counter[tuple[ClassLabel, Optional[str], tuple[str, ...]]] = Counter()
     best: Optional[PolicyParams] = None
     best_score = float("-inf")
     trials: list[dict] = []
-    features: list[_Features] = []
-
-    def instances() -> Iterator[Instance]:
-        for instance, instance_features in _corpus_features(corpus, cues):
-            features.append(instance_features)
-            yield instance
-
     with corpus_pass():
-        gold = gold_view(instances())
-        for values in itertools.product(*(grid[name] for name in names)):
-            params = replace(PolicyParams(), **dict(zip(names, values)))
-            outputs = {f.utterance_id: _decide(f, params)[0] for f in features}
-            report = evaluate(gold, outputs)
+        for instance, features in _corpus_features(corpus, cues):
+            followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
+            rows[instance.label, followup, outputs(features)] += 1
+        entries = [(k, label, followup, count) for k, ((label, followup, _), count) in enumerate(rows.items())]
+        gold = GoldView(frozenset(range(len(entries))), tuple((k, label, count) for k, label, _, count in entries),
+                        tuple((k, followup, count) for k, _, followup, count in entries if followup is not None))
+        for index, params in enumerate(points):
+            report = evaluate(gold, {k: row[2][index] for k, row in enumerate(rows)})
             score = report.combined if report.combined is not None else -1.0
             trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:
@@ -290,7 +309,7 @@ def tune(
     return TuneResult(
         best_params=best,
         best_combined=best_score,
-        instance_count=len(features),
+        instance_count=sum(rows.values()),
         trials=trials,
     )
 

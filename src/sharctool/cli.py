@@ -171,7 +171,7 @@ def _check_printable(summary: str) -> None:
 
 
 def _utf8(text: str) -> str:
-    """The argparse type of ``--split-name``, which the probe report records: text UTF-8 can encode."""
+    """The argparse type of each path and ``--split-name``, which manifests and reports record: UTF-8 text."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -441,16 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if main_input:
-            p.add_argument(main_input, dest="infile" if main_input == "--in" else None, required=True)
+            p.add_argument(main_input, dest="infile" if main_input == "--in" else None, type=_utf8, required=True)
             p.add_argument("--expect-digest", type=_sha256_hex, help=f"require this sha256 of {main_input}")
         return p
 
     p = command("validate", _cmd_validate, "check a corpus file and report an ingestion audit")
     p.add_argument("--strict", action="store_true", help="abort on any malformed record")
-    p.add_argument("--out", default=None, help="write the canonical serialization here")
+    p.add_argument("--out", type=_utf8, default=None, help="write the canonical serialization here")
 
     p = command("probe", _cmd_probe, "measure class balance and shortcut statistics")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_utf8, required=True)
     p.add_argument("--split-name", type=_utf8, default="")
     p.add_argument("--min-support", type=_int_at_least(0), default=30)
 
@@ -462,35 +462,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-perms", type=_int_at_least(1), default=3, help="shuffles emitted per parent instance")
     p.add_argument("--no-keep-original", action="store_true", help="emit generated instances only")
     p.add_argument("--drop-replaced-history", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--manifest", default=None, help="where to write the generation manifest")
+    p.add_argument("--out", type=_utf8, required=True)
+    p.add_argument("--manifest", type=_utf8, default=None, help="where to write the generation manifest")
 
     p = command("annotate", _cmd_annotate, "emit per-token marker and span supervision")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_utf8, required=True)
     p.add_argument("--stopwords", choices=("none", "basic"), default="none")
     p.add_argument("--raw-tokens", action="store_true",
                    help="match raw surfaces, not normalized forms; punctuation and markdown markers then match too")
 
     p = command("baseline", _cmd_baseline,
                 "run the rule-based policy over a corpus ('baseline tune' is 'tune --out params.json')")
-    p.add_argument("--out", required=True)
-    p.add_argument("--params", default=None, help="policy parameter file (JSON)")
-    p.add_argument("--cues", default=None, help="cue-word configuration file")
+    p.add_argument("--out", type=_utf8, required=True)
+    p.add_argument("--params", type=_utf8, default=None, help="policy parameter file (JSON)")
+    p.add_argument("--cues", type=_utf8, default=None, help="cue-word configuration file")
 
     p = command("tune", _cmd_tune, "grid-search policy thresholds on a dev corpus")
-    p.add_argument("--out", required=True, help="where to write the best parameter file")
-    p.add_argument("--trials", default=None, help="optional full grid results (JSON)")
-    p.add_argument("--cues", default=None)
+    p.add_argument("--out", type=_utf8, required=True, help="where to write the best parameter file")
+    p.add_argument("--trials", type=_utf8, default=None, help="optional full grid results (JSON)")
+    p.add_argument("--cues", type=_utf8, default=None)
 
     p = command("evaluate", _cmd_evaluate, "score predictions against a gold corpus", "--gold")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--pred", type=_utf8, required=True)
+    p.add_argument("--out", type=_utf8, required=True)
     p.add_argument("--sentence-bleu", action="store_true", help="diagnostic sentence-averaged BLEU")
 
     p = command("report", _cmd_report, "side-by-side comparison of two probe or eval reports", None)
-    p.add_argument("--original", required=True)
-    p.add_argument("--augmented", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--original", type=_utf8, required=True)
+    p.add_argument("--augmented", type=_utf8, required=True)
+    p.add_argument("--out", type=_utf8, default=None)
     return parser
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
 
@@ -54,11 +55,12 @@ SCORING_NOTES = (
 
 @dataclass(frozen=True)
 class GoldView:
-    """What scoring reads from a gold corpus, in corpus order."""
+    """What scoring reads from a gold corpus, in corpus order. Each entry stands for ``count`` instances that share
+    its id's prediction (one in :func:`gold_view`); scores sum integers over them, so the floats are the same."""
 
-    ids: frozenset[str]
-    labels: tuple[tuple[str, ClassLabel], ...]  # (utterance_id, gold class)
-    followups: tuple[tuple[str, str], ...]  # (utterance_id, gold answer) of the More instances
+    ids: frozenset[Hashable]
+    labels: tuple[tuple[Hashable, ClassLabel, int], ...]  # (id, gold class, count)
+    followups: tuple[tuple[Hashable, str, int], ...]  # (id, gold answer, count) of the More entries
 
 
 def gold_view(instances: Iterable[Instance]) -> GoldView:
@@ -68,16 +70,16 @@ def gold_view(instances: Iterable[Instance]) -> GoldView:
     """
     labels, followups = [], []
     for inst in instances:
-        labels.append((inst.utterance_id, inst.label))
+        labels.append((inst.utterance_id, inst.label, 1))
         if inst.label is ClassLabel.MORE:
-            followups.append((inst.utterance_id, inst.gold_answer))
-    ids = frozenset(uid for uid, _ in labels)
+            followups.append((inst.utterance_id, inst.gold_answer, 1))
+    ids = frozenset(uid for uid, _, _ in labels)
     if len(ids) != len(labels):
         raise ValueError("gold corpus contains duplicate utterance ids")
     return GoldView(ids=ids, labels=tuple(labels), followups=tuple(followups))
 
 
-def _confusion(gold: GoldView, predictions: Mapping[str, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
+def _confusion(gold: GoldView, predictions: Mapping[Hashable, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
     """4x4 gold-by-predicted count matrix; raises ``ValueError`` unless the prediction ids are the gold ids."""
     if predictions.keys() != gold.ids:
         missing = gold.ids - predictions.keys()
@@ -86,10 +88,8 @@ def _confusion(gold: GoldView, predictions: Mapping[str, str]) -> dict[ClassLabe
         extra = predictions.keys() - gold.ids
         raise ValueError(f"predictions contain {len(extra)} unknown ids (e.g. {sorted(extra)[:3]})")
     matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
-    # Outputs repeat heavily, so each distinct (gold class, output) is mapped once.
-    pairs = Counter((label, predictions[uid]) for uid, label in gold.labels)
-    for (label, output), count in pairs.items():
-        matrix[label][derive_label(output)] += count
+    for uid, label, count in gold.labels:
+        matrix[label][derive_label(predictions[uid])] += count
     return matrix
 
 
@@ -160,6 +160,7 @@ def bleu(
     max_order: int = 4,
     *,
     sentence_average: bool = False,
+    weights: Optional[Sequence[int]] = None,
 ) -> Optional[float]:
     """Corpus-level BLEU in [0, 100]; None when the pair set is empty.
 
@@ -172,6 +173,7 @@ def bleu(
 
     ``sentence_average`` instead scores each pair alone and returns the
     arithmetic mean — useful for diagnostics, never for headline numbers.
+    ``weights``, one integer per pair, counts each pair that many times.
 
     Inside a :func:`~sharctool.corpus.corpus_pass`, each distinct pair's
     statistics are computed once; the pooled counts are integers, so the
@@ -181,9 +183,10 @@ def bleu(
         raise ValueError("max_order must be >= 1")
     if not candidates_and_references:
         return None
+    weights = [1] * len(candidates_and_references) if weights is None else weights
     if sentence_average:
-        scores = [bleu([pair], max_order) for pair in candidates_and_references]
-        return sum(scores) / len(scores)
+        scores = [weight * bleu([pair], max_order) for pair, weight in zip(candidates_and_references, weights)]
+        return sum(scores) / sum(weights)
 
     memo = pass_memo("bleu") if max_order <= _MEMO_ORDERS else None
     rows = []
@@ -196,7 +199,7 @@ def bleu(
             if stats is None:
                 stats = memo[key] = _pair_stats(candidate_text, reference_text, _MEMO_ORDERS)
         rows.append(stats)
-    cand_len, ref_len, *counts = [sum(column) for column in zip(*rows)][: 2 + 2 * max_order]
+    cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in zip(*rows)][: 2 + 2 * max_order]
 
     if cand_len == 0:
         return 0.0
@@ -243,15 +246,16 @@ class EvalReport:
 
 def evaluate(
     gold: GoldView,
-    predictions: Mapping[str, str],
+    predictions: Mapping[Hashable, str],
     *,
     sentence_average_bleu: bool = False,
 ) -> EvalReport:
-    """Score predictions (a {utterance_id: output text} map) against a gold view."""
+    """Score predictions (a {utterance_id: output text} map) against a gold view, each entry weighted by its count."""
     matrix = _confusion(gold, predictions)
-    pairs = [(predictions[uid], reference) for uid, reference in gold.followups]
-    bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu)
-    bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu)
+    pairs = [(predictions[uid], reference) for uid, reference, _ in gold.followups]
+    weights = [count for _, _, count in gold.followups]
+    bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu, weights=weights)
+    bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu, weights=weights)
     macro = macro_accuracy(matrix)
     per_class = per_class_accuracy(matrix)
     return EvalReport(
@@ -261,8 +265,8 @@ def evaluate(
         bleu1=bleu1,
         bleu4=bleu4,
         combined=combined_metric(macro, bleu4),
-        bleu_instance_count=len(pairs),
-        instance_count=len(gold.labels),
+        bleu_instance_count=sum(weights),
+        instance_count=sum(sum(row.values()) for row in matrix.values()),
         confusion={g.value: {p.value: matrix[g][p] for p in LABEL_ORDER} for g in LABEL_ORDER},
     )
 

@@ -15,7 +15,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, pass_memo, tokenize, write_jsonl
+from .corpus import (ClassLabel, DialogTurn, Instance, TokenizedText, _EncodedOnce, corpus_pass, pass_memo, tokenize,
+                     write_jsonl)
 
 __all__ = [
     "AnnotationStats",
@@ -73,39 +74,39 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     broken toward the smallest ``b``-indices. Index pairs strictly increase
     in both coordinates.
 
-    The walk below realizes that tie-break against a suffix-length table.
-    At (i, j) the candidate columns for matching a[i] are exactly those j'
-    where suffix[i][j'] still equals suffix[i][j] — skipping further would
-    lose length. a[i] joins the LCS iff one of them matches, and the
-    smallest such column is the right one: a smaller b-index only widens the
-    choices downstream. A match needs no test of its continuation, because a
-    matching cell is its diagonal plus one.
+    The walk realizes that tie-break against ``suffix[i][j]``, the LCS
+    length of ``a[i:]`` and ``b[j:]``. At (i, j) the candidate columns for
+    matching a[i] are exactly those j' where suffix[i][j'] still equals
+    suffix[i][j] — skipping further would lose length. a[i] joins the LCS iff
+    one of them matches, and the smallest such column is the right one: a
+    smaller b-index only widens the choices downstream. A match needs no test
+    of its continuation, because a matching cell is its diagonal plus one.
+    Each row is one integer, from Hyyrö's bit-parallel LCS over the reversed
+    sequences ("Bit-parallel LCS-length computation revisited", 2004): bit k
+    of ``zeros`` is set where suffix[i][m - 1 - k] exceeds suffix[i][m - k].
+    So with q = m - j the candidates are the bits from the highest set one
+    below q up to q - 1, and the hit is the highest of them in a[i]'s mask.
     """
-    n, m = len(a), len(b)
-    suffix = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = suffix[i]
-        below = suffix[i + 1]
-        ai = a[i]
-        for j in range(m - 1, -1, -1):
-            if ai == b[j]:
-                row[j] = below[j + 1] + 1
-            else:
-                down = below[j]
-                right = row[j + 1]
-                row[j] = down if down >= right else right
+    m = len(b)
+    masks: dict = {}  # symbol -> the bits k where b[m - 1 - k] is that symbol
+    for bit, symbol in enumerate(reversed(b)):
+        masks[symbol] = masks.get(symbol, 0) | 1 << bit
+    ones = full = (1 << m) - 1
+    zeros = []  # row i's zero bits, from the last row up
+    for symbol in reversed(a):
+        matched = ones & masks.get(symbol, 0)
+        ones = ((ones + matched) | (ones - matched)) & full
+        zeros.append(full ^ ones)
     pairs: list[tuple[int, int]] = []
-    i = j = 0
-    while i < n and j < m and suffix[i][j]:
-        length = suffix[i][j]
-        column = j
-        while column < m and suffix[i][column] == length:
-            if a[i] == b[column]:
-                pairs.append((i, column))
-                j = column + 1
-                break
-            column += 1
-        i += 1
+    q = m
+    for i, row in enumerate(reversed(zeros)):
+        below = row & ((1 << q) - 1)
+        if not below:
+            break
+        hit = masks.get(a[i], 0) & ((1 << q) - (1 << (below.bit_length() - 1)))
+        if hit:
+            q = hit.bit_length() - 1
+            pairs.append((i, m - 1 - q))
     return pairs
 
 
@@ -230,26 +231,26 @@ def annotate_corpus(
         return sink(rows()), stats
 
 
-def _strings(values: Iterable[str]) -> str:
-    return ", ".join(map(encode_basestring, values))
-
-
-def _encode_row(row: _Row) -> str:
-    utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
-    span = "null" if gold_span is None else f"[{gold_span[0]}, {gold_span[1]}]"
-    flags = '"empty_gold_span"' if flagged else ""
-    return (
-        f'{{"utterance_id": {encode_basestring(utterance_id)}, "tokens": [{_strings(tokens)}], '
-        f'"history_marker": [{_strings(history_marker)}], "turn_index": [{", ".join(map(str, turn_index))}], '
-        f'"scenario_marker": [{_strings(scenario_marker)}], "gold_span": {span}, '
-        f'"flags": [{flags}], "scenario_marker_source": "gold-evidence"}}'
-    )
-
-
 def write_markers(path: str | Path, rows: Iterable[_Row]) -> None:
     """Write each row of :func:`annotate_corpus` as one ``markers.jsonl`` line, atomically.
 
-    A line is ``json.dumps(record, ensure_ascii=False)`` of the record that
-    :func:`_encode_row` lays out, keys in its order.
+    A line is ``json.dumps(record, ensure_ascii=False)`` of the record laid out below, keys in its order. Each
+    distinct marker value, turn index and token tuple (one per rule text) is escaped once per write.
     """
-    write_jsonl(path, rows, _encode_row)
+    escaped = _EncodedOnce(encode_basestring).__getitem__
+    numbers = _EncodedOnce(str).__getitem__
+    token_arrays = _EncodedOnce(lambda tokens: ", ".join(map(encode_basestring, tokens)))
+
+    def encode(row: _Row) -> str:
+        utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
+        span = "null" if gold_span is None else f"[{gold_span[0]}, {gold_span[1]}]"
+        flags = '"empty_gold_span"' if flagged else ""
+        return (
+            f'{{"utterance_id": {encode_basestring(utterance_id)}, "tokens": [{token_arrays[tokens]}], '
+            f'"history_marker": [{", ".join(map(escaped, history_marker))}], '
+            f'"turn_index": [{", ".join(map(numbers, turn_index))}], '
+            f'"scenario_marker": [{", ".join(map(escaped, scenario_marker))}], "gold_span": {span}, '
+            f'"flags": [{flags}], "scenario_marker_source": "gold-evidence"}}'
+        )
+
+    write_jsonl(path, rows, encode)

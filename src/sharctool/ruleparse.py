@@ -74,17 +74,21 @@ class RuleStructure:
 def load_cues(path: str | Path) -> CueSet:
     """Read a cue file: one ``conj <phrase>`` or ``disj <phrase>`` per line.
 
-    Blank lines and lines starting with ``#`` are ignored. Phrases are matched
-    case-insensitively as substrings of the rule's prose, so boundary spaces
-    (as in ``" and "``) are significant and preserved.
+    Blank lines and lines starting with ``#`` are ignored. Phrases are matched case-insensitively as
+    substrings of the rule's prose, so boundary spaces (as in ``" and "``) are significant and preserved.
+    A line ends at a newline only (a carriage return before it is dropped), as in ``corpus.read_jsonl``;
+    a byte that is not UTF-8 raises ``ValueError`` naming ``<path>:<line>``.
     """
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8: {exc}") from None
     conj: list[str] = []
     disj: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,10 +5,11 @@ without building a dict; ``dumps_record`` of the dicts below must give the
 same line, and ``markers.write_markers`` must give ``json.dumps(record,
 ensure_ascii=False)`` of :func:`markers_record`. ``baseline.predict_corpus``
 decides inside one corpus pass; :func:`decide` decides one instance outside
-any pass.
+any pass. ``markers.lcs_pairs`` walks a bit-parallel table; :func:`lcs_pairs`
+walks the plain suffix-length table.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from sharctool import baseline
 from sharctool.augment import AugmentedInstance
@@ -64,3 +65,30 @@ def markers_record(row: tuple) -> dict:
         "flags": ["empty_gold_span"] if flagged else [],
         "scenario_marker_source": "gold-evidence",
     }
+
+
+def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
+    """``markers.lcs_pairs`` by its first statement: a walk over the full suffix-length table.
+
+    ``suffix[i][j]`` is the LCS length of ``a[i:]`` and ``b[j:]``. At row i
+    the walk matches a[i] at the first column, from the current one on,
+    whose suffix length has not dropped and whose symbol is a[i].
+    """
+    n, m = len(a), len(b)
+    suffix = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            suffix[i][j] = suffix[i + 1][j + 1] + 1 if a[i] == b[j] else max(suffix[i + 1][j], suffix[i][j + 1])
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while i < n and j < m and suffix[i][j]:
+        length = suffix[i][j]
+        column = j
+        while column < m and suffix[i][column] == length:
+            if a[i] == b[column]:
+                pairs.append((i, column))
+                j = column + 1
+                break
+            column += 1
+        i += 1
+    return pairs

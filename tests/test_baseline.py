@@ -1,12 +1,15 @@
 """The rule-based policy: templating, decision steps, tuning, serialization."""
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sharctool.corpus import ClassLabel, CorpusError, derive_label, pass_memo, write_json
+from sharctool import baseline
+from sharctool.corpus import ClassLabel, CorpusError, derive_label, pass_memo, tokenize, write_json
 from sharctool.baseline import (
     PolicyParams,
     generate_followup,
@@ -16,7 +19,7 @@ from sharctool.baseline import (
     tune,
     write_predictions,
 )
-from sharctool.ruleparse import Clause, ClauseKind
+from sharctool.ruleparse import Clause, ClauseKind, LogicType
 
 from reference import decide
 
@@ -342,3 +345,35 @@ def test_tune_matches_live_prediction(make_instance):
 def test_tune_reads_a_one_shot_stream_as_it_reads_the_list(make_instance):
     corpus = _tuning_corpus(make_instance)
     assert tune(instance for instance in corpus) == tune(corpus)
+
+
+# Values at, between and around the default grid's thresholds, so every comparison goes both ways.
+_FRACTIONS = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1.01])
+
+
+@st.composite
+def _features(draw):
+    clauses = draw(st.integers(0, 4))
+    plan = baseline._RulePlan(
+        draw(st.sampled_from(LogicType)),
+        set(),
+        tuple(baseline._AskableClause(ordinal, tokenize("x"), f"Ask {ordinal}?") for ordinal in range(1, clauses + 1)),
+    )
+    fractions = st.lists(_FRACTIONS, min_size=clauses, max_size=clauses)
+    return baseline._Features("u", plan, draw(st.booleans()), draw(_FRACTIONS),
+                              draw(st.lists(st.sampled_from(["Yes", "No"]), max_size=9)), draw(fractions),
+                              draw(fractions))
+
+
+_GRIDS = st.just(baseline.DEFAULT_GRID) | st.fixed_dictionaries(
+    {"l_max": st.lists(st.integers(0, 9), min_size=1, max_size=3)},
+    optional={name: st.lists(_FRACTIONS, min_size=1, max_size=3) for name in ("tau_irr", "rho", "rho_s")},
+)
+
+
+@given(grid=_GRIDS, instances=st.lists(_features(), max_size=12))
+def test_the_tally_decides_each_instance_as_decide_does_at_every_grid_point(grid, instances):
+    points = [PolicyParams(**dict(zip(grid, values))) for values in itertools.product(*grid.values())]
+    outputs = baseline._grid_outputs(points)  # one for all instances, as tune uses it
+    for features in instances:
+        assert outputs(features) == tuple(baseline._decide(features, point)[0] for point in points)

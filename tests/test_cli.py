@@ -140,6 +140,25 @@ def test_a_split_name_utf8_cannot_encode_exits_2_naming_the_flag(corpus_file, tm
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command,flag", [("annotate", "--out"), ("tune", "--trials"), ("baseline", "--cues"),
+                                          ("validate", "--in"), ("report", "--original")])
+def test_a_path_utf8_cannot_encode_exits_2_naming_the_flag(corpus_file, tmp_path, capsys, command, flag):
+    # Under a POSIX locale the argv bytes b"\xff.jsonl" reach the command as "\udcff.jsonl",
+    # which no manifest can record.
+    bad = str(tmp_path / "\udcff.jsonl")
+    if command == "report":
+        paths = {"--original": str(corpus_file), "--augmented": str(corpus_file)}
+    else:
+        paths = {"--in": str(corpus_file), "--out": str(tmp_path / "out.json")}
+    paths[flag] = bad
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *(part for pair in paths.items() for part in pair)])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"sharctool {command}: error: argument {flag}: {bad!r} is not UTF-8 text"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_expect_digest_takes_the_digest_in_upper_case(corpus_file, tmp_path):
     out = tmp_path / "probe.json"
     upper = _sha256(corpus_file).upper()
@@ -419,14 +438,13 @@ def test_out_pointing_at_a_directory_is_one_error_line(corpus_file, tmp_path, ca
 
 
 def test_a_summary_stdout_cannot_print_fails_before_the_commit(corpus_file, tmp_path, capsys, monkeypatch):
-    # Under a POSIX locale the argv bytes b"\xff.jsonl" reach the command as "\udcff.jsonl",
-    # which a strict UTF-8 stdout cannot print in the summary line.
-    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    # A strict ASCII stdout (PYTHONIOENCODING=ascii, say) cannot print the output path in the summary line.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
     monkeypatch.setattr(sys, "stdout", stdout)
-    out = tmp_path / "\udcff.jsonl"
+    out = tmp_path / "m\u00e4rkers.jsonl"
     out.write_text("old markers\n", encoding="utf-8")
     assert main(["annotate", "--in", str(corpus_file), "--out", str(out)]) == 1
-    assert _one_error_line(capsys).startswith("error: stdout cannot print the summary: 'utf-8' codec can't encode")
+    assert _one_error_line(capsys).startswith("error: stdout cannot print the summary: 'ascii' codec can't encode")
     stdout.flush()
     assert stdout.buffer.getvalue() == b""
     assert out.read_text(encoding="utf-8") == "old markers\n"

@@ -801,12 +801,14 @@ def test_each_written_prediction_line_is_dumps_record_of_its_record(tmp_path_fac
 
 @st.composite
 def _marker_rows(draw):
-    token = _shared(draw, _text)
+    # Rows often share one token tuple (one rule text) and repeat marker values, as an annotated corpus does,
+    # so a write meets an array and a value it has escaped before.
+    token_tuples = _shared(draw, st.lists(_shared(draw, _text), max_size=6).map(tuple))
+    marker = _shared(draw, st.sampled_from([MARKER_PHI, "Yes", "No"]) | _text)
     rows = []
     for utterance_id in draw(st.lists(_text, max_size=4)):
-        tokens = tuple(draw(st.lists(token, max_size=6)))
-        per_token = st.lists(st.sampled_from([MARKER_PHI, "Yes", "No"]) | _text,
-                             min_size=len(tokens), max_size=len(tokens))
+        tokens = draw(token_tuples)
+        per_token = st.lists(marker, min_size=len(tokens), max_size=len(tokens))
         turns = st.lists(st.integers(0, 12), min_size=len(tokens), max_size=len(tokens))
         span = st.none() | st.tuples(st.integers(0, 99), st.integers(0, 99))
         rows.append((utterance_id, tokens, draw(per_token), draw(turns), draw(per_token), draw(span),

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sharctool.corpus import ClassLabel, CorpusError, DialogTurn, pass_memo, tokenize
 from sharctool.markers import (
@@ -17,6 +17,8 @@ from sharctool.markers import (
     lcs_match,
     lcs_pairs,
 )
+
+from reference import lcs_pairs as reference_lcs_pairs
 
 
 # --------------------------------------------------------------------------
@@ -108,6 +110,13 @@ def test_lcs_pairs_is_a_maximal_common_subsequence(a, b):
         assert i1 < i2 and j1 < j2  # strictly increasing in both coordinates
     for i, j in pairs:
         assert a[i] == b[j]
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 7).flatmap(lambda k: st.tuples(*[st.lists(st.integers(0, k - 1), max_size=40)] * 2)))
+def test_lcs_pairs_is_the_suffix_table_walk(ab):
+    a, b = ab
+    assert lcs_pairs(a, b) == reference_lcs_pairs(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -229,4 +229,16 @@ def test_load_cues_names_the_path_of_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"conj all of\ndisj \xff\n")
     with pytest.raises(ValueError) as excinfo:
         load_cues(path)
-    assert str(excinfo.value).startswith(f"{path}: not valid UTF-8: ")
+    assert str(excinfo.value).startswith(f"{path}:2: not valid UTF-8: ")
+
+
+def test_load_cues_ends_lines_at_a_newline_only(tmp_path):
+    path = tmp_path / "cues.txt"
+    path.write_text("conj a\u2028b\x85c\n", encoding="utf-8")  # U+2028 and U+0085 are inside the phrase
+    assert load_cues(path).conjunctive == ("a\u2028b\x85c",)
+
+
+def test_load_cues_reads_crlf_lines_as_lf_lines(tmp_path):
+    path = tmp_path / "cues.txt"
+    path.write_bytes(b"# comment\r\nconj  and \r\n\r\ndisj any of\r\n")
+    assert load_cues(path) == CueSet(conjunctive=(" and ",), disjunctive=("any of",))
