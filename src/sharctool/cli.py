@@ -41,12 +41,15 @@ _TARGET_KEYS = {"irr": ClassLabel.IRRELEVANT, "yes": ClassLabel.YES, "no": Class
 
 
 def _resolve_input(path: str) -> Path:
-    """Absolute/existing paths win; otherwise try the default data directory."""
+    """Absolute/existing paths win; otherwise try the default data directory, if the joined path is UTF-8 text."""
     candidate = Path(path)
     data_dir = os.environ.get(DATA_DIR_ENV)
     if candidate.exists() or candidate.is_absolute() or not data_dir or not (Path(data_dir) / path).exists():
         return candidate
-    return Path(data_dir) / path
+    try:
+        return Path(_utf8(os.path.join(data_dir, path)))
+    except argparse.ArgumentTypeError as error:
+        raise ValueError(f"{DATA_DIR_ENV}: {error}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -63,20 +66,20 @@ def _config_digest(config: dict) -> str:
 
 
 def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> int:
-    """Run one command: check every path, load and compute, stage the outputs, commit them.
+    """Run one command: check every path, then load, compute, and stage and commit its outputs and manifest.
 
     ``inputs`` lists ``(flag, path, load)``, the main input (which
     ``--expect-digest`` guards) first; the side inputs are loaded before it,
     so a bad small file fails fast, and a None path reaches ``compute`` as
-    None. ``outputs`` lists ``(flag, path)``; the manifest goes next to the
-    first given path unless that is an existing device, pipe or other file
-    that is not a regular one. ``compute`` takes the loaded inputs in
-    declared order, writes the outputs, may add to ``config`` what it read,
-    and returns the text to print. A failure before the first replace leaves
-    every file as it was. The manifest's ``metrics`` block, which
-    ``config_digest`` does not cover, records the seconds spent loading and
-    computing (``compute_s``) and replacing the outputs (``commit_s``), and
-    the process's peak RSS at the frame's start and at its end.
+    None. ``outputs`` lists ``(flag, path)``. ``compute`` takes the loaded
+    inputs in declared order, writes the outputs, may add to ``config`` what
+    it read, and returns the text to print. If the first output was staged,
+    its manifest is staged last, with the digests of the staged outputs, and
+    the old one is unlinked just before the first replace: a failure before
+    the commit leaves every file as it was, and a commit cut short leaves no
+    manifest. The ``metrics`` block, outside ``config_digest``, records the
+    seconds spent loading and computing (``compute_s``) and the process's
+    peak RSS at the frame's start and before the commit.
 
     The cyclic collector is off from the first load to the commit, as nothing
     a command builds forms cycles that grow with the corpus; the caller's
@@ -86,10 +89,8 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     rss_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     expect_digest = getattr(args, "expect_digest", None)
     targets = [(flag, str(Path(path))) for flag, path in outputs if path is not None]
-    manifest_path = None
-    if targets and (os.path.isfile(targets[0][1]) or not os.path.exists(targets[0][1])):
-        manifest_path = targets[0][1] + ".manifest.json"
-        targets.append(("manifest", manifest_path))
+    if targets:
+        targets.append(("manifest", targets[0][1] + ".manifest.json"))
 
     sources = [None if path is None else _resolve_input(path) for _, path, _ in inputs]
     # Only a regular file can be read by the digest and then by the loader; a pipe
@@ -103,7 +104,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     input_digests: dict[str, str] = {}
     for index, ((flag, path, _), source) in enumerate(zip(inputs, sources)):
         checked = index == 0 and expect_digest is not None
-        if source is not None and (manifest_path or checked):
+        if source is not None and (targets or checked):
             digest = input_digests[str(source)] = input_digests.get(str(source)) or _sha256(source)
             if checked and digest != expect_digest:
                 raise ValueError(f"{flag} {path}: digest mismatch: expected {expect_digest}, got {digest}")
@@ -126,35 +127,38 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with staged_writes() as commit:
+        with staged_writes() as staged:
             began = time.perf_counter()
             side = [load(index) for index in range(1, len(inputs))]
             summary = compute(load(0), *side)
             computed = time.perf_counter()
             _check_printable(summary)
-            commit()
-        committed = time.perf_counter()
+            written = {target: tmp for tmp, target in staged}
+            output_digests = {path: _sha256(written[real]) for _, path in targets
+                              if (real := Path(os.path.realpath(path))) in written}
+            if targets and targets[0][1] in output_digests:
+                manifest = Path(os.path.realpath(targets[-1][1]))
+                write_json(manifest, {
+                    "argv": args.argv,
+                    "tool_version": __version__,
+                    "started": started,
+                    "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                    "config_digest": _config_digest(config),
+                    "config": config,
+                    "input_digests": input_digests,
+                    "output_digests": output_digests,
+                    "metrics": {
+                        "compute_s": round(computed - began, 4),
+                        # ru_maxrss is the process's high-water mark, in KiB on Linux.
+                        "peak_rss_at_start_mib": round(rss_at_start / 1024, 1),
+                        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                    },
+                })
+                if staged[-1][1] == manifest and manifest.exists():
+                    os.unlink(manifest)
     finally:
         if gc_was_enabled:
             gc.enable()
-    if manifest_path:
-        write_json(manifest_path, {
-            "argv": args.argv,
-            "tool_version": __version__,
-            "started": started,
-            "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "config_digest": _config_digest(config),
-            "config": config,
-            "input_digests": input_digests,
-            "output_digests": {path: _sha256(Path(path)) for _, path in targets[:-1]},
-            "metrics": {
-                "compute_s": round(computed - began, 4),
-                "commit_s": round(committed - computed, 4),
-                # ru_maxrss is the process's high-water mark, in KiB on Linux.
-                "peak_rss_at_start_mib": round(rss_at_start / 1024, 1),
-                "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            },
-        })
     print(summary)
     return 0
 

@@ -542,23 +542,25 @@ _staged: Optional[list[tuple[Path, Path]]] = None
 
 
 def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], str]) -> None:
-    """Write ``encode(record)`` per line, atomically.
+    """Write ``encode(record)`` per line, staged where the target allows it.
 
-    The lines go to a temporary file next to the target, which then replaces
-    the target and takes over its permission bits; on any error the
-    temporary file is removed and an existing target is left as it was.
-    Inside :func:`staged_writes` the replace waits for the block's commit.
-    A symlinked target is written through. A target that is not a plain file
-    in an existing directory (a device, a directory, a missing parent) is
-    opened as it is, so it works or fails just as ``open(path, "w")`` does.
+    A regular file at ``path`` (``os.stat`` follows links, ``/proc`` fd links
+    too), or no file in an existing directory, is staged: the lines go to a
+    temporary file next to the real target, which replaces it and takes over
+    its permission bits, at once or, inside :func:`staged_writes`, at the
+    block's end; on any error the target is left as it was. Anything else (a
+    pipe, a FIFO, a device, a missing parent) is opened as it is, so it
+    works or fails just as ``open(path, "w")`` does.
     """
     if _staged is None:
-        with staged_writes() as commit:
-            write_jsonl(path, records, encode)
-            commit()
-        return
+        with staged_writes():
+            return write_jsonl(path, records, encode)
     target = Path(os.path.realpath(path))
-    if not target.parent.is_dir() or (target.exists() and not target.is_file()):
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = target.parent.is_dir()
+    if not regular:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(encode(record) + "\n" for record in records)
         return
@@ -569,27 +571,24 @@ def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], 
 
 
 @contextmanager
-def staged_writes() -> Iterator[Callable[[], None]]:
-    """Hold back the replace of every file written inside the block until ``commit()``.
+def staged_writes() -> Iterator[list[tuple[Path, Path]]]:
+    """Hold back the replace of every file written inside the block until the block ends.
 
-    Each write stages its file in full; the yielded ``commit`` then replaces
-    the targets in the order they were written. Files not moved when the
-    block exits, also on an exception, are removed, so a failure before the
-    first replace leaves every target as it was. Blocks do not nest.
+    The block yields the staged ``(temporary file, target)`` pairs in the
+    order written; if it ends without an exception, each file replaces its
+    target in that order. Files not moved are removed, so a failure before
+    the first replace leaves every target as it was. Blocks do not nest.
     """
     global _staged
     staged = _staged = []
-
-    def commit() -> None:
+    try:
+        yield staged
         while staged:
             tmp, target = staged[0]
             if target.exists():
                 os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
             os.replace(tmp, target)
             del staged[0]
-
-    try:
-        yield commit
     finally:
         _staged = None
         for tmp, _ in staged:

@@ -7,9 +7,11 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import sharctool
 from sharctool import cli
 from sharctool.cli import DATA_DIR_ENV, main
-from sharctool.corpus import ClassLabel, iter_corpus, load_corpus, write_corpus
+from sharctool.corpus import ClassLabel, iter_corpus, load_corpus, read_json, write_corpus
 from sharctool.evaluate import bleu
 from sharctool.synthcorpus import SplitSpec, generate_split
 
@@ -507,6 +509,28 @@ def test_absolute_path_beats_data_dir(corpus_file, monkeypatch, tmp_path):
     assert main(["validate", "--in", str(corpus_file)]) == 0
 
 
+def _cli_child(argv, env=(), **kwargs):
+    """Run ``sharctool`` in a child process with this tree on its path; a child that hangs fails after 60 s."""
+    src = Path(sharctool.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", **dict(env)}
+    return subprocess.run([sys.executable, "-m", "sharctool.cli", *argv], env=env, capture_output=True, timeout=60,
+                          **kwargs)
+
+
+def test_a_data_dir_utf8_cannot_encode_is_one_error_line_and_writes_nothing(corpus_file, tmp_path):
+    # Under the C locale the directory's byte 0xff reaches the interpreter as the lone surrogate \udcff.
+    data_dir = os.path.join(os.fsencode(tmp_path), b"x\xff")
+    os.mkdir(data_dir)
+    with open(os.path.join(data_dir, b"d.jsonl"), "wb") as corpus:
+        corpus.write(corpus_file.read_bytes())
+    before = _files(tmp_path)
+    result = _cli_child(["annotate", "--in", "d.jsonl", "--out", "m.jsonl"], cwd=tmp_path,
+                        env={"LC_ALL": "C", DATA_DIR_ENV: b"x\xff"})
+    assert result.returncode == 1
+    assert result.stderr.decode() == f"error: {DATA_DIR_ENV}: 'x\\udcff/d.jsonl' is not UTF-8 text\n"
+    assert _files(tmp_path) == before
+
+
 @pytest.fixture(scope="module")
 def reports(workdir, corpus_file):
     """One probe report and one eval report of the CLI corpus."""
@@ -769,6 +793,93 @@ def test_no_manifest_beside_an_output_that_is_not_a_regular_file(corpus_file, tm
     assert os.path.realpath(sink) == os.path.realpath(os.devnull)
 
 
+def test_a_manifest_linked_to_a_device_is_written_through_and_the_output_keeps_its_mode(corpus_file, tmp_path):
+    out = tmp_path / "canonical.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o600)
+    (tmp_path / "canonical.jsonl.manifest.json").symlink_to(os.devnull)
+    assert main(["validate", "--in", str(corpus_file), "--out", str(out)]) == 0
+    assert out.read_bytes() == corpus_file.read_bytes() and out.stat().st_mode & 0o777 == 0o600
+    assert os.path.realpath(tmp_path / "canonical.jsonl.manifest.json") == os.path.realpath(os.devnull)
+
+
+def _first_lines(corpus_file, root, count):
+    subset = root / f"first-{count}.jsonl"
+    subset.write_bytes(b"".join(corpus_file.read_bytes().splitlines(keepends=True)[:count]))
+    return subset
+
+
+def test_a_fifo_as_trials_is_written_as_it_is_and_left_out_of_the_manifest(corpus_file, tmp_path):
+    fifo, params = tmp_path / "trials.fifo", tmp_path / "params.json"
+    os.mkfifo(fifo)
+    piped = []
+    reader = threading.Thread(target=lambda: piped.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        result = _cli_child(["tune", "--in", str(corpus_file), "--out", str(params), "--trials", str(fifo)])
+    finally:
+        with contextlib.suppress(OSError):  # a reader still waiting for a writer gets an empty read
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(piped[0])["trials"]) == 81
+    assert read_json(tmp_path / "params.json.manifest.json")["output_digests"] == {str(params): _sha256(params)}
+
+
+def test_a_pipe_as_trials_gets_the_bytes_a_file_gets(corpus_file, tmp_path, capsys):
+    read_end, write_end = os.pipe()  # the trials of a 100-instance corpus fit in the pipe's buffer
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            argv = ["tune", "--in", str(corpus_file), "--out", str(tmp_path / "p1.json")]
+            assert main([*argv, "--trials", f"/dev/fd/{write_end}"]) == 0
+        finally:
+            os.close(write_end)
+        piped = pipe.read()
+    assert main(["tune", "--in", str(corpus_file), "--out", str(tmp_path / "p2.json"),
+                 "--trials", str(tmp_path / "trials.json")]) == 0
+    assert piped == (tmp_path / "trials.json").read_bytes()
+    assert list(read_json(tmp_path / "p1.json.manifest.json")["output_digests"]) == [str(tmp_path / "p1.json")]
+
+
+def test_a_manifest_over_the_file_size_limit_leaves_the_first_run_as_it_was(corpus_file, tmp_path, capsys):
+    params, manifest = tmp_path / "params.json", tmp_path / "params.json.manifest.json"
+    assert main(["tune", "--in", str(corpus_file), "--out", str(params)]) == 0
+    subset = _first_lines(corpus_file, tmp_path, 5)
+    before = {path: (path.stat().st_ino, path.read_bytes()) for path in (params, manifest)}
+    assert params.stat().st_size < 600 < manifest.stat().st_size
+    # The limit binds the child alone: its new params.json fits, its manifest does not.
+    result = _cli_child(["tune", "--in", str(subset), "--out", str(params)],
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (600, 600)))
+    assert result.returncode == 1 and b"File too large" in result.stderr
+    assert {path: (path.stat().st_ino, path.read_bytes()) for path in (params, manifest)} == before
+    assert sorted(os.listdir(tmp_path)) == ["first-5.jsonl", "params.json", "params.json.manifest.json"]
+
+
+def test_a_commit_cut_short_leaves_no_manifest_that_disagrees_with_the_files(corpus_file, tmp_path, capsys,
+                                                                              monkeypatch):
+    params, trials = tmp_path / "params.json", tmp_path / "trials.json"
+    outputs = ["--out", str(params), "--trials", str(trials)]
+    assert main(["tune", "--in", str(_first_lines(corpus_file, tmp_path, 5)), *outputs]) == 0
+    replaced = []
+    replace = os.replace
+
+    def second_fails(source, target):
+        replaced.append(target)
+        if len(replaced) == 2:
+            raise OSError(f"cannot replace {target}")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    assert main(["tune", "--in", str(corpus_file), *outputs]) == 1
+    assert _one_error_line(capsys).startswith("error: cannot replace ")
+    assert len(replaced) == 2
+    manifest = tmp_path / "params.json.manifest.json"
+    if manifest.exists():
+        assert read_json(manifest)["output_digests"] == {str(path): _sha256(path) for path in (params, trials)}
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
 def test_a_bad_params_file_fails_before_the_corpus_is_loaded(corpus_file, tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "iter_corpus", lambda *a, **k: calls.append(a) or iter_corpus(*a, **k))
@@ -857,7 +968,7 @@ def test_manifest_metrics_are_numeric_and_outside_the_config_digest(corpus_file,
         manifests.append(json.loads((tmp_path / "markers.jsonl.manifest.json").read_text()))
     for manifest in manifests:
         metrics = manifest["metrics"]
-        assert sorted(metrics) == ["commit_s", "compute_s", "peak_rss_at_start_mib", "peak_rss_mib"]
+        assert sorted(metrics) == ["compute_s", "peak_rss_at_start_mib", "peak_rss_mib"]
         assert all(isinstance(value, float) and value >= 0 for value in metrics.values())
         assert 0 < metrics["peak_rss_at_start_mib"] <= metrics["peak_rss_mib"]
         assert "metrics" not in manifest["config"]
@@ -977,8 +1088,8 @@ _ARGV_GRAMMAR = {
     "evaluate": {"--gold": "corpus!", "--pred": "pred!", "--out": "output!", "--sentence-bleu": "switch"},
     "report": {"--original": "report!", "--augmented": "report!", "--out": "output"},
 }
-# Each kind's values, a good one first. A FIFO or a pipe is only ever an input: an output
-# FIFO waits for a reader, as `cat > fifo` does.
+# Each kind's values, a good one first. A FIFO or a pipe is drawn only as an input: as an
+# output it is written as it is, but a FIFO waits for a reader, as `cat > fifo` does.
 _INPUTS = ("good", "dir", "missing", "not-utf8", "fifo", "pipe", "")
 _EDGE_VALUES = {
     "number": ("30", "-1", "0", "nan", "inf", "-inf", str(2**53 + 1), "1" + "0" * 400, ""),

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -617,6 +618,26 @@ def test_a_command_leaves_no_more_cyclic_garbage_on_a_larger_corpus(
         assert main(argv) == 0
         found.append(gc.collect())
     assert found[1] == found[2]
+
+
+# --------------------------------------------------------------------------
+# Every command's manifest reads back and records the bytes it committed
+# --------------------------------------------------------------------------
+
+def test_every_manifest_reads_back_and_records_each_staged_output(tmp_path, capsys, frame_instances):
+    argvs = _command_argvs(tmp_path, frame_instances[:4])
+    # Then tune with a trials file, and augment and tune with their second output a device, which is
+    # written as it is and which no manifest lists.
+    runs = [*argvs.values(), [*argvs["tune"], "--trials", str(tmp_path / "trials.json")],
+            [*argvs["augment"], "--manifest", os.devnull], [*argvs["tune"], "--trials", os.devnull]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        outputs = [argv[argv.index(flag) + 1] for flag in ("--out", "--manifest", "--trials") if flag in argv]
+        if argv[0] == "augment" and "--manifest" not in argv:
+            outputs.append(outputs[0] + ".build.json")
+        assert read_json(outputs[0] + ".manifest.json")["output_digests"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in outputs if os.path.isfile(path)
+        }, argv
 
 
 # --------------------------------------------------------------------------
