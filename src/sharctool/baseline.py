@@ -23,7 +23,9 @@ from .corpus import (
     ClassLabel,
     Instance,
     TokenizedText,
+    _EncodedOnce,
     corpus_pass,
+    derive_label,
     read_json,
     read_jsonl,
     tokenize,
@@ -269,6 +271,18 @@ def _grid_outputs(points: Sequence[PolicyParams]) -> Callable[[_Features], tuple
     return outputs
 
 
+def _weighted(cells: Mapping[tuple[ClassLabel, Optional[str], str], int]) -> tuple[GoldView, dict[int, str]]:
+    """A gold view with one entry per (gold class, gold follow-up or None, output) cell, weighted by its count,
+    and each entry's prediction, the cell's output."""
+    labels, followups, predictions = [], [], {}
+    for k, ((label, followup, output), count) in enumerate(cells.items()):
+        labels.append((k, label, count))
+        if followup is not None:
+            followups.append((k, followup, count))
+        predictions[k] = output
+    return GoldView(frozenset(predictions), tuple(labels), tuple(followups)), predictions
+
+
 def tune(
     corpus: Iterable[Instance],
     grid: Optional[Mapping[str, Sequence]] = None,
@@ -279,9 +293,12 @@ def tune(
     One pass over the corpus, which may be a stream, plans each rule text once, computes each instance's
     features once and decides it at every grid point through :func:`_decide` (by :func:`_grid_outputs`), as
     :func:`predict_corpus` does, so tuning cannot drift from live prediction. Only a tally is kept: a count
-    of each distinct row of gold class, gold follow-up if More, and outputs. Each grid point is scored by one
-    :func:`~sharctool.evaluate.evaluate` of the rows, weighted by their counts, all inside one pass, so each
-    distinct (output, gold) pair's BLEU statistics are counted once. Ties keep the first grid point in
+    of each distinct row of gold class, gold follow-up if More, and outputs; a row whose gold is not More
+    keeps only its outputs' class words, as only their classes are scored there, so each distinct output is
+    labeled once. Each grid point merges the rows into its distinct (gold class, gold follow-up, output)
+    cells and is scored by one :func:`~sharctool.evaluate.evaluate` of them, weighted by their counts, all
+    inside one pass, so each distinct (output, gold) pair's BLEU statistics are counted once. The scores sum
+    integers, so they are the floats a per-instance evaluation gives. Ties keep the first grid point in
     iteration order.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
@@ -295,11 +312,16 @@ def tune(
         for instance, features in _corpus_features(corpus, cues):
             followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
             rows[instance.label, followup, outputs(features)] += 1
-        entries = [(k, label, followup, count) for k, ((label, followup, _), count) in enumerate(rows.items())]
-        gold = GoldView(frozenset(range(len(entries))), tuple((k, label, count) for k, label, _, count in entries),
-                        tuple((k, followup, count) for k, _, followup, count in entries if followup is not None))
+        words = _EncodedOnce(lambda output: derive_label(output).value)
+        tally: Counter[tuple[ClassLabel, Optional[str], tuple[str, ...]]] = Counter()
+        for (label, followup, decided), count in rows.items():
+            tally[label, followup, decided if followup is not None else tuple(map(words.__getitem__, decided))] += count
         for index, params in enumerate(points):
-            report = evaluate(gold, {k: row[2][index] for k, row in enumerate(rows)})
+            cells: dict[tuple[ClassLabel, Optional[str], str], int] = {}
+            for (label, followup, decided), count in tally.items():
+                cell = label, followup, decided[index]
+                cells[cell] = cells.get(cell, 0) + count
+            report = evaluate(*_weighted(cells))
             score = report.combined if report.combined is not None else -1.0
             trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:

@@ -55,7 +55,7 @@ def _resolve_input(path: str) -> Path:
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -77,9 +77,12 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
     its manifest is staged last, with the digests of the staged outputs, and
     the old one is unlinked just before the first replace: a failure before
     the commit leaves every file as it was, and a commit cut short leaves no
-    manifest. The ``metrics`` block, outside ``config_digest``, records the
-    seconds spent loading and computing (``compute_s``) and the process's
-    peak RSS at the frame's start and before the commit.
+    manifest. The input digests are taken after the load, and only for a
+    manifest that will be written; ``--expect-digest`` checks the main
+    input's before any load, and the manifest reuses that digest. The
+    ``metrics`` block, outside ``config_digest``, records the seconds spent
+    loading and computing (``compute_s``) and the process's peak RSS at the
+    frame's start and before the commit.
 
     The cyclic collector is off from the first load to the commit, as nothing
     a command builds forms cycles that grow with the corpus; the caller's
@@ -93,7 +96,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         targets.append(("manifest", targets[0][1] + ".manifest.json"))
 
     sources = [None if path is None else _resolve_input(path) for _, path, _ in inputs]
-    # Only a regular file can be read by the digest and then by the loader; a pipe
+    # Only a regular file can be read by both the loader and the digest; a pipe
     # is drained by the first read, and a FIFO with no writer blocks the first open.
     for (flag, path, _), source in zip(inputs, sources):
         if source is None or source.is_file():
@@ -102,12 +105,10 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             raise ValueError(f"{flag} {path}: Is a directory")
         raise ValueError(f"{flag} {path}: {'not a regular file' if source.exists() else 'input not found'}")
     input_digests: dict[str, str] = {}
-    for index, ((flag, path, _), source) in enumerate(zip(inputs, sources)):
-        checked = index == 0 and expect_digest is not None
-        if source is not None and (targets or checked):
-            digest = input_digests[str(source)] = input_digests.get(str(source)) or _sha256(source)
-            if checked and digest != expect_digest:
-                raise ValueError(f"{flag} {path}: digest mismatch: expected {expect_digest}, got {digest}")
+    if expect_digest is not None:
+        digest = input_digests[str(sources[0])] = _sha256(sources[0])
+        if digest != expect_digest:
+            raise ValueError(f"{inputs[0][0]} {inputs[0][1]}: digest mismatch: expected {expect_digest}, got {digest}")
     # An output may name neither another output nor a file the command reads.
     claimed = {Path(os.path.realpath(source)): f"{flag} {path}"
                for (flag, path, _), source in zip(inputs, sources) if source is not None}
@@ -137,6 +138,9 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             output_digests = {path: _sha256(written[real]) for _, path in targets
                               if (real := Path(os.path.realpath(path))) in written}
             if targets and targets[0][1] in output_digests:
+                for source in sources:
+                    if source is not None and str(source) not in input_digests:
+                        input_digests[str(source)] = _sha256(source)
                 manifest = Path(os.path.realpath(targets[-1][1]))
                 write_json(manifest, {
                     "argv": args.argv,

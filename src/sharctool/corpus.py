@@ -91,19 +91,21 @@ _memo: Optional[dict[str, dict]] = None
 
 @contextmanager
 def corpus_pass() -> Iterator[None]:
-    """Memoize ``tokenize``, ``lcs_match`` and BLEU pair statistics for one pass.
+    """Memoize three computations for one pass, each in a table of its own kind.
 
-    A pass over a corpus sees the same rule texts, questions and
-    (candidate, reference) pairs again and again; inside the ``with`` block
-    each is computed once. The memo is dropped when the block exits, also on
-    an exception. A nested pass shares the outer pass's memo. The memo is
-    process-wide, so passes must not run in concurrent threads.
+    The kinds are ``tokenize`` (text -> :class:`TokenizedText`), ``coverage``
+    (clause text, text -> :func:`~sharctool.markers.coverage`) and ``bleu``
+    (candidate, reference -> BLEU pair statistics). A pass over a corpus sees
+    the same rule texts, questions and pairs again and again; inside the
+    ``with`` block each is computed once. The memo is dropped when the block
+    exits, also on an exception. A nested pass shares the outer pass's memo.
+    The memo is process-wide, so passes must not run in concurrent threads.
     """
     global _memo
     if _memo is not None:
         yield
         return
-    _memo = {"tokenize": {}, "lcs_match": {}, "bleu": {}}
+    _memo = {"tokenize": {}, "coverage": {}, "bleu": {}}
     try:
         yield
     finally:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -199,7 +200,7 @@ def bleu(
             if stats is None:
                 stats = memo[key] = _pair_stats(candidate_text, reference_text, _MEMO_ORDERS)
         rows.append(stats)
-    cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in zip(*rows)][: 2 + 2 * max_order]
+    cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in islice(zip(*rows), 2 + 2 * max_order)]
 
     if cand_len == 0:
         return 0.0

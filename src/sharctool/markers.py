@@ -36,7 +36,7 @@ __all__ = [
 MARKER_PHI = "Phi"
 
 _T = TypeVar("_T")
-_Row = tuple[str, tuple[str, ...], list[str], list[int], list[str], Optional[tuple[int, int]], bool]
+_Row = tuple[str, tuple[str, ...], list[str], list[str], list[str], Optional[tuple[int, int]], bool]
 
 # Function words. Matching drops them only in the optional stopword-excluded
 # mode (the default matches everything); content_words always leaves them
@@ -53,9 +53,36 @@ def content_words(text: TokenizedText) -> set[str]:
 
 
 def coverage(clause: TokenizedText, text: TokenizedText) -> float:
-    """The share of ``clause``'s matchable tokens that ``text`` matches by LCS; 1.0 if it has none."""
-    matchable = len(clause.matchable()[0])
-    return len(lcs_match(clause, text)) / matchable if matchable else 1.0
+    """The share of ``clause``'s matchable tokens that ``text`` matches by LCS; 1.0 if it has none.
+
+    Only the LCS length is needed, so no pair is walked: in Hyyrö's row update (see :func:`lcs_pairs`) the
+    length is the count of zero bits in the last row. Inside a :func:`~sharctool.corpus.corpus_pass`, each
+    distinct pair of texts is measured once.
+    """
+    memo = pass_memo("coverage")
+    if memo is not None:
+        # Keying on the texts is sound because inside a pass every
+        # TokenizedText comes from tokenize(text), so its text fixes its tokens.
+        key = (clause.text, text.text)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+    symbols = clause.matchable()[1]
+    if symbols:
+        others = text.matchable()[1]
+        masks: dict = {}  # symbol -> the bits k where others[k] is that symbol
+        for bit, symbol in enumerate(others):
+            masks[symbol] = masks.get(symbol, 0) | 1 << bit
+        ones = full = (1 << len(others)) - 1
+        for symbol in symbols:
+            matched = ones & masks.get(symbol, 0)
+            ones = ((ones + matched) | (ones - matched)) & full
+        share = (full ^ ones).bit_count() / len(symbols)
+    else:
+        share = 1.0
+    if memo is not None:
+        memo[key] = share
+    return share
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -86,24 +113,27 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     of ``zeros`` is set where suffix[i][m - 1 - k] exceeds suffix[i][m - k].
     So with q = m - j the candidates are the bits from the highest set one
     below q up to q - 1, and the hit is the highest of them in a[i]'s mask.
+    A symbol of ``a`` that ``b`` lacks leaves its row equal to the next and
+    is never a hit, so only the rows of the others are built and walked.
     """
     m = len(b)
     masks: dict = {}  # symbol -> the bits k where b[m - 1 - k] is that symbol
     for bit, symbol in enumerate(reversed(b)):
         masks[symbol] = masks.get(symbol, 0) | 1 << bit
+    shared = [i for i, symbol in enumerate(a) if symbol in masks]
     ones = full = (1 << m) - 1
     zeros = []  # row i's zero bits, from the last row up
-    for symbol in reversed(a):
-        matched = ones & masks.get(symbol, 0)
+    for i in reversed(shared):
+        matched = ones & masks[a[i]]
         ones = ((ones + matched) | (ones - matched)) & full
         zeros.append(full ^ ones)
     pairs: list[tuple[int, int]] = []
     q = m
-    for i, row in enumerate(reversed(zeros)):
+    for i, row in zip(shared, reversed(zeros)):
         below = row & ((1 << q) - 1)
         if not below:
             break
-        hit = masks.get(a[i], 0) & ((1 << q) - (1 << (below.bit_length() - 1)))
+        hit = masks[a[i]] & ((1 << q) - (1 << (below.bit_length() - 1)))
         if hit:
             q = hit.bit_length() - 1
             pairs.append((i, m - 1 - q))
@@ -121,23 +151,11 @@ def lcs_match(
 
     Only the tokens that :meth:`~sharctool.corpus.TokenizedText.matchable`
     keeps in the given mode take part, and the returned indices address the
-    *full* token sequences of both inputs. Inside a
-    :func:`~sharctool.corpus.corpus_pass`, each distinct input is matched once.
+    *full* token sequences of both inputs.
     """
-    memo = pass_memo("lcs_match")
-    if memo is not None:
-        # Keying on the texts is sound because inside a pass every
-        # TokenizedText comes from tokenize(text), so its text fixes its tokens.
-        key = (rule.text, utterance.text, use_normalized, stopwords)
-        cached = memo.get(key)
-        if cached is not None:
-            return list(cached)
     rule_idx, rule_sym = rule.matchable(use_normalized, stopwords)
     utt_idx, utt_sym = utterance.matchable(use_normalized, stopwords)
-    pairs = [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
-    if memo is not None:
-        memo[key] = tuple(pairs)
-    return pairs
+    return [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
 
 
 def annotate_history(
@@ -203,24 +221,51 @@ def annotate_corpus(
     """Annotate each instance of a corpus; return ``(sink(rows), stats)``.
 
     Each instance gives one row, ``(utterance_id, rule surfaces, history
-    markers, turn indices, scenario markers, gold span or None, flagged)``.
-    Gold spans are extracted only for More-labeled instances (the gold answer
-    is a follow-up question there); one whose span comes back empty is
-    flagged rather than dropped. The rows reach ``sink`` as an iterator, one
-    instance at a time and inside one corpus pass, so a streamed corpus and a
-    sink that writes them hold no more than one instance and its row;
-    ``stats`` is complete once the iterator is used up.
+    markers, turn indices, scenario markers, gold span or None, flagged)``,
+    equal to what :func:`annotate_history` and :func:`extract_gold_span` give
+    it except that the three arrays hold each value in its JSON form, ready
+    to join: a marker as its escaped string (``'"Phi"'``, ``'"Yes"'``), a
+    turn index as its digits (``"1"``). Each distinct value is escaped once
+    per call, and the rule tokens each distinct (rule text, utterance text)
+    matches are worked out once per call, by :func:`lcs_match`. Gold spans
+    are extracted only for More-labeled instances (the gold answer is a
+    follow-up question there); one whose span comes back empty is flagged
+    rather than dropped. The rows reach ``sink`` as an iterator, one instance
+    at a time and inside one corpus pass, so a streamed corpus and a sink
+    that writes them hold no more than one instance and its row; ``stats`` is
+    complete once the iterator is used up.
     """
     stats = AnnotationStats()
-    mode = {"use_normalized": use_normalized, "stopwords": stopwords}
+    escaped = _EncodedOnce(encode_basestring)
+    numbers = _EncodedOnce(str)
+    phi, zero = escaped[MARKER_PHI], numbers[0]
+    matched: dict[tuple[str, str], tuple[int, ...]] = {}  # (rule text, utterance text) -> the rule indices
+
+    def matches(rule: TokenizedText, text: str) -> tuple[int, ...]:
+        key = rule.text, text
+        indices = matched.get(key)
+        if indices is None:
+            pairs = lcs_match(rule, tokenize(text), use_normalized=use_normalized, stopwords=stopwords)
+            indices = matched[key] = tuple(index for index, _ in pairs)
+        return indices
 
     def rows() -> Iterator[_Row]:
         for instance in corpus:
             rule = tokenize(instance.rule_text)
-            history_marker, turn_index = annotate_history(rule, instance.history, **mode)
-            scenario_marker = annotate_history(rule, instance.evidence, **mode)[0]
+            size = len(rule.surfaces)
+            history_marker, turn_index, scenario_marker = [phi] * size, [zero] * size, [phi] * size
+            for number, (question, answer) in enumerate(instance.history, start=1):
+                marker, turn = escaped[answer], numbers[number]  # the latest turn wins, as in annotate_history
+                for index in matches(rule, question):
+                    history_marker[index] = marker
+                    turn_index[index] = turn
+            for question, answer in instance.evidence:
+                marker = escaped[answer]
+                for index in matches(rule, question):
+                    scenario_marker[index] = marker
             more = instance.label is ClassLabel.MORE
-            gold_span = extract_gold_span(rule, instance.gold_answer, **mode) if more else None
+            span = matches(rule, instance.gold_answer) if more else ()
+            gold_span = (span[0], span[-1]) if span else None
             stats.instances += 1
             stats.more_instances += more
             stats.more_with_span += gold_span is not None
@@ -234,11 +279,10 @@ def annotate_corpus(
 def write_markers(path: str | Path, rows: Iterable[_Row]) -> None:
     """Write each row of :func:`annotate_corpus` as one ``markers.jsonl`` line, atomically.
 
-    A line is ``json.dumps(record, ensure_ascii=False)`` of the record laid out below, keys in its order. Each
-    distinct marker value, turn index and token tuple (one per rule text) is escaped once per write.
+    A line is ``json.dumps(record, ensure_ascii=False)`` of the record laid out below, keys in its order. The
+    row's three arrays already hold each value in its JSON form, so each is one ``", ".join``; each distinct
+    token tuple (one per rule text) is escaped once per write.
     """
-    escaped = _EncodedOnce(encode_basestring).__getitem__
-    numbers = _EncodedOnce(str).__getitem__
     token_arrays = _EncodedOnce(lambda tokens: ", ".join(map(encode_basestring, tokens)))
 
     def encode(row: _Row) -> str:
@@ -247,9 +291,8 @@ def write_markers(path: str | Path, rows: Iterable[_Row]) -> None:
         flags = '"empty_gold_span"' if flagged else ""
         return (
             f'{{"utterance_id": {encode_basestring(utterance_id)}, "tokens": [{token_arrays[tokens]}], '
-            f'"history_marker": [{", ".join(map(escaped, history_marker))}], '
-            f'"turn_index": [{", ".join(map(numbers, turn_index))}], '
-            f'"scenario_marker": [{", ".join(map(escaped, scenario_marker))}], "gold_span": {span}, '
+            f'"history_marker": [{", ".join(history_marker)}], "turn_index": [{", ".join(turn_index)}], '
+            f'"scenario_marker": [{", ".join(scenario_marker)}], "gold_span": {span}, '
             f'"flags": [{flags}], "scenario_marker_source": "gold-evidence"}}'
         )
 

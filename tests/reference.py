@@ -3,19 +3,27 @@
 ``corpus.record_encoder`` and ``augment.write_augmented`` lay out each line
 without building a dict; ``dumps_record`` of the dicts below must give the
 same line, and ``markers.write_markers`` must give ``json.dumps(record,
-ensure_ascii=False)`` of :func:`markers_record`. ``baseline.predict_corpus``
-decides inside one corpus pass; :func:`decide` decides one instance outside
-any pass. ``markers.lcs_pairs`` walks a bit-parallel table; :func:`lcs_pairs`
-walks the plain suffix-length table.
+ensure_ascii=False)`` of :func:`markers_record`. ``markers.annotate_corpus``
+gives each row's arrays in their JSON form; :func:`escaped_row` puts a row of
+plain values into that form. ``baseline.predict_corpus`` decides inside one
+corpus pass; :func:`decide` decides one instance outside any pass.
+``baseline.tune`` scores each grid point over its merged cells; :func:`tune`
+scores it over every tally row. ``markers.lcs_pairs`` walks a bit-parallel
+table; :func:`lcs_pairs` walks the plain suffix-length table.
 """
 
-from typing import Optional, Sequence
+import itertools
+import json
+from collections import Counter
+from dataclasses import asdict, replace
+from typing import Iterable, Mapping, Optional, Sequence
 
 from sharctool import baseline
 from sharctool.augment import AugmentedInstance
-from sharctool.baseline import PolicyParams
-from sharctool.corpus import DialogTurn, Instance
-from sharctool.ruleparse import parse_rule
+from sharctool.baseline import PolicyParams, TuneResult
+from sharctool.corpus import ClassLabel, DialogTurn, Instance, corpus_pass
+from sharctool.evaluate import GoldView, evaluate
+from sharctool.ruleparse import DEFAULT_CUES, CueSet, parse_rule
 
 
 def _turn_records(turns: list[DialogTurn]) -> list[dict]:
@@ -53,7 +61,8 @@ def decide(instance: Instance, params: PolicyParams = PolicyParams()) -> tuple[s
 
 
 def markers_record(row: tuple) -> dict:
-    """A row of ``markers.annotate_corpus`` as its ``markers.jsonl`` record, keys in line order."""
+    """A row of plain values (markers and turn numbers, as the per-instance annotators give them) as its
+    ``markers.jsonl`` record, keys in line order."""
     utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
     return {
         "utterance_id": utterance_id,
@@ -65,6 +74,38 @@ def markers_record(row: tuple) -> dict:
         "flags": ["empty_gold_span"] if flagged else [],
         "scenario_marker_source": "gold-evidence",
     }
+
+
+def escaped_row(row: tuple) -> tuple:
+    """A row of plain values in the form ``markers.annotate_corpus`` gives it: each array value in its JSON form."""
+    utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
+    escaped = [[json.dumps(value, ensure_ascii=False) for value in values]
+               for values in (history_marker, turn_index, scenario_marker)]
+    return (utterance_id, tokens, *escaped, gold_span, flagged)
+
+
+def tune(corpus: Iterable[Instance], grid: Optional[Mapping[str, Sequence]] = None,
+         cues: CueSet = DEFAULT_CUES) -> TuneResult:
+    """``baseline.tune`` scoring each grid point by one ``evaluate`` over every tally row, each row's own outputs."""
+    grid = dict(baseline.DEFAULT_GRID if grid is None else grid)
+    points = [replace(PolicyParams(), **dict(zip(grid, values))) for values in itertools.product(*grid.values())]
+    outputs = baseline._grid_outputs(points)
+    rows: Counter = Counter()
+    best, best_score, trials = None, float("-inf"), []
+    with corpus_pass():
+        for instance, features in baseline._corpus_features(corpus, cues):
+            followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
+            rows[instance.label, followup, outputs(features)] += 1
+        entries = [(k, label, followup, count) for k, ((label, followup, _), count) in enumerate(rows.items())]
+        gold = GoldView(frozenset(range(len(entries))), tuple((k, label, count) for k, label, _, count in entries),
+                        tuple((k, followup, count) for k, _, followup, count in entries if followup is not None))
+        for index, params in enumerate(points):
+            report = evaluate(gold, {k: row[2][index] for k, row in enumerate(rows)})
+            score = report.combined if report.combined is not None else -1.0
+            trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
+            if score > best_score:
+                best, best_score = params, score
+    return TuneResult(best_params=best, best_combined=best_score, instance_count=sum(rows.values()), trials=trials)
 
 
 def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:

@@ -3,13 +3,14 @@
 import itertools
 import json
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sharctool import baseline
-from sharctool.corpus import ClassLabel, CorpusError, derive_label, pass_memo, tokenize, write_json
+from sharctool.corpus import (ClassLabel, CorpusError, DialogTurn, Instance, derive_label, pass_memo, tokenize,
+                              write_json)
 from sharctool.baseline import (
     PolicyParams,
     generate_followup,
@@ -21,7 +22,7 @@ from sharctool.baseline import (
 )
 from sharctool.ruleparse import Clause, ClauseKind, LogicType
 
-from reference import decide
+from reference import decide, tune as reference_tune
 
 CONJ_RULE = (
     "You can claim the grant if all of the following apply:\n"
@@ -377,3 +378,32 @@ def test_the_tally_decides_each_instance_as_decide_does_at_every_grid_point(grid
     outputs = baseline._grid_outputs(points)  # one for all instances, as tune uses it
     for features in instances:
         assert outputs(features) == tuple(baseline._decide(features, point)[0] for point in points)
+
+
+# Small pools, so that many rows share their outputs. Echoed answers give class words in any case and a follow-up.
+_FOLLOWUPS = ["Are you over 60?", "Are you a carer?", "Do you get it?"]
+_CORPORA = st.lists(
+    st.builds(
+        Instance,
+        utterance_id=st.just(""),
+        tree_id=st.just("t-0"),
+        rule_text=st.sampled_from([CONJ_RULE, DISJ_RULE, UNKNOWN_RULE, SINGLE_RULE]),
+        question=st.sampled_from([ON_TOPIC, OFF_TOPIC]),
+        scenario=st.sampled_from(["", "I am over 60.", "I live in England."]),
+        history=st.lists(st.builds(DialogTurn, st.sampled_from(_FOLLOWUPS),
+                                   st.sampled_from(["Yes", "No", " yes", "NO", "Why?"])), max_size=4),
+        gold_answer=st.sampled_from(["Yes", "No", "Irrelevant", *_FOLLOWUPS]),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda instances: [replace(inst, utterance_id=f"u-{k}") for k, inst in enumerate(instances)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_GRIDS, corpus=_CORPORA)
+def test_tune_over_merged_cells_equals_scoring_every_tally_row(grid, corpus):
+    result = tune(corpus, grid=grid)
+    expected = reference_tune(corpus, grid=grid)
+    assert (result.trials, result.best_params, result.best_combined) == (
+        expected.trials, expected.best_params, expected.best_combined)
+    assert result.instance_count == expected.instance_count == len(corpus)

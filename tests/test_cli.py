@@ -167,6 +167,16 @@ def test_expect_digest_takes_the_digest_in_upper_case(corpus_file, tmp_path):
     assert main(["probe", "--in", str(corpus_file), "--out", str(out), "--expect-digest", upper]) == 0
 
 
+def test_an_input_is_digested_only_for_a_manifest_or_expect_digest_and_at_most_once(corpus_file, monkeypatch):
+    digested = []
+    monkeypatch.setattr(cli, "_sha256", lambda path: digested.append(path.name) or _sha256(path))
+    argv = ["probe", "--in", str(corpus_file), "--out", os.devnull]
+    assert main(argv) == 0
+    assert digested == []  # /dev/null is written as it is: no manifest records the input
+    assert main([*argv, "--expect-digest", _sha256(corpus_file)]) == 0
+    assert digested == [corpus_file.name]
+
+
 # --------------------------------------------------------------------------
 # augment
 # --------------------------------------------------------------------------

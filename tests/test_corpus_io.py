@@ -38,7 +38,7 @@ from sharctool.markers import MARKER_PHI, write_markers
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
 
-from reference import augmented_to_record, instance_to_record, markers_record
+from reference import augmented_to_record, escaped_row, instance_to_record, markers_record
 
 
 def _record(**overrides):
@@ -841,7 +841,7 @@ def _marker_rows(draw):
 @given(rows=_marker_rows())
 def test_each_written_marker_line_is_dumps_of_its_record(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("markers") / "markers.jsonl"
-    write_markers(path, rows)
+    write_markers(path, map(escaped_row, rows))
     lines = [json.dumps(markers_record(row), ensure_ascii=False) for row in rows]
     assert path.read_bytes().decode("utf-8").split("\n") == lines + [""]
 

@@ -1,11 +1,12 @@
 """LCS matching and per-token marker annotation."""
 
 from itertools import combinations
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sharctool.corpus import ClassLabel, CorpusError, DialogTurn, pass_memo, tokenize
+from sharctool.corpus import ClassLabel, CorpusError, DialogTurn, corpus_pass, pass_memo, tokenize
 from sharctool.markers import (
     BASIC_STOPWORDS,
     MARKER_PHI,
@@ -112,8 +113,12 @@ def test_lcs_pairs_is_a_maximal_common_subsequence(a, b):
         assert a[i] == b[j]
 
 
+# Two sequences of 0-40 symbols over an alphabet of 1-7.
+_SYMBOL_PAIRS = st.integers(1, 7).flatmap(lambda k: st.tuples(*[st.lists(st.integers(0, k - 1), max_size=40)] * 2))
+
+
 @settings(max_examples=400)
-@given(st.integers(1, 7).flatmap(lambda k: st.tuples(*[st.lists(st.integers(0, k - 1), max_size=40)] * 2)))
+@given(_SYMBOL_PAIRS)
 def test_lcs_pairs_is_the_suffix_table_walk(ab):
     a, b = ab
     assert lcs_pairs(a, b) == reference_lcs_pairs(a, b)
@@ -163,6 +168,23 @@ def test_coverage_is_the_matched_share_of_normalized_clause_tokens():
     assert coverage(clause, tokenize("Are you over 60?")) == 0.75
     assert coverage(clause, tokenize("Nothing alike")) == 0.0
     assert coverage(tokenize("..."), tokenize("anything")) == 1.0
+
+
+@settings(max_examples=300)
+@given(_SYMBOL_PAIRS, st.lists(st.booleans(), min_size=7, max_size=7))
+def test_coverage_is_the_lcs_match_share_inside_and_outside_a_pass(ab, punctuation):
+    # A symbol flagged as punctuation becomes a token with no normalized form, which takes no part in matching.
+    def text(symbols):
+        return tokenize(" ".join("?" * (s + 1) if punctuation[s] else f"W{s}" if s % 2 else f"w{s}" for s in symbols))
+
+    clause, other = map(text, ab)
+    matchable = len(clause.matchable()[0])
+    expected = len(lcs_match(clause, other)) / matchable if matchable else 1.0
+    assert coverage(clause, other) == expected
+    with corpus_pass():
+        clause, other = map(text, ab)
+        assert coverage(clause, other) == expected
+        assert coverage(clause, other) == expected  # from the pass's memo
 
 
 # --------------------------------------------------------------------------
@@ -279,10 +301,10 @@ def test_annotate_scenario(make_instance, turn):
     instance = make_instance(rule_text=RULE.text, history=_turns(turn, ("Do you live in England?", "No")),
                              evidence=_turns(turn, ("Are you over 60?", "Yes")))
     [row], _ = annotate_corpus([instance], stopwords=BASIC_STOPWORDS)
-    by_surface = dict(zip(RULE.surfaces, row[4]))
-    assert by_surface["over"] == "Yes"
-    assert by_surface["60"] == "Yes"
-    assert by_surface["live"] == MARKER_PHI
+    by_surface = dict(zip(RULE.surfaces, row[4]))  # each marker in its JSON form
+    assert by_surface["over"] == '"Yes"'
+    assert by_surface["60"] == '"Yes"'
+    assert by_surface["live"] == encode_basestring(MARKER_PHI)
 
 
 def test_extract_gold_span_covers_matched_region():

@@ -1,5 +1,6 @@
 """The pass-scoped memo: same results inside a pass as outside, nothing kept after."""
 
+import json
 from dataclasses import asdict
 
 import pytest
@@ -15,11 +16,12 @@ from sharctool.markers import (
     annotate_history,
     extract_gold_span,
     lcs_match,
+    write_markers,
 )
 from sharctool.ruleparse import ClauseKind, parse_rule
 from sharctool.synthcorpus import SplitSpec, generate_split
 
-from reference import decide
+from reference import decide, escaped_row, markers_record
 
 MEMO_SPEC = SplitSpec(
     name="memotoy",
@@ -32,7 +34,7 @@ MEMO_SPEC = SplitSpec(
     },
     tree_count=40,
 )
-KINDS = ("tokenize", "lcs_match", "bleu")
+KINDS = ("tokenize", "coverage", "bleu")
 SMALL_GRID = {"tau_irr": (0.1, 0.3), "rho": (0.4, 0.8), "l_max": (3, 8)}
 
 
@@ -107,9 +109,22 @@ def test_lcs_modes_do_not_share_entries():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
+def _annotated_alone(instance, mode):
+    """An instance's ``annotate_corpus`` row in plain values, from the per-instance annotators outside any pass."""
+    rule = tokenize(instance.rule_text)
+    history_marker, turn_index = annotate_history(rule, instance.history, **mode)
+    more = instance.label is ClassLabel.MORE
+    gold_span = extract_gold_span(rule, instance.gold_answer, **mode) if more else None
+    return (instance.utterance_id, rule.surfaces, history_marker, turn_index,
+            annotate_history(rule, instance.evidence, **mode)[0], gold_span, more and gold_span is None)
+
+
+_ANNOTATE_MODES = pytest.mark.parametrize(
     "mode", [{}, {"use_normalized": False}, {"stopwords": BASIC_STOPWORDS}], ids=["default", "raw", "stopwords"]
 )
+
+
+@_ANNOTATE_MODES
 def test_annotate_corpus_matches_per_instance_annotators(corpus, mode):
     rows, _ = annotate_corpus(corpus, **mode)
     assert _memo_is_empty()
@@ -117,11 +132,19 @@ def test_annotate_corpus_matches_per_instance_annotators(corpus, mode):
         utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row
         rule = tokenize(instance.rule_text)
         assert (utterance_id, tokens) == (instance.utterance_id, rule.surfaces)
-        assert (history_marker, turn_index) == annotate_history(rule, instance.history, **mode)
-        assert scenario_marker == annotate_history(rule, instance.evidence, **mode)[0]
+        expected = escaped_row(_annotated_alone(instance, mode))  # the arrays in their JSON form
+        assert (history_marker, turn_index) == expected[2:4]
+        assert scenario_marker == expected[4]
         more = instance.label is ClassLabel.MORE
         assert gold_span == (extract_gold_span(rule, instance.gold_answer, **mode) if more else None)
         assert flagged == (more and gold_span is None)
+
+
+@_ANNOTATE_MODES
+def test_written_annotate_rows_are_the_per_instance_records(corpus, mode, tmp_path):
+    annotate_corpus(corpus, **mode, sink=lambda rows: write_markers(tmp_path / "markers.jsonl", rows))
+    lines = [json.dumps(markers_record(_annotated_alone(instance, mode)), ensure_ascii=False) for instance in corpus]
+    assert (tmp_path / "markers.jsonl").read_text(encoding="utf-8").split("\n") == lines + [""]
 
 
 def test_predict_corpus_matches_deciding_each_instance_alone(corpus):
