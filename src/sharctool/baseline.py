@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 from .corpus import (
     ClassLabel,
     Instance,
+    Memo,
     TokenizedText,
-    _EncodedOnce,
     corpus_pass,
     derive_label,
     read_json,
@@ -163,13 +163,10 @@ def _features(instance: Instance, plan: _RulePlan) -> _Features:
 
 def _corpus_features(corpus: Iterable[Instance], cues: CueSet) -> Iterator[tuple[Instance, _Features]]:
     """Yield each instance with its features inside one corpus pass, planning each distinct rule text once."""
-    plans: dict[str, _RulePlan] = {}
+    plans = Memo(lambda rule_text: _plan(rule_text, parse_rule(rule_text, cues)))
     with corpus_pass():
         for instance in corpus:
-            plan = plans.get(instance.rule_text)
-            if plan is None:
-                plan = plans[instance.rule_text] = _plan(instance.rule_text, parse_rule(instance.rule_text, cues))
-            yield instance, _features(instance, plan)
+            yield instance, _features(instance, plans[instance.rule_text])
 
 
 _FALLBACK_OUTPUT = {
@@ -255,16 +252,17 @@ def _grid_outputs(points: Sequence[PolicyParams]) -> Callable[[_Features], tuple
     ``len(answers) < l_max``. Points that agree on both tests and on ``(rho, rho_s)`` decide alike, so ``_decide``
     runs once per such class; the classes are worked out once per distinct triple of those three features.
     """
-    shapes: dict[tuple, list[int]] = {}  # the triple -> each point's class, as the index of its first point
+
+    def shape(tested: tuple[bool, float, int]) -> list[int]:
+        empty, overlap, turns = tested
+        keys = [(empty and overlap < p.tau_irr, turns < p.l_max, p.rho, p.rho_s) for p in points]
+        first: dict[tuple, int] = {}
+        return [first.setdefault(key, k) for k, key in enumerate(keys)]
+
+    shapes = Memo(shape)  # the triple -> each point's class, as the index of its first point
 
     def outputs(features: _Features) -> tuple[str, ...]:
-        tested = features.empty_context, features.question_overlap, len(features.answers)
-        classes = shapes.get(tested)
-        if classes is None:
-            empty, overlap, turns = tested
-            keys = [(empty and overlap < p.tau_irr, turns < p.l_max, p.rho, p.rho_s) for p in points]
-            first: dict[tuple, int] = {}
-            classes = shapes[tested] = [first.setdefault(key, k) for k, key in enumerate(keys)]
+        classes = shapes[features.empty_context, features.question_overlap, len(features.answers)]
         decided = {k: _decide(features, points[k])[0] for k in set(classes)}
         return tuple(map(decided.__getitem__, classes))
 
@@ -310,9 +308,9 @@ def tune(
     trials: list[dict] = []
     with corpus_pass():
         for instance, features in _corpus_features(corpus, cues):
-            followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
-            rows[instance.label, followup, outputs(features)] += 1
-        words = _EncodedOnce(lambda output: derive_label(output).value)
+            label = instance.label
+            rows[label, instance.gold_answer if label is ClassLabel.MORE else None, outputs(features)] += 1
+        words = Memo(lambda output: derive_label(output).value)
         tally: Counter[tuple[ClassLabel, Optional[str], tuple[str, ...]]] = Counter()
         for (label, followup, decided), count in rows.items():
             tally[label, followup, decided if followup is not None else tuple(map(words.__getitem__, decided))] += count

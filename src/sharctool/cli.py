@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .augment import AugmentConfig, DEFAULT_TOTAL_TARGET, build_augmented_corpus, write_augmented
 from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_predictions
-from .corpus import (ClassLabel, LoadAudit, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
+from .corpus import (ClassLabel, LoadAudit, Memo, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
                      write_json, write_jsonl)
 from .evaluate import evaluate, gold_view, render_report
 from .markers import BASIC_STOPWORDS, annotate_corpus, write_markers
@@ -104,9 +104,9 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
         if source.is_dir():
             raise ValueError(f"{flag} {path}: Is a directory")
         raise ValueError(f"{flag} {path}: {'not a regular file' if source.exists() else 'input not found'}")
-    input_digests: dict[str, str] = {}
+    digests = Memo(_sha256)  # each input's digest, read at most once
     if expect_digest is not None:
-        digest = input_digests[str(sources[0])] = _sha256(sources[0])
+        digest = digests[sources[0]]
         if digest != expect_digest:
             raise ValueError(f"{inputs[0][0]} {inputs[0][1]}: digest mismatch: expected {expect_digest}, got {digest}")
     # An output may name neither another output nor a file the command reads.
@@ -138,9 +138,6 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
             output_digests = {path: _sha256(written[real]) for _, path in targets
                               if (real := Path(os.path.realpath(path))) in written}
             if targets and targets[0][1] in output_digests:
-                for source in sources:
-                    if source is not None and str(source) not in input_digests:
-                        input_digests[str(source)] = _sha256(source)
                 manifest = Path(os.path.realpath(targets[-1][1]))
                 write_json(manifest, {
                     "argv": args.argv,
@@ -149,7 +146,7 @@ def _run(args: argparse.Namespace, config: dict, inputs, outputs, compute) -> in
                     "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                     "config_digest": _config_digest(config),
                     "config": config,
-                    "input_digests": input_digests,
+                    "input_digests": {str(source): digests[source] for source in sources if source is not None},
                     "output_digests": output_digests,
                     "metrics": {
                         "compute_s": round(computed - began, 4),

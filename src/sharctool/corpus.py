@@ -18,7 +18,6 @@ import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 from sys import intern
@@ -30,6 +29,8 @@ __all__ = [
     "DialogTurn",
     "Instance",
     "LoadAudit",
+    "Memo",
+    "PASS_KINDS",
     "TokenizedText",
     "content_hash",
     "content_key",
@@ -80,24 +81,46 @@ def derive_label(answer: str) -> ClassLabel:
 
 
 # --------------------------------------------------------------------------
-# Pass-scoped memo
+# Memos
 # --------------------------------------------------------------------------
 
-# One table per memoized computation, alive only while a corpus pass runs.
-# Outside a pass this is None and every function computes from scratch, so
-# one-off calls neither pay for nor fill a cache that would outlive its use.
-_memo: Optional[dict[str, dict]] = None
+
+class Memo(dict):
+    """``memo[key]`` is ``compute(key)``, computed at the first lookup of each key and kept while the memo lives.
+
+    Each kind of a :func:`corpus_pass` is one, as are a writer's escaped values and a call's rule plans, rule
+    matches, grid shapes and class words; only a text keeps its own :meth:`TokenizedText.matchable` projections.
+    A hit is a plain ``dict`` lookup.
+    """
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.compute(key)
+        return value
+
+
+# Each kind of the pass memo -> what it computes from a key; the module that owns a kind adds it at import.
+PASS_KINDS: dict[str, Callable] = {}
+
+# One table per kind, alive only while a corpus pass runs. Outside a pass
+# this is None and every function computes from scratch, so one-off calls
+# neither pay for nor fill a cache that would outlive its use.
+_memo: Optional[dict[str, Memo]] = None
 
 
 @contextmanager
 def corpus_pass() -> Iterator[None]:
-    """Memoize three computations for one pass, each in a table of its own kind.
+    """Memoize each kind of :data:`PASS_KINDS` for one pass, in a :class:`Memo` of its own made at the start.
 
     The kinds are ``tokenize`` (text -> :class:`TokenizedText`), ``coverage``
     (clause text, text -> :func:`~sharctool.markers.coverage`) and ``bleu``
     (candidate, reference -> BLEU pair statistics). A pass over a corpus sees
     the same rule texts, questions and pairs again and again; inside the
-    ``with`` block each is computed once. The memo is dropped when the block
+    ``with`` block each is computed once, and a text's tokens are the
+    ``tokenize`` table's entry for it. The memo is dropped when the block
     exits, also on an exception. A nested pass shares the outer pass's memo.
     The memo is process-wide, so passes must not run in concurrent threads.
     """
@@ -105,15 +128,15 @@ def corpus_pass() -> Iterator[None]:
     if _memo is not None:
         yield
         return
-    _memo = {"tokenize": {}, "coverage": {}, "bleu": {}}
+    _memo = {kind: Memo(compute) for kind, compute in PASS_KINDS.items()}
     try:
         yield
     finally:
         _memo = None
 
 
-def pass_memo(kind: str) -> Optional[dict]:
-    """The active pass's table for ``kind``, or None outside a pass."""
+def pass_memo(kind: str) -> Optional[Memo]:
+    """The active pass's :class:`Memo` for ``kind``, or None outside a pass, where the caller computes directly."""
     return None if _memo is None else _memo[kind]
 
 
@@ -179,15 +202,15 @@ def tokenize(text: str) -> TokenizedText:
     one (immutable) result.
     """
     memo = pass_memo("tokenize")
-    if memo is not None:
-        cached = memo.get(text)
-        if cached is not None:
-            return cached
+    return _tokenize(text) if memo is None else memo[text]
+
+
+def _tokenize(text: str) -> TokenizedText:
     surfaces = tuple(map(intern, _TOKEN_RE.findall(text)))
-    result = TokenizedText(text, surfaces, tuple(map(_normalize_token, surfaces)))
-    if memo is not None:
-        memo[text] = result
-    return result
+    return TokenizedText(text, surfaces, tuple(map(_normalize_token, surfaces)))
+
+
+PASS_KINDS["tokenize"] = _tokenize
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +242,9 @@ class Instance:
     evidence: list[DialogTurn] = field(default_factory=list)
     gold_answer: str = ""
 
-    @cached_property
+    @property
     def label(self) -> ClassLabel:
-        # Derived once per instance: nothing reassigns gold_answer.
+        """The class of the gold answer, derived at each read: bind it once where it is read twice."""
         return derive_label(self.gold_answer)
 
     @property
@@ -491,18 +514,6 @@ def dumps_record(record: dict) -> str:
     return _RECORD_ENCODER.encode(record)
 
 
-class _EncodedOnce(dict):
-    """``memo[key]`` is ``encode(key)``, computed at the first lookup of each key."""
-
-    def __init__(self, encode: Callable[[object], str]):
-        super().__init__()
-        self.encode = encode
-
-    def __missing__(self, key: object) -> str:
-        value = self[key] = self.encode(key)
-        return value
-
-
 def _encode_turn(turn: DialogTurn) -> str:
     question, answer = turn
     return f'{{"follow_up_answer":{encode_basestring(answer)},"follow_up_question":{encode_basestring(question)}}}'
@@ -522,8 +533,8 @@ def record_encoder() -> Callable[..., str]:
     the record encoder itself calls, and kept for the encoder's lifetime,
     one write; ids and scenarios, which seldom repeat, are escaped each time.
     """
-    escaped = _EncodedOnce(encode_basestring)
-    turns = _EncodedOnce(_encode_turn)
+    escaped = Memo(encode_basestring)
+    turns = Memo(_encode_turn)
 
     def encode(instance: Instance, extra: str = "") -> str:
         evidence = ",".join([turns[turn] for turn in instance.evidence])
@@ -538,6 +549,24 @@ def record_encoder() -> Callable[..., str]:
     return encode
 
 
+_FD_LINK = re.compile(r"/proc/(\d+)(?:/task/\d+)?/fd/(\d+)")  # a process's (or thread's) descriptor link
+
+
+def _fd_link(path: str | Path) -> Optional[tuple[int, int]]:
+    """``(pid, N)`` if ``path`` resolves through ``/proc/<pid>/fd/N``, else None; links are followed by hand, as
+    ``os.path.realpath`` would go on to the file the descriptor has open."""
+    path = os.path.join(os.getcwd(), path)
+    for _ in range(40):  # the most links the kernel follows in one lookup
+        parent, name = os.path.split(path)
+        path = os.path.join(os.path.realpath(parent), name)
+        if link := _FD_LINK.fullmatch(path):
+            return int(link[1]), int(link[2])
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return None
+
+
 # Inside a staged_writes() block: the (temporary file, target) pairs whose
 # replace waits for the block's commit.
 _staged: Optional[list[tuple[Path, Path]]] = None
@@ -546,24 +575,29 @@ _staged: Optional[list[tuple[Path, Path]]] = None
 def write_jsonl(path: str | Path, records: Iterable, encode: Callable[[object], str]) -> None:
     """Write ``encode(record)`` per line, staged where the target allows it.
 
-    A regular file at ``path`` (``os.stat`` follows links, ``/proc`` fd links
-    too), or no file in an existing directory, is staged: the lines go to a
-    temporary file next to the real target, which replaces it and takes over
-    its permission bits, at once or, inside :func:`staged_writes`, at the
-    block's end; on any error the target is left as it was. Anything else (a
-    pipe, a FIFO, a device, a missing parent) is opened as it is, so it
+    A regular file at ``path`` (``os.stat`` follows links), or no file in an
+    existing directory, is staged: the lines go to a temporary file next to
+    the real target, which replaces it and takes over its permission bits,
+    at once or, inside :func:`staged_writes`, at the block's end; on any
+    error the target is left as it was. A path through ``/proc/<pid>/fd/N``
+    (``/dev/stdout``, ``/dev/fd/1``) is not staged: this process's
+    descriptor N is written through at its offset, so what the process
+    writes there next follows. That of another process, and anything else
+    (a pipe, a FIFO, a device, a missing parent), is opened as it is, so it
     works or fails just as ``open(path, "w")`` does.
     """
     if _staged is None:
         with staged_writes():
             return write_jsonl(path, records, encode)
     target = Path(os.path.realpath(path))
+    link = _fd_link(path)
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        regular = link is None and stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         regular = target.parent.is_dir()
     if not regular:
-        with open(path, "w", encoding="utf-8") as handle:
+        own = link is not None and link[0] == os.getpid()
+        with open(os.dup(link[1]) if own else path, "w", encoding="utf-8") as handle:
             handle.writelines(encode(record) + "\n" for record in records)
         return
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")

@@ -21,7 +21,7 @@ from itertools import islice
 from operator import mul
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .corpus import ClassLabel, Instance, derive_label, pass_memo, tokenize
+from .corpus import PASS_KINDS, ClassLabel, Instance, derive_label, pass_memo, tokenize
 
 __all__ = [
     "SCORING_NOTES",
@@ -71,8 +71,9 @@ def gold_view(instances: Iterable[Instance]) -> GoldView:
     """
     labels, followups = [], []
     for inst in instances:
-        labels.append((inst.utterance_id, inst.label, 1))
-        if inst.label is ClassLabel.MORE:
+        label = inst.label
+        labels.append((inst.utterance_id, label, 1))
+        if label is ClassLabel.MORE:
             followups.append((inst.utterance_id, inst.gold_answer, 1))
     ids = frozenset(uid for uid, _, _ in labels)
     if len(ids) != len(labels):
@@ -135,6 +136,7 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
 
 # Orders kept per pair in a pass's BLEU memo: enough for BLEU-1 and BLEU-4.
 _MEMO_ORDERS = 4
+PASS_KINDS["bleu"] = lambda pair: _pair_stats(*pair, _MEMO_ORDERS)
 
 
 def _pair_stats(candidate_text: str, reference_text: str, max_order: int) -> tuple[int, ...]:
@@ -190,16 +192,8 @@ def bleu(
         return sum(scores) / sum(weights)
 
     memo = pass_memo("bleu") if max_order <= _MEMO_ORDERS else None
-    rows = []
-    for candidate_text, reference_text in candidates_and_references:
-        if memo is None:
-            stats = _pair_stats(candidate_text, reference_text, max_order)
-        else:
-            key = (candidate_text, reference_text)
-            stats = memo.get(key)
-            if stats is None:
-                stats = memo[key] = _pair_stats(candidate_text, reference_text, _MEMO_ORDERS)
-        rows.append(stats)
+    rows = [_pair_stats(candidate, reference, max_order) if memo is None else memo[candidate, reference]
+            for candidate, reference in candidates_and_references]
     cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in islice(zip(*rows), 2 + 2 * max_order)]
 
     if cand_len == 0:

@@ -15,8 +15,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .corpus import (ClassLabel, DialogTurn, Instance, TokenizedText, _EncodedOnce, corpus_pass, pass_memo, tokenize,
-                     write_jsonl)
+from .corpus import (PASS_KINDS, ClassLabel, DialogTurn, Instance, Memo, TokenizedText, corpus_pass, pass_memo,
+                     tokenize, write_jsonl)
 
 __all__ = [
     "AnnotationStats",
@@ -55,34 +55,24 @@ def content_words(text: TokenizedText) -> set[str]:
 def coverage(clause: TokenizedText, text: TokenizedText) -> float:
     """The share of ``clause``'s matchable tokens that ``text`` matches by LCS; 1.0 if it has none.
 
-    Only the LCS length is needed, so no pair is walked: in Hyyrö's row update (see :func:`lcs_pairs`) the
-    length is the count of zero bits in the last row. Inside a :func:`~sharctool.corpus.corpus_pass`, each
-    distinct pair of texts is measured once.
+    Only the LCS length is needed, so no pair is walked: it is the count of zero bits in the last of
+    :func:`_lcs_rows`. Inside a :func:`~sharctool.corpus.corpus_pass`, each distinct pair of texts is measured
+    once, in the pass memo's ``coverage`` kind.
     """
     memo = pass_memo("coverage")
-    if memo is not None:
-        # Keying on the texts is sound because inside a pass every
-        # TokenizedText comes from tokenize(text), so its text fixes its tokens.
-        key = (clause.text, text.text)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    return _coverage(clause, text) if memo is None else memo[clause.text, text.text]
+
+
+def _coverage(clause: TokenizedText, text: TokenizedText) -> float:
     symbols = clause.matchable()[1]
-    if symbols:
-        others = text.matchable()[1]
-        masks: dict = {}  # symbol -> the bits k where others[k] is that symbol
-        for bit, symbol in enumerate(others):
-            masks[symbol] = masks.get(symbol, 0) | 1 << bit
-        ones = full = (1 << len(others)) - 1
-        for symbol in symbols:
-            matched = ones & masks.get(symbol, 0)
-            ones = ((ones + matched) | (ones - matched)) & full
-        share = (full ^ ones).bit_count() / len(symbols)
-    else:
-        share = 1.0
-    if memo is not None:
-        memo[key] = share
-    return share
+    if not symbols:
+        return 1.0
+    zeros = _lcs_rows(symbols, text.matchable()[1])[2]
+    return (zeros[-1].bit_count() if zeros else 0) / len(symbols)
+
+
+# Keyed on the texts: inside a pass every TokenizedText is the tokenize table's entry for its text.
+PASS_KINDS["coverage"] = lambda texts: _coverage(*map(pass_memo("tokenize").__getitem__, texts))
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -91,6 +81,30 @@ def jaccard(a: set[str], b: set[str]) -> float:
     if not union:
         return 0.0
     return len(a & b) / len(union)
+
+
+def _lcs_rows(a: Sequence, b: Sequence) -> tuple[dict, list[int], list[int]]:
+    """Hyyrö's bit-parallel LCS rows over the reversed sequences ("Bit-parallel LCS-length computation revisited",
+    2004): ``(masks, shared, zeros)``.
+
+    ``masks`` maps each symbol of ``b`` to the bits k where ``b[m - 1 - k]`` is that symbol, and ``shared``
+    lists the indices of ``a`` whose symbol ``b`` has. ``zeros`` holds row i's zero bits for each i of
+    ``shared``, from the last up: bit k is set where the LCS length of ``a[i:]`` and ``b[m - 1 - k:]`` exceeds
+    that of ``a[i:]`` and ``b[m - k:]``, so the last row's bits count the LCS. A symbol that ``b`` lacks leaves
+    its row equal to the next, so only the rows of ``shared`` are built; with none, ``zeros`` is empty.
+    """
+    m = len(b)
+    masks: dict = {}
+    for bit, symbol in enumerate(reversed(b)):
+        masks[symbol] = masks.get(symbol, 0) | 1 << bit
+    shared = [i for i, symbol in enumerate(a) if symbol in masks]
+    ones = full = (1 << m) - 1
+    zeros = []
+    for i in reversed(shared):
+        matched = ones & masks[a[i]]
+        ones = ((ones + matched) | (ones - matched)) & full
+        zeros.append(full ^ ones)
+    return masks, shared, zeros
 
 
 def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
@@ -108,25 +122,14 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     one of them matches, and the smallest such column is the right one: a
     smaller b-index only widens the choices downstream. A match needs no test
     of its continuation, because a matching cell is its diagonal plus one.
-    Each row is one integer, from Hyyrö's bit-parallel LCS over the reversed
-    sequences ("Bit-parallel LCS-length computation revisited", 2004): bit k
-    of ``zeros`` is set where suffix[i][m - 1 - k] exceeds suffix[i][m - k].
-    So with q = m - j the candidates are the bits from the highest set one
-    below q up to q - 1, and the hit is the highest of them in a[i]'s mask.
-    A symbol of ``a`` that ``b`` lacks leaves its row equal to the next and
-    is never a hit, so only the rows of the others are built and walked.
+    The rows come from :func:`_lcs_rows`, whose bit k of row i is set where
+    suffix[i][m - 1 - k] exceeds suffix[i][m - k]. So with q = m - j the
+    candidates are the bits from the highest set one below q up to q - 1,
+    and the hit is the highest of them in a[i]'s mask. Only the rows of the
+    symbols ``b`` has are walked: no other symbol can be a hit.
     """
     m = len(b)
-    masks: dict = {}  # symbol -> the bits k where b[m - 1 - k] is that symbol
-    for bit, symbol in enumerate(reversed(b)):
-        masks[symbol] = masks.get(symbol, 0) | 1 << bit
-    shared = [i for i, symbol in enumerate(a) if symbol in masks]
-    ones = full = (1 << m) - 1
-    zeros = []  # row i's zero bits, from the last row up
-    for i in reversed(shared):
-        matched = ones & masks[a[i]]
-        ones = ((ones + matched) | (ones - matched)) & full
-        zeros.append(full ^ ones)
+    masks, shared, zeros = _lcs_rows(a, b)
     pairs: list[tuple[int, int]] = []
     q = m
     for i, row in zip(shared, reversed(zeros)):
@@ -227,7 +230,8 @@ def annotate_corpus(
     to join: a marker as its escaped string (``'"Phi"'``, ``'"Yes"'``), a
     turn index as its digits (``"1"``). Each distinct value is escaped once
     per call, and the rule tokens each distinct (rule text, utterance text)
-    matches are worked out once per call, by :func:`lcs_match`. Gold spans
+    matches are worked out once per call, by :func:`lcs_match`, each in a
+    :class:`~sharctool.corpus.Memo` of the call. Gold spans
     are extracted only for More-labeled instances (the gold answer is a
     follow-up question there); one whose span comes back empty is flagged
     rather than dropped. The rows reach ``sink`` as an iterator, one instance
@@ -236,18 +240,17 @@ def annotate_corpus(
     complete once the iterator is used up.
     """
     stats = AnnotationStats()
-    escaped = _EncodedOnce(encode_basestring)
-    numbers = _EncodedOnce(str)
+    escaped = Memo(encode_basestring)
+    numbers = Memo(str)
     phi, zero = escaped[MARKER_PHI], numbers[0]
-    matched: dict[tuple[str, str], tuple[int, ...]] = {}  # (rule text, utterance text) -> the rule indices
 
-    def matches(rule: TokenizedText, text: str) -> tuple[int, ...]:
-        key = rule.text, text
-        indices = matched.get(key)
-        if indices is None:
-            pairs = lcs_match(rule, tokenize(text), use_normalized=use_normalized, stopwords=stopwords)
-            indices = matched[key] = tuple(index for index, _ in pairs)
-        return indices
+    def match(texts: tuple[str, str]) -> tuple[int, ...]:
+        rule_text, text = texts  # the rule as rows() tokenized it, from the pass's table
+        pairs = lcs_match(pass_memo("tokenize")[rule_text], tokenize(text), use_normalized=use_normalized,
+                          stopwords=stopwords)
+        return tuple(index for index, _ in pairs)
+
+    matches = Memo(match)  # (rule text, utterance text) -> the rule indices matched
 
     def rows() -> Iterator[_Row]:
         for instance in corpus:
@@ -256,15 +259,15 @@ def annotate_corpus(
             history_marker, turn_index, scenario_marker = [phi] * size, [zero] * size, [phi] * size
             for number, (question, answer) in enumerate(instance.history, start=1):
                 marker, turn = escaped[answer], numbers[number]  # the latest turn wins, as in annotate_history
-                for index in matches(rule, question):
+                for index in matches[rule.text, question]:
                     history_marker[index] = marker
                     turn_index[index] = turn
             for question, answer in instance.evidence:
                 marker = escaped[answer]
-                for index in matches(rule, question):
+                for index in matches[rule.text, question]:
                     scenario_marker[index] = marker
             more = instance.label is ClassLabel.MORE
-            span = matches(rule, instance.gold_answer) if more else ()
+            span = matches[rule.text, instance.gold_answer] if more else ()
             gold_span = (span[0], span[-1]) if span else None
             stats.instances += 1
             stats.more_instances += more
@@ -283,7 +286,7 @@ def write_markers(path: str | Path, rows: Iterable[_Row]) -> None:
     row's three arrays already hold each value in its JSON form, so each is one ``", ".join``; each distinct
     token tuple (one per rule text) is escaped once per write.
     """
-    token_arrays = _EncodedOnce(lambda tokens: ", ".join(map(encode_basestring, tokens)))
+    token_arrays = Memo(lambda tokens: ", ".join(map(encode_basestring, tokens)))
 
     def encode(row: _Row) -> str:
         utterance_id, tokens, history_marker, turn_index, scenario_marker, gold_span, flagged = row

@@ -523,8 +523,8 @@ def _cli_child(argv, env=(), **kwargs):
     """Run ``sharctool`` in a child process with this tree on its path; a child that hangs fails after 60 s."""
     src = Path(sharctool.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", **dict(env)}
-    return subprocess.run([sys.executable, "-m", "sharctool.cli", *argv], env=env, capture_output=True, timeout=60,
-                          **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "sharctool.cli", *argv], env=env, timeout=60, **kwargs)
 
 
 def test_a_data_dir_utf8_cannot_encode_is_one_error_line_and_writes_nothing(corpus_file, tmp_path):
@@ -850,6 +850,28 @@ def test_a_pipe_as_trials_gets_the_bytes_a_file_gets(corpus_file, tmp_path, caps
                  "--trials", str(tmp_path / "trials.json")]) == 0
     assert piped == (tmp_path / "trials.json").read_bytes()
     assert list(read_json(tmp_path / "p1.json.manifest.json")["output_digests"]) == [str(tmp_path / "p1.json")]
+
+
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+def test_an_output_linked_to_stdout_is_written_through_it_before_the_summary(corpus_file, tmp_path, capsys, stdout):
+    # out -> /proc/self/fd/1 names the child's own stdout. Replacing what it resolves to would orphan stdout's file,
+    # so the output is written through the descriptor: no staging, no digest, no manifest.
+    assert main(["probe", "--in", str(corpus_file), "--out", str(tmp_path / "probe.json")]) == 0
+    expected = (tmp_path / "probe.json").read_bytes() + capsys.readouterr().out.encode()
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "out").symlink_to("/proc/self/fd/1")
+    argv = ["probe", "--in", str(corpus_file), "--out", "out"]
+    if stdout == "pipe":
+        result = _cli_child(argv, cwd=work)
+        written = result.stdout
+    else:
+        with open(work / "captured.txt", "wb") as captured:
+            result = _cli_child(argv, cwd=work, stdout=captured)
+        written = (work / "captured.txt").read_bytes()
+    assert result.returncode == 0, result.stderr
+    assert written == expected
+    assert sorted(os.listdir(work)) == sorted(["out"] + (["captured.txt"] if stdout == "file" else []))
 
 
 def test_a_manifest_over_the_file_size_limit_leaves_the_first_run_as_it_was(corpus_file, tmp_path, capsys):

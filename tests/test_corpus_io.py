@@ -21,6 +21,7 @@ from sharctool.corpus import (
     DialogTurn,
     Instance,
     LoadAudit,
+    _fd_link,
     content_hash,
     content_key,
     dumps_record,
@@ -710,6 +711,33 @@ def test_write_jsonl_keeps_the_target_permissions(tmp_path):
     write_jsonl(target, [{"a": 1}], dumps_record)
     assert target.read_text(encoding="utf-8") == '{"a":1}\n'
     assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_fd_link_names_the_descriptor_a_path_resolves_through(tmp_path):
+    pid = os.getpid()
+    (tmp_path / "fds").symlink_to("/proc/self/fd")  # a link in the middle of the path
+    (tmp_path / "err").symlink_to(tmp_path / "fds" / "2")
+    (tmp_path / "chain").symlink_to("err")
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    (tmp_path / "to-plain").symlink_to("plain")
+    assert _fd_link("/dev/stdout") == (pid, 1)
+    assert _fd_link(tmp_path / "fds" / "1") == (pid, 1)
+    assert _fd_link(tmp_path / "chain") == (pid, 2)
+    assert [_fd_link(tmp_path / name) for name in ("plain", "to-plain", "missing")] == [None] * 3
+
+
+def test_write_jsonl_writes_through_a_descriptor_link_at_its_offset(tmp_path):
+    target = tmp_path / "held.jsonl"
+    with open(target, "w", encoding="utf-8") as held:
+        held.write("head\n")
+        held.flush()
+        (tmp_path / "out").symlink_to(f"/proc/self/fd/{held.fileno()}")
+        inode = target.stat().st_ino
+        write_jsonl(tmp_path / "out", [{"a": 1}], dumps_record)
+        held.write("tail\n")
+    assert target.read_text(encoding="utf-8") == 'head\n{"a":1}\ntail\n'
+    assert target.stat().st_ino == inode  # written through, not replaced
+    assert sorted(os.listdir(tmp_path)) == ["held.jsonl", "out"]
 
 
 def test_out_pointing_at_a_directory_leaves_no_temp_file(tmp_path, capsys):

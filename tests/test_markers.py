@@ -4,7 +4,7 @@ from itertools import combinations
 from json.encoder import encode_basestring
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sharctool.corpus import ClassLabel, CorpusError, DialogTurn, corpus_pass, pass_memo, tokenize
 from sharctool.markers import (
@@ -113,8 +113,14 @@ def test_lcs_pairs_is_a_maximal_common_subsequence(a, b):
         assert a[i] == b[j]
 
 
-# Two sequences of 0-40 symbols over an alphabet of 1-7.
-_SYMBOL_PAIRS = st.integers(1, 7).flatmap(lambda k: st.tuples(*[st.lists(st.integers(0, k - 1), max_size=40)] * 2))
+# Two sequences of 0-40 symbols over an alphabet of 1-7, or over the two parts of 0-6 split at some
+# symbol, so that pairs with no shared symbol (no LCS row at all) and an empty side are drawn often.
+_SHARED_ALPHABET = st.integers(1, 7).flatmap(lambda k: st.tuples(*[st.lists(st.integers(0, k - 1), max_size=40)] * 2))
+_DISJOINT_ALPHABETS = st.integers(1, 6).flatmap(
+    lambda split: st.tuples(st.lists(st.integers(0, split - 1), max_size=40),
+                            st.lists(st.integers(split, 6), max_size=40))
+)
+_SYMBOL_PAIRS = _SHARED_ALPHABET | _DISJOINT_ALPHABETS | _DISJOINT_ALPHABETS.map(lambda ab: ab[::-1])
 
 
 @settings(max_examples=400)
@@ -172,6 +178,9 @@ def test_coverage_is_the_matched_share_of_normalized_clause_tokens():
 
 @settings(max_examples=300)
 @given(_SYMBOL_PAIRS, st.lists(st.booleans(), min_size=7, max_size=7))
+@example(([0, 1, 0], [2, 3]), [False] * 7)  # no shared symbol
+@example(([], [1, 2]), [False] * 7)  # an empty clause
+@example(([1, 2], []), [False] * 7)  # an empty text
 def test_coverage_is_the_lcs_match_share_inside_and_outside_a_pass(ab, punctuation):
     # A symbol flagged as punctuation becomes a token with no normalized form, which takes no part in matching.
     def text(symbols):

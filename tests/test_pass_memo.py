@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from sharctool import baseline
 from sharctool.baseline import PolicyParams, predict_corpus, tune
-from sharctool.corpus import ClassLabel, corpus_pass, pass_memo, tokenize
+from sharctool.corpus import PASS_KINDS, ClassLabel, Memo, corpus_pass, pass_memo, tokenize
 from sharctool.evaluate import bleu, evaluate, gold_view
 from sharctool.markers import (
     BASIC_STOPWORDS,
@@ -45,6 +45,45 @@ def corpus():
 
 def _memo_is_empty():
     return all(pass_memo(kind) is None for kind in KINDS)
+
+
+# --------------------------------------------------------------------------
+# the one memo type
+# --------------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(-3, 3), max_size=30))
+def test_memo_computes_each_key_exactly_once(keys):
+    computed = []
+    memo = Memo(lambda key: computed.append(key) or key * key)
+    assert [memo[key] for key in keys] == [key * key for key in keys]
+    assert computed == list(dict.fromkeys(keys))  # each key once, at its first lookup
+    assert memo == {key: key * key for key in keys}
+
+
+def test_every_kind_computes_each_entry_once_in_a_pass_over_the_corpus(corpus, monkeypatch):
+    computed = dict.fromkeys(KINDS, 0)
+
+    def counted(kind, compute):
+        def wrapper(key):
+            computed[kind] += 1
+            return compute(key)
+
+        return wrapper
+
+    assert set(PASS_KINDS) == set(KINDS)
+    for kind in KINDS:
+        monkeypatch.setitem(PASS_KINDS, kind, counted(kind, PASS_KINDS[kind]))
+    with corpus_pass():
+        annotate_corpus(corpus)
+        rows, _ = predict_corpus(corpus)
+        tune(corpus, grid=SMALL_GRID)
+        evaluate(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows})
+        tables = {kind: pass_memo(kind) for kind in KINDS}
+    assert all(isinstance(table, Memo) for table in tables.values())
+    assert {kind: len(table) for kind, table in tables.items()} == computed
+    assert all(computed.values())
+    assert _memo_is_empty()
 
 
 # --------------------------------------------------------------------------
