@@ -90,7 +90,7 @@ class AugmentConfig:
         return {label: round(pct / 100.0 * self.total_target) for label, pct in self.class_targets.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class AugmentedInstance:
     """An output instance plus where it came from."""
 
@@ -243,25 +243,26 @@ def build_augmented_corpus(
     variants is reported as a shortfall rather than papered over.
     """
     config.validate(len(corpus))
+    labels = [instance.label for instance in corpus]  # each input's class, derived once
     out: list[AugmentedInstance] = []
     seen_content: set[tuple] = set()
-    used_ids: set[str] = set()
+    used_ids: set[str] = set()  # only "aug-" ids: a generated id ("aug-" + 16 hex digits [+ "-dup"]) equals no other
     duplicates_dropped = 0
     original_duplicates = 0
+    original_counts = {label: 0 for label in ClassLabel}
 
     if config.keep_original:
-        for instance in corpus:
+        for instance, label in zip(corpus, labels):
             key = content_key(instance)
             if key in seen_content:
                 original_duplicates += 1
                 continue
             seen_content.add(key)
-            used_ids.add(instance.utterance_id)
+            if instance.utterance_id.startswith("aug-"):
+                used_ids.add(instance.utterance_id)
             out.append(AugmentedInstance(instance, Provenance.ORIGINAL, instance.utterance_id))
+            original_counts[label] += 1
 
-    original_counts = {label: 0 for label in ClassLabel}
-    for item in out:
-        original_counts[item.instance.label] += 1
     target_counts = config.target_counts()
     deficits = {label: max(0, target_counts[label] - original_counts[label]) for label in ClassLabel}
     generated = {label: 0 for label in ClassLabel}
@@ -272,7 +273,7 @@ def build_augmented_corpus(
         if key in seen_content:
             duplicates_dropped += 1
             return False
-        if candidate.instance.utterance_id in used_ids:  # pragma: no cover - hash ids collide only by data quirk
+        if candidate.instance.utterance_id in used_ids:  # an original already has this id
             candidate.instance.utterance_id += "-dup"
         seen_content.add(key)
         used_ids.add(candidate.instance.utterance_id)
@@ -281,7 +282,7 @@ def build_augmented_corpus(
         return True
 
     def fill(label: ClassLabel, eligible, purpose: str, make, per_parent: Optional[int] = None) -> None:
-        """Fill ``label``'s deficit walking the parents that ``eligible`` accepts round-robin.
+        """Fill ``label``'s deficit walking round-robin the parents that ``eligible(parent, its class)`` accepts.
 
         ``make(parent, rng)`` returns a candidate, or raises ``ValueError`` to
         skip the parent for this pass. A duplicate candidate still counts as
@@ -295,7 +296,7 @@ def build_augmented_corpus(
         need = deficits[label]
         if not need:
             return
-        parents = [inst for inst in corpus if eligible(inst)]
+        parents = [inst for inst, cls in zip(corpus, labels) if eligible(inst, cls)]
         streams: dict[str, random.Random] = {}
         admitted: dict[str, int] = {}
         attempts: dict[str, int] = {}
@@ -327,17 +328,16 @@ def build_augmented_corpus(
 
     # Irrelevant by rule replacement over sources with a non-empty scenario;
     # Yes / No / More by history shuffles of same-class sources.
-    fill(ClassLabel.IRRELEVANT, lambda inst: inst.scenario.strip(), "rule-replace",
+    fill(ClassLabel.IRRELEVANT, lambda inst, cls: inst.scenario.strip(), "rule-replace",
          lambda parent, rng: make_irrelevant_instance(
              parent, corpus, rng, seed=config.seed, drop_history=config.drop_replaced_history))
     for label in (ClassLabel.YES, ClassLabel.NO, ClassLabel.MORE):
-        fill(label, lambda inst: inst.label is label and _has_distinct_reordering(inst.history),
+        fill(label, lambda inst, cls: cls is label and _has_distinct_reordering(inst.history),
              f"shuffle-{label.value}", lambda parent, rng: shuffle_history_instance(parent, rng, seed=config.seed),
              config.max_permutations_per_instance)
 
-    achieved_counts = {label: 0 for label in ClassLabel}
-    for item in out:
-        achieved_counts[item.instance.label] += 1
+    # Each generated instance has its fill's class: Irrelevant, or its parent's.
+    achieved_counts = {label: original_counts[label] + generated[label] for label in ClassLabel}
     total = len(out)
     manifest = AugmentManifest(
         seed=config.seed,

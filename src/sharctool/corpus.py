@@ -88,9 +88,9 @@ def derive_label(answer: str) -> ClassLabel:
 class Memo(dict):
     """``memo[key]`` is ``compute(key)``, computed at the first lookup of each key and kept while the memo lives.
 
-    Each kind of a :func:`corpus_pass` is one, as are a writer's escaped values and a call's rule plans, rule
-    matches, grid shapes and class words; only a text keeps its own :meth:`TokenizedText.matchable` projections.
-    A hit is a plain ``dict`` lookup.
+    Each kind of a :func:`corpus_pass` is one, as are a read's canonical turns, a writer's escaped values and a
+    call's rule plans, rule matches, grid shapes and class words; only a text keeps its own
+    :meth:`TokenizedText.matchable` projections. A hit is a plain ``dict`` lookup.
     """
 
     def __init__(self, compute: Callable):
@@ -229,9 +229,9 @@ class DialogTurn(NamedTuple):
     follow_up_answer: str  # "Yes" or "No"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
-    """A single utterance of a rule-interpretation dialog."""
+    """A single utterance of a rule-interpretation dialog; slotted, so it holds its fields and nothing else."""
 
     utterance_id: str
     tree_id: str
@@ -322,15 +322,23 @@ def _parse_turn(item: object, where: str) -> DialogTurn:
     return DialogTurn(follow_up_question=intern(question), follow_up_answer=normalized)
 
 
-def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[LoadAudit] = None) -> list[DialogTurn]:
+def _canonical_turns() -> dict[str, Memo]:
+    """Per answer word, a :class:`Memo` from a question to its one turn with that answer."""
+    return {answer: Memo(lambda question, answer=answer: DialogTurn(intern(question), answer))
+            for answer in _ANSWER_WORDS.values()}
+
+
+def _parse_turns(
+    items: list, name: str, canonical: dict[str, Memo], strict: bool = True, drops: Optional[LoadAudit] = None
+) -> list[DialogTurn]:
     """Parse ``items`` as turns, or raise ``CorpusError`` naming ``name[i]``.
 
     A turn already in canonical form (an object with a non-blank question
-    and the answer ``"Yes"`` or ``"No"``) is taken as is; anything else goes
-    through :func:`_parse_turn`, which normalizes or raises. With ``drops``
-    (the evidence rules), an object that omits its answer is dropped in both
-    modes, and a malformed item is dropped unless ``strict``; each drop is
-    counted in ``drops``.
+    and the answer ``"Yes"`` or ``"No"``) is ``canonical[answer][question]``;
+    anything else goes through :func:`_parse_turn`, which normalizes or
+    raises. With ``drops`` (the evidence rules), an object that omits its
+    answer is dropped in both modes, and a malformed item is dropped unless
+    ``strict``; each drop is counted in ``drops``.
     """
     turns: list[DialogTurn] = []
     for i, item in enumerate(items):
@@ -338,7 +346,7 @@ def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[Lo
             question = item.get("follow_up_question")
             answer = item.get("follow_up_answer")
             if (answer == "Yes" or answer == "No") and type(question) is str and question.strip():
-                turns.append(DialogTurn(intern(question), intern(answer)))
+                turns.append(canonical[answer][question])
                 continue
         if drops is not None and isinstance(item, dict) and "follow_up_answer" not in item:
             reason = "evidence_missing_answer"
@@ -355,11 +363,12 @@ def _parse_turns(items: list, name: str, strict: bool = True, drops: Optional[Lo
     return turns
 
 
-def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
+def _parse_record(record: object, strict: bool, audit: LoadAudit, canonical: dict[str, Memo]) -> Instance:
     """Build one instance, or raise ``CorpusError`` naming the place inside the record.
 
     The caller prefixes the record's own location, so location strings are
-    built only on the path that raises. Every string but the (distinct) id is shared.
+    built only on the path that raises. Every string but the (distinct) id is
+    shared, and so is each canonical turn, through ``canonical``.
     """
     if not isinstance(record, dict):
         raise CorpusError("record is not an object")
@@ -376,8 +385,8 @@ def _parse_record(record: object, strict: bool, audit: LoadAudit) -> Instance:
         intern(record["snippet"]),
         intern(record["question"]),
         intern(record["scenario"]),
-        _parse_turns(history_raw, "history"),
-        _parse_turns(evidence_raw, "evidence", strict, audit),
+        _parse_turns(history_raw, "history", canonical),
+        _parse_turns(evidence_raw, "evidence", canonical, strict, audit),
         intern(record["answer"]),
     )
 
@@ -466,8 +475,10 @@ def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[Lo
     evidence items) while counting every drop in ``audit``. Evidence items
     that merely omit the answer are dropped in both modes: they are an
     expected form of partial data, not corruption. Only the set of seen ids
-    outlives a record, so a JSONL file is held one line at a time; ``audit``
-    is complete once the iterator is used up.
+    and one :class:`DialogTurn` per distinct canonical turn outlive a record,
+    so a JSONL file is held one line at a time, and equal turns across the
+    read's histories and evidence are one object; ``audit`` is complete once
+    the iterator is used up.
     """
     if strictness not in ("strict", "lenient"):
         raise ValueError(f"unknown strictness {strictness!r}")
@@ -475,10 +486,11 @@ def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[Lo
     path = Path(path)
     audit = LoadAudit() if audit is None else audit
     seen_ids: set[str] = set()
+    canonical = _canonical_turns()
     for index, record in enumerate(_read_records(path)):
         audit.records_read += 1
         try:
-            instance = _parse_record(record, strict, audit)
+            instance = _parse_record(record, strict, audit, canonical)
         except CorpusError as exc:
             if strict:
                 raise CorpusError(f"{path.name}[{index}]: {exc}") from None

@@ -1,5 +1,6 @@
 """Augmentation moves, class balancing, and run determinism."""
 
+import hashlib
 import itertools
 import random
 import weakref
@@ -470,6 +471,11 @@ def test_a_fill_that_keeps_no_idle_stream_draws_what_keeping_every_stream_draws(
     reference_items, reference_manifest = _reference_build(corpus, config)
     assert [augmented_to_record(item) for item in items] == [augmented_to_record(item) for item in reference_items]
     assert {key: getattr(manifest, key) for key in reference_manifest} == reference_manifest
+    originals = [item for item in items if item.provenance is Provenance.ORIGINAL]
+    for counts, counted in ((manifest.original_counts, originals), (manifest.achieved_counts, items)):
+        assert list(counts.items()) == [
+            (label.value, sum(item.instance.label is label for item in counted)) for label in ClassLabel
+        ]
 
 
 def test_a_fill_that_ends_in_its_first_pass_holds_one_stream_at_a_time(make_instance, monkeypatch):
@@ -492,6 +498,50 @@ def test_a_fill_that_ends_in_its_first_pass_holds_one_stream_at_a_time(make_inst
                                           ClassLabel.MORE: 0.0})
     _, manifest = build_augmented_corpus(corpus, config)
     assert manifest.generated_counts["Irrelevant"] == len(made) == 9
+
+
+def test_build_derives_each_input_class_once(make_instance, monkeypatch):
+    import sharctool.corpus
+
+    calls = []
+    derive = sharctool.corpus.derive_label
+
+    def counting(answer):
+        calls.append(answer)
+        return derive(answer)
+
+    monkeypatch.setattr(sharctool.corpus, "derive_label", counting)
+    corpus = _toy_corpus(make_instance)
+    _, manifest = build_augmented_corpus(
+        corpus, AugmentConfig(seed=13, total_target=12, class_targets=dict(EVEN_TARGETS))
+    )
+    assert manifest.provenance_counts["RuleReplaced"] and manifest.provenance_counts["HistoryShuffled"]
+    assert 0 < len(calls) <= len(corpus)
+
+
+def test_a_generated_id_that_an_original_holds_gets_dup(make_instance):
+    seed = 13
+    parent = make_instance(utterance_id="p", tree_id="t1", scenario="I am 70.")
+    # The id make_irrelevant_instance gives p's candidate: t2 is the only foreign tree, so the donor's.
+    taken = "aug-" + hashlib.sha256(f"p|RuleReplaced|t2|{seed}".encode("utf-8")).hexdigest()[:16]
+    # No scenario, so never a rule-replacement parent itself.
+    squatter = make_instance(utterance_id=taken, tree_id="t2", rule_text="Another rule.", gold_answer="No")
+    corpus = [parent, squatter]
+    config = AugmentConfig(seed=seed, total_target=4, class_targets={
+        ClassLabel.IRRELEVANT: 25.0, ClassLabel.YES: 50.0, ClassLabel.NO: 25.0, ClassLabel.MORE: 0.0})
+    items, manifest = build_augmented_corpus(corpus, config)
+    assert manifest.generated_counts["Irrelevant"] == 1
+    assert [(item.instance.utterance_id, item.provenance) for item in items] == [
+        ("p", Provenance.ORIGINAL), (taken, Provenance.ORIGINAL), (taken + "-dup", Provenance.RULE_REPLACED)]
+    reference_items, _ = _reference_build(corpus, config)
+    assert [augmented_to_record(item) for item in items] == [augmented_to_record(item) for item in reference_items]
+
+
+def test_an_augmented_instance_holds_its_fields_and_nothing_else(make_instance):
+    item = AugmentedInstance(make_instance(), Provenance.ORIGINAL, "u-0")
+    assert not hasattr(item, "__dict__")
+    with pytest.raises(AttributeError):
+        item.note = "extra"
 
 
 def test_write_and_load_round_trip(tmp_path, make_instance):

@@ -250,6 +250,13 @@ def test_dumps_record_is_canonical(make_instance):
     assert keys == sorted(keys)
 
 
+def test_an_instance_holds_its_fields_and_nothing_else(make_instance):
+    instance = make_instance()
+    assert not hasattr(instance, "__dict__")
+    with pytest.raises(AttributeError):
+        instance.note = "extra"
+
+
 def test_has_empty_context(make_instance, turn):
     assert make_instance().has_empty_context
     assert not make_instance(scenario="I am 70.").has_empty_context

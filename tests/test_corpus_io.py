@@ -321,22 +321,58 @@ def test_load_corpus_audited_is_the_streaming_reader_listed(tmp_path, strictness
     assert audit.instances_kept == 2 and audit.dropped_evidence_items >= 1
 
 
+def _write_layout(tmp_path, layout, *records):
+    if layout == "jsonl":
+        return _write_lines(tmp_path, *records)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("layout", ["jsonl", "json-list"])
 @pytest.mark.parametrize("read", [load_corpus, lambda path: list(iter_corpus(path))], ids=["load", "iter"])
 def test_equal_strings_load_as_one_object(tmp_path, read, layout):
     history = [_turn("Over 60?", "yes"), _turn("Retired?", "No")]
     records = [_record(history=history), _record(utterance_id="u-2", scenario="I am 70.", history=history[::-1])]
-    if layout == "jsonl":
-        path = _write_lines(tmp_path, *records)
-    else:
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(records), encoding="utf-8")
-    first, second = read(path)
+    first, second = read(_write_layout(tmp_path, layout, *records))
     for name in ("tree_id", "rule_text", "question", "gold_answer"):
         assert getattr(first, name) is getattr(second, name), name
     assert first.history[0].follow_up_question is second.history[1].follow_up_question
     assert first.history[1].follow_up_question is second.history[0].follow_up_question
     assert first.history[1].follow_up_answer is second.history[0].follow_up_answer
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "json-list"])
+def test_equal_canonical_turns_are_one_object_within_a_read(tmp_path, layout):
+    records = [
+        _record(history=[_turn("Over 60?", "Yes"), _turn("Retired?", "No")], evidence=[_turn("Retired?", "No")]),
+        _record(utterance_id="u-2", history=[_turn("Retired?", "No"), _turn("Over 60?", "No")],
+                evidence=[_turn("Over 60?", "Yes")]),
+    ]
+    first, second = iter_corpus(_write_layout(tmp_path, layout, *records))
+    over_60, retired = first.history
+    assert first.evidence[0] is retired
+    assert second.history[0] is retired
+    assert second.evidence[0] is over_60
+    assert second.history[1] == DialogTurn("Over 60?", "No") and second.history[1] is not over_60
+    assert second.history[1].follow_up_question is over_60.follow_up_question
+
+
+def test_two_reads_share_no_turn_object(tmp_path):
+    path = _write_lines(tmp_path, _record(history=[_turn()], evidence=[_turn()]))
+    (first,), (second,) = load_corpus(path), iter_corpus(path)
+    assert first.history[0] is first.evidence[0]
+    assert second.history[0] == first.history[0]
+    assert second.history[0] is not first.history[0]
+
+
+def test_answers_not_in_canonical_form_still_normalize(tmp_path):
+    path = _write_lines(tmp_path, _record(
+        history=[_turn("Over 60?", " yes "), _turn("Retired?", "no")], evidence=[_turn("Over 60?", "Yes")]))
+    (instance,) = load_corpus(path)
+    assert instance.history == [DialogTurn("Over 60?", "Yes"), DialogTurn("Retired?", "No")]
+    assert instance.evidence == [DialogTurn("Over 60?", "Yes")]
+    assert instance.history[0].follow_up_answer is instance.evidence[0].follow_up_answer
 
 
 def test_iter_corpus_yields_each_instance_before_reading_the_next_line(tmp_path):
