@@ -27,7 +27,6 @@ from .corpus import (
     DialogTurn,
     Instance,
     content_key,
-    dumps_record,
     record_encoder,
     write_jsonl,
 )
@@ -368,14 +367,13 @@ def build_augmented_corpus(
 def write_augmented(path: str | Path, items: Iterable[AugmentedInstance]) -> None:
     """Write augmented instances as one-record-per-line JSON with provenance, atomically.
 
-    Each line is the instance's record (see :func:`~sharctool.corpus.record_encoder`)
-    plus ``provenance``, ``parent_id`` and ``permutation``, in ``dumps_record``'s key order.
+    Each line is the instance's record (see :func:`~sharctool.corpus.record_encoder`) plus ``provenance``,
+    ``parent_id`` and ``permutation`` (a compact list of ints, or null), all keys in sorted order.
     """
     encode = record_encoder()
 
     def encode_item(item: AugmentedInstance) -> str:
-        # Most items have no permutation, and an encoder call costs more than the literal.
-        permutation = "null" if item.permutation is None else dumps_record(item.permutation)
+        permutation = "null" if item.permutation is None else "[" + ",".join(map(str, item.permutation)) + "]"
         return encode(item.instance, f'"parent_id":{encode_basestring(item.parent_id)},"permutation":{permutation},'
                                      f'"provenance":{encode_basestring(item.provenance.value)},')
 

@@ -344,7 +344,7 @@ def _encode_row(row: _Row) -> str:
 
 
 def write_predictions(path: str | Path, rows: Iterable[_Row]) -> None:
-    """Write each decision row as the line ``dumps_record({"answer": output, "utterance_id": id})``, atomically."""
+    """Write each decision row as the line ``{"answer":output,"utterance_id":id}`` with non-ASCII raw, atomically."""
     write_jsonl(path, rows, _encode_row)
 
 

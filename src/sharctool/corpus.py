@@ -182,9 +182,6 @@ class TokenizedText:
             projection = self._matchable[key] = (tuple(i for i, _ in kept), tuple(s for _, s in kept))
         return projection
 
-    def __len__(self) -> int:
-        return len(self.surfaces)
-
 
 def _normalize_token(surface: str) -> str:
     return intern(_EDGE_PUNCT_RE.sub("", surface.lower()))
@@ -272,7 +269,6 @@ def content_key(instance: Instance) -> tuple:
 # One encoder per output format, built once: ``json.dumps`` with any keyword
 # argument constructs a fresh encoder on every call.
 _HASH_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 _DOCUMENT_ENCODER = json.JSONEncoder(indent=2)  # as json.dumps(document, indent=2)
 
 
@@ -521,18 +517,14 @@ def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:
     return instances
 
 
-def dumps_record(record: dict) -> str:
-    """Canonical single-line JSON used for every file this package writes."""
-    return _RECORD_ENCODER.encode(record)
-
-
 def _encode_turn(turn: DialogTurn) -> str:
     question, answer = turn
     return f'{{"follow_up_answer":{encode_basestring(answer)},"follow_up_question":{encode_basestring(question)}}}'
 
 
 def record_encoder() -> Callable[..., str]:
-    """A fresh ``encode(instance, extra="")``: ``dumps_record`` of the instance's record, without the dict.
+    """A fresh ``encode(instance, extra="")``: the instance's record as one line of compact JSON, keys sorted
+    and non-ASCII written raw, laid out without building a dict.
 
     The record is the ShARC layout: ``utterance_id``, ``tree_id``,
     ``snippet`` (the rule text), ``question``, ``scenario``, ``history`` and
@@ -541,9 +533,9 @@ def record_encoder() -> Callable[..., str]:
 
     ``extra`` is a run of already-encoded ``"key":value,`` pairs whose keys
     sort between ``history`` and ``question``. Each distinct rule text,
-    question, answer, tree id and turn is escaped once, with the function
-    the record encoder itself calls, and kept for the encoder's lifetime,
-    one write; ids and scenarios, which seldom repeat, are escaped each time.
+    question, answer, tree id and turn is escaped once, as ``json`` escapes a
+    string with non-ASCII raw, and kept for the encoder's lifetime, one write;
+    ids and scenarios, which seldom repeat, are escaped each time.
     """
     escaped = Memo(encode_basestring)
     turns = Memo(_encode_turn)

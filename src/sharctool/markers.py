@@ -15,18 +15,16 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .corpus import (PASS_KINDS, ClassLabel, DialogTurn, Instance, Memo, TokenizedText, corpus_pass, pass_memo,
-                     tokenize, write_jsonl)
+from .corpus import (PASS_KINDS, ClassLabel, Instance, Memo, TokenizedText, corpus_pass, pass_memo, tokenize,
+                     write_jsonl)
 
 __all__ = [
     "AnnotationStats",
     "BASIC_STOPWORDS",
     "MARKER_PHI",
     "annotate_corpus",
-    "annotate_history",
     "content_words",
     "coverage",
-    "extract_gold_span",
     "jaccard",
     "lcs_match",
     "lcs_pairs",
@@ -161,45 +159,6 @@ def lcs_match(
     return [(rule_idx[i], utt_idx[j]) for i, j in lcs_pairs(rule_sym, utt_sym)]
 
 
-def annotate_history(
-    rule: TokenizedText,
-    history: Sequence[DialogTurn],
-    *,
-    use_normalized: bool = True,
-    stopwords: frozenset[str] = frozenset(),
-) -> tuple[list[str], list[int]]:
-    """Label each rule token with the answer and turn of the follow-up that asked it.
-
-    Turns are applied in order 1..N, so on conflicts the latest turn wins.
-    Unmatched tokens stay (Phi, 0); the pairing Phi ⇔ turn 0 is invariant.
-    """
-    markers = [MARKER_PHI] * len(rule)
-    turns = [0] * len(rule)
-    for turn_number, turn in enumerate(history, start=1):
-        question = tokenize(turn.follow_up_question)
-        for rule_token, _ in lcs_match(rule, question, use_normalized=use_normalized, stopwords=stopwords):
-            markers[rule_token] = turn.follow_up_answer
-            turns[rule_token] = turn_number
-    return markers, turns
-
-
-def extract_gold_span(
-    rule: TokenizedText,
-    gold_followup: str,
-    *,
-    use_normalized: bool = True,
-    stopwords: frozenset[str] = frozenset(),
-) -> Optional[tuple[int, int]]:
-    """Contiguous rule-token span [first, last] matched by a gold follow-up.
-
-    Returns ``None`` when the LCS is empty; callers flag such instances.
-    """
-    pairs = lcs_match(rule, tokenize(gold_followup), use_normalized=use_normalized, stopwords=stopwords)
-    if not pairs:
-        return None
-    return (pairs[0][0], pairs[-1][0])
-
-
 @dataclass
 class AnnotationStats:
     instances: int = 0
@@ -224,20 +183,22 @@ def annotate_corpus(
     """Annotate each instance of a corpus; return ``(sink(rows), stats)``.
 
     Each instance gives one row, ``(utterance_id, rule surfaces, history
-    markers, turn indices, scenario markers, gold span or None, flagged)``,
-    equal to what :func:`annotate_history` and :func:`extract_gold_span` give
-    it except that the three arrays hold each value in its JSON form, ready
-    to join: a marker as its escaped string (``'"Phi"'``, ``'"Yes"'``), a
-    turn index as its digits (``"1"``). Each distinct value is escaped once
-    per call, and the rule tokens each distinct (rule text, utterance text)
-    matches are worked out once per call, by :func:`lcs_match`, each in a
-    :class:`~sharctool.corpus.Memo` of the call. Gold spans
-    are extracted only for More-labeled instances (the gold answer is a
-    follow-up question there); one whose span comes back empty is flagged
-    rather than dropped. The rows reach ``sink`` as an iterator, one instance
-    at a time and inside one corpus pass, so a streamed corpus and a sink
-    that writes them hold no more than one instance and its row; ``stats`` is
-    complete once the iterator is used up.
+    markers, turn indices, scenario markers, gold span or None, flagged)``.
+    A rule token that :func:`lcs_match` pairs with history turn n's question
+    (n from 1) takes that turn's answer and n, the latest turn winning; an
+    unmatched one keeps (Phi, 0), so Phi pairs with turn 0. Scenario markers
+    do the same over the evidence. The three arrays hold each value in its
+    JSON form, ready to join: a marker as its escaped string (``'"Phi"'``,
+    ``'"Yes"'``), a turn index as its digits (``"1"``). Each distinct value is
+    escaped once per call, and the rule tokens each distinct (rule text,
+    utterance text) matches are worked out once per call, each in a
+    :class:`~sharctool.corpus.Memo` of the call. The gold span is the first
+    and last rule index the gold answer matches, taken only for More-labeled
+    instances (the gold answer is a follow-up question there); one whose span
+    comes back empty is flagged rather than dropped. The rows reach ``sink``
+    as an iterator, one instance at a time and inside one corpus pass, so a
+    streamed corpus and a sink that writes them hold no more than one
+    instance and its row; ``stats`` is complete once the iterator is used up.
     """
     stats = AnnotationStats()
     escaped = Memo(encode_basestring)
@@ -258,7 +219,7 @@ def annotate_corpus(
             size = len(rule.surfaces)
             history_marker, turn_index, scenario_marker = [phi] * size, [zero] * size, [phi] * size
             for number, (question, answer) in enumerate(instance.history, start=1):
-                marker, turn = escaped[answer], numbers[number]  # the latest turn wins, as in annotate_history
+                marker, turn = escaped[answer], numbers[number]  # the latest turn wins
                 for index in matches[rule.text, question]:
                     history_marker[index] = marker
                     turn_index[index] = turn

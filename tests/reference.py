@@ -1,15 +1,19 @@
 """Plain references that the package's batch paths are checked against.
 
-``corpus.record_encoder`` and ``augment.write_augmented`` lay out each line
-without building a dict; ``dumps_record`` of the dicts below must give the
-same line, and ``markers.write_markers`` must give ``json.dumps(record,
+:func:`dumps_record` is the canonical line of a record: compact JSON, keys
+sorted, non-ASCII raw. ``corpus.record_encoder``, ``augment.write_augmented``
+and ``baseline.write_predictions`` lay out each line without building a dict;
+:func:`dumps_record` of the dicts below must give the same line, and
+``markers.write_markers`` must give ``json.dumps(record,
 ensure_ascii=False)`` of :func:`markers_record`. ``markers.annotate_corpus``
-gives each row's arrays in their JSON form; :func:`escaped_row` puts a row of
-plain values into that form. ``baseline.predict_corpus`` decides inside one
-corpus pass; :func:`decide` decides one instance outside any pass.
-``baseline.tune`` scores each grid point over its merged cells; :func:`tune`
-scores it over every tally row. ``markers.lcs_pairs`` walks a bit-parallel
-table; :func:`lcs_pairs` walks the plain suffix-length table.
+annotates a whole corpus in one pass and gives each row's arrays in their JSON
+form; :func:`annotate_history` and :func:`extract_gold_span` annotate one
+instance, and :func:`escaped_row` puts a row of their plain values into that
+form. ``baseline.predict_corpus`` decides inside one corpus pass;
+:func:`decide` decides one instance outside any pass. ``baseline.tune``
+scores each grid point over its merged cells; :func:`tune` scores it over
+every tally row. ``markers.lcs_pairs`` walks a bit-parallel table;
+:func:`lcs_pairs` walks the plain suffix-length table.
 """
 
 import itertools
@@ -21,9 +25,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 from sharctool import baseline
 from sharctool.augment import AugmentedInstance
 from sharctool.baseline import PolicyParams, TuneResult
-from sharctool.corpus import ClassLabel, DialogTurn, Instance, corpus_pass
+from sharctool.corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, tokenize
 from sharctool.evaluate import GoldView, evaluate
+from sharctool.markers import MARKER_PHI, lcs_match
 from sharctool.ruleparse import DEFAULT_CUES, CueSet, parse_rule
+
+
+def dumps_record(record) -> str:
+    """Canonical single-line JSON: compact, keys sorted, non-ASCII raw."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def _turn_records(turns: list[DialogTurn]) -> list[dict]:
@@ -58,6 +68,45 @@ def decide(instance: Instance, params: PolicyParams = PolicyParams()) -> tuple[s
     """The policy's ``(output, asked ordinal or None, step fired)`` for one instance, its rule text planned anew."""
     text = instance.rule_text
     return baseline._decide(baseline._features(instance, baseline._plan(text, parse_rule(text))), params)
+
+
+def annotate_history(
+    rule: TokenizedText,
+    history: Sequence[DialogTurn],
+    *,
+    use_normalized: bool = True,
+    stopwords: frozenset[str] = frozenset(),
+) -> tuple[list[str], list[int]]:
+    """Label each rule token with the answer and turn of the follow-up that asked it.
+
+    Turns are applied in order 1..N, so on conflicts the latest turn wins.
+    Unmatched tokens stay (Phi, 0); the pairing Phi ⇔ turn 0 is invariant.
+    """
+    markers = [MARKER_PHI] * len(rule.surfaces)
+    turns = [0] * len(rule.surfaces)
+    for turn_number, turn in enumerate(history, start=1):
+        question = tokenize(turn.follow_up_question)
+        for rule_token, _ in lcs_match(rule, question, use_normalized=use_normalized, stopwords=stopwords):
+            markers[rule_token] = turn.follow_up_answer
+            turns[rule_token] = turn_number
+    return markers, turns
+
+
+def extract_gold_span(
+    rule: TokenizedText,
+    gold_followup: str,
+    *,
+    use_normalized: bool = True,
+    stopwords: frozenset[str] = frozenset(),
+) -> Optional[tuple[int, int]]:
+    """Contiguous rule-token span [first, last] matched by a gold follow-up.
+
+    Returns ``None`` when the LCS is empty; callers flag such instances.
+    """
+    pairs = lcs_match(rule, tokenize(gold_followup), use_normalized=use_normalized, stopwords=stopwords)
+    if not pairs:
+        return None
+    return (pairs[0][0], pairs[-1][0])
 
 
 def markers_record(row: tuple) -> dict:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sharctool import cli
 from sharctool.augment import AugmentConfig, AugmentedInstance, Provenance, build_augmented_corpus, write_augmented
@@ -24,7 +24,6 @@ from sharctool.corpus import (
     _fd_link,
     content_hash,
     content_key,
-    dumps_record,
     iter_corpus,
     load_corpus,
     load_corpus_audited,
@@ -39,7 +38,7 @@ from sharctool.markers import MARKER_PHI, write_markers
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
 
-from reference import augmented_to_record, escaped_row, instance_to_record, markers_record
+from reference import augmented_to_record, dumps_record, escaped_row, instance_to_record, markers_record
 
 
 def _record(**overrides):
@@ -861,13 +860,18 @@ def _augmented_items(draw):
     turns = st.lists(st.builds(DialogTurn, _shared(draw, _question), st.sampled_from(["Yes", "No"])), max_size=3)
     instance = st.builds(Instance, utterance_id=_text, tree_id=text, rule_text=text, question=text, scenario=text,
                          history=turns, evidence=turns, gold_answer=text)
-    permutation = st.none() | st.lists(st.integers(0, 7), max_size=4)
+    permutation = st.none() | st.lists(st.integers(0, 10**6), max_size=12)  # write_augmented joins the ints itself
     return draw(st.lists(st.builds(AugmentedInstance, instance, st.sampled_from(Provenance), _text, permutation),
                          max_size=5))
 
 
+_SHUFFLED = Instance("u-1", "t", "Rule", "Q?", "", [DialogTurn("B?", "No"), DialogTurn("A?", "Yes")], [], "Yes")
+
+
 @settings(max_examples=60, deadline=None)
 @given(items=_augmented_items())
+@example(items=[AugmentedInstance(_SHUFFLED, Provenance.HISTORY_SHUFFLED, "u-0", [])])
+@example(items=[AugmentedInstance(_SHUFFLED, Provenance.ORIGINAL, "u-1", None)])
 def test_each_written_augmented_line_is_dumps_record_of_its_record(tmp_path_factory, items):
     path = tmp_path_factory.mktemp("augmented") / "aug.jsonl"
     write_augmented(path, items)

@@ -11,15 +11,13 @@ from sharctool.markers import (
     BASIC_STOPWORDS,
     MARKER_PHI,
     annotate_corpus,
-    annotate_history,
     content_words,
     coverage,
-    extract_gold_span,
     lcs_match,
     lcs_pairs,
 )
 
-from reference import lcs_pairs as reference_lcs_pairs
+from reference import annotate_history, extract_gold_span, lcs_pairs as reference_lcs_pairs
 
 
 # --------------------------------------------------------------------------

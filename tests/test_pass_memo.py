@@ -13,15 +13,13 @@ from sharctool.evaluate import bleu, evaluate, gold_view
 from sharctool.markers import (
     BASIC_STOPWORDS,
     annotate_corpus,
-    annotate_history,
-    extract_gold_span,
     lcs_match,
     write_markers,
 )
 from sharctool.ruleparse import ClauseKind, parse_rule
 from sharctool.synthcorpus import SplitSpec, generate_split
 
-from reference import decide, escaped_row, markers_record
+from reference import annotate_history, decide, escaped_row, extract_gold_span, markers_record
 
 MEMO_SPEC = SplitSpec(
     name="memotoy",
