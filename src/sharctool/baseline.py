@@ -138,7 +138,6 @@ def _plan(rule_text: str, structure: RuleStructure) -> _RulePlan:
 class _Features:
     """Everything threshold-free that the decision steps consume."""
 
-    utterance_id: str
     plan: _RulePlan
     empty_context: bool
     question_overlap: float
@@ -151,7 +150,6 @@ def _features(instance: Instance, plan: _RulePlan) -> _Features:
     history = [tokenize(turn.follow_up_question) for turn in instance.history]
     scenario = tokenize(instance.scenario) if instance.scenario.strip() else None
     return _Features(
-        utterance_id=instance.utterance_id,
         plan=plan,
         empty_context=instance.has_empty_context,
         question_overlap=jaccard(content_words(tokenize(instance.question)), plan.content),
@@ -217,10 +215,10 @@ def predict_corpus(
     steps: Counter[int] = Counter()
 
     def rows() -> Iterator[_Row]:
-        for _, features in _corpus_features(corpus, cues):
+        for instance, features in _corpus_features(corpus, cues):
             output, ordinal, step = _decide(features, params)
             steps[step] += 1
-            yield features.utterance_id, output, ordinal, step
+            yield instance.utterance_id, output, ordinal, step
 
     return sink(rows()), steps
 

@@ -235,7 +235,6 @@ def _targets(spec: str) -> dict[ClassLabel, float]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    strictness = "strict" if args.strict else "lenient"
     audit = LoadAudit()
 
     def compute(instances):
@@ -255,8 +254,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         lines += [f"    {reason}: {count}" for reason, count in sorted(audit.reasons.items())]
         return "\n".join(lines)
 
-    return _run(args, {"strictness": strictness},
-                [("--in", args.infile, lambda path: iter_corpus(path, strictness, audit))],
+    return _run(args, {"strictness": "strict" if args.strict else "lenient"},
+                [("--in", args.infile, lambda path: iter_corpus(path, strict=args.strict, audit=audit))],
                 [("--out", args.out)], compute)
 
 

@@ -463,22 +463,20 @@ def _read_records(path: Path) -> Iterable:
     return records
 
 
-def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[LoadAudit] = None) -> Iterator[Instance]:
+def iter_corpus(path: str | Path, *, strict: bool = True, audit: Optional[LoadAudit] = None) -> Iterator[Instance]:
     """Yield each instance of a corpus file (JSON list or JSONL) as it is read.
 
-    ``strictness="strict"`` aborts on any malformed field or duplicate
-    utterance id; ``"lenient"`` drops offending instances (and malformed
-    evidence items) while counting every drop in ``audit``. Evidence items
-    that merely omit the answer are dropped in both modes: they are an
-    expected form of partial data, not corruption. Only the set of seen ids
+    ``strict=True`` aborts on any malformed field or duplicate utterance id;
+    ``strict=False`` drops offending instances (and malformed evidence items)
+    while counting every drop in ``audit``. Both are keyword-only, so a stray
+    positional argument raises ``TypeError``. Evidence items that merely omit
+    the answer are dropped in both modes: they are an expected form of
+    partial data, not corruption. Only the set of seen ids
     and one :class:`DialogTurn` per distinct canonical turn outlive a record,
     so a JSONL file is held one line at a time, and equal turns across the
     read's histories and evidence are one object; ``audit`` is complete once
     the iterator is used up.
     """
-    if strictness not in ("strict", "lenient"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    strict = strictness == "strict"
     path = Path(path)
     audit = LoadAudit() if audit is None else audit
     seen_ids: set[str] = set()
@@ -505,15 +503,15 @@ def iter_corpus(path: str | Path, strictness: str = "strict", audit: Optional[Lo
         yield instance
 
 
-def load_corpus_audited(path: str | Path, strictness: str = "strict") -> tuple[list[Instance], LoadAudit]:
+def load_corpus_audited(path: str | Path, *, strict: bool = True) -> tuple[list[Instance], LoadAudit]:
     """Load a whole corpus file with :func:`iter_corpus`, returning instances plus the audit."""
     audit = LoadAudit()
-    return list(iter_corpus(path, strictness, audit)), audit
+    return list(iter_corpus(path, strict=strict, audit=audit)), audit
 
 
-def load_corpus(path: str | Path, strictness: str = "strict") -> list[Instance]:
+def load_corpus(path: str | Path, *, strict: bool = True) -> list[Instance]:
     """Load a corpus file; see :func:`load_corpus_audited` for the audit."""
-    instances, _ = load_corpus_audited(path, strictness)
+    instances, _ = load_corpus_audited(path, strict=strict)
     return instances
 
 

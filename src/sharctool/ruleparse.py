@@ -10,7 +10,7 @@ cue words in the prose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -67,8 +67,8 @@ DEFAULT_CUES = CueSet(
 
 @dataclass
 class RuleStructure:
-    clauses: list[Clause] = field(default_factory=list)
-    logic: LogicType = LogicType.UNKNOWN
+    clauses: list[Clause]
+    logic: LogicType
 
 
 def load_cues(path: str | Path) -> CueSet:
@@ -93,7 +93,7 @@ def load_cues(path: str | Path) -> CueSet:
         if not line or line.startswith("#"):
             continue
         tag, _, phrase = raw.partition(" ")
-        if tag not in ("conj", "disj") or not phrase:
+        if tag not in ("conj", "disj") or not phrase.strip():
             raise ValueError(f"{path}:{lineno}: expected 'conj <phrase>' or 'disj <phrase>', got {raw!r}")
         (conj if tag == "conj" else disj).append(phrase.lower())
     return CueSet(conjunctive=tuple(conj), disjunctive=tuple(disj))
@@ -102,23 +102,23 @@ def load_cues(path: str | Path) -> CueSet:
 _SENTENCE_END_RE = re.compile(r"[.!?]+")
 
 
-def _split_sentences(block: str, offset: int) -> list[tuple[str, int, int]]:
-    """Split a prose block at sentence terminators, keeping source offsets."""
-    pieces: list[tuple[str, int, int]] = []
+def _split_sentences(block: str, offset: int) -> list[tuple[str, int]]:
+    """Split a prose block at sentence terminators into ``(sentence, source offset)`` pairs."""
+    pieces: list[tuple[str, int]] = []
     cursor = 0
     for match in _SENTENCE_END_RE.finditer(block):
-        pieces.append((block[cursor : match.end()], cursor, match.end()))
+        pieces.append((block[cursor : match.end()], cursor))
         cursor = match.end()
     if cursor < len(block):
-        pieces.append((block[cursor:], cursor, len(block)))
+        pieces.append((block[cursor:], cursor))
     out = []
-    for text, start, end in pieces:
+    for text, start in pieces:
         trimmed = text.strip()
         if not trimmed:
             continue
         lead = len(text) - len(text.lstrip())
         begin = offset + start + lead
-        out.append((trimmed, begin, begin + len(trimmed)))
+        out.append((trimmed, begin))
     return out
 
 
@@ -155,21 +155,25 @@ def parse_rule(rule_text: str, cues: CueSet = DEFAULT_CUES) -> RuleStructure:
 
     ``##`` lines become header clauses, ``*`` lines bullet clauses, and runs
     of prose lines are split into sentence clauses at ``.!?``. Empty lines
-    only separate blocks. Every clause's ``char_span`` indexes the original
-    snippet exactly, spans are disjoint and ascending, and ordinals run
-    contiguously from 1 in document order.
+    only separate blocks. Clauses are cut in document order and each gets its
+    ordinal as it is cut, so ordinals run contiguously from 1; every clause's
+    ``char_span`` indexes the original snippet exactly, and spans are disjoint
+    and ascending.
     """
     clauses: list[Clause] = []
     prose_start: Optional[int] = None
     prose_end = 0
+
+    def cut(kind: ClauseKind, text: str, start: int) -> None:
+        clauses.append(Clause(kind, text, (start, start + len(text)), len(clauses) + 1))
 
     def flush_prose() -> None:
         nonlocal prose_start
         if prose_start is None:
             return
         block = rule_text[prose_start:prose_end]
-        for text, start, end in _split_sentences(block, prose_start):
-            clauses.append(Clause(ClauseKind.SENTENCE, text, (start, end), 0))
+        for text, start in _split_sentences(block, prose_start):
+            cut(ClauseKind.SENTENCE, text, start)
         prose_start = None
 
     offset = 0
@@ -182,23 +186,16 @@ def parse_rule(rule_text: str, cues: CueSet = DEFAULT_CUES) -> RuleStructure:
             flush_prose()
             text = stripped.lstrip("#").strip()
             if text:
-                start = offset + line.index(text)
-                clauses.append(Clause(ClauseKind.HEADER, text, (start, start + len(text)), 0))
+                cut(ClauseKind.HEADER, text, offset + line.index(text))
         elif stripped.startswith("*"):
             flush_prose()
             text = stripped[1:].strip()
             if text:
-                start = offset + line.index(text, line.index("*") + 1)
-                clauses.append(Clause(ClauseKind.BULLET, text, (start, start + len(text)), 0))
+                cut(ClauseKind.BULLET, text, offset + line.index(text, line.index("*") + 1))
         else:
             if prose_start is None:
                 prose_start = offset + (len(line) - len(line.lstrip()))
             prose_end = offset + len(line)
         offset += len(raw_line)
     flush_prose()
-
-    clauses = [
-        Clause(c.kind, c.text, c.char_span, ordinal)
-        for ordinal, c in enumerate(sorted(clauses, key=lambda c: c.char_span[0]), start=1)
-    ]
     return RuleStructure(clauses=clauses, logic=classify_logic(clauses, cues))

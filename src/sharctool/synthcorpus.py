@@ -191,7 +191,6 @@ _FAMILIES = (
 class _Tree:
     tree_id: str
     kind: str  # udisj | uconj | cdisj | cconj | trap | single
-    topic: str
     rule_text: str
     conds: list[_Cond]
     questions: tuple[str, ...]  # on-topic initial questions
@@ -296,7 +295,7 @@ def _make_tree(split: str, index: int, kind: str, rng: random.Random, used_topic
             fact_yes=f"You can claim {topic} when over {age} living in {place}; that is my situation.",
             fact_no=f"You can claim {topic} when over {age} living in {place}; that does not fit me.",
         )
-        tree = _Tree(tree_id, kind, topic, f"# {topic}\n\n{body}", [cond], questions)
+        tree = _Tree(tree_id, kind, f"# {topic}\n\n{body}", [cond], questions)
         _check_tree(tree)
         return tree
 
@@ -321,7 +320,7 @@ def _make_tree(split: str, index: int, kind: str, rng: random.Random, used_topic
     lead_in = _LEAD_INS[kind].format(topic=topic)
     bullets = "\n".join(f"* {cond.text}" for cond in conds)
     rule_text = f"# {topic}\n\n{lead_in}\n\n{bullets}"
-    tree = _Tree(tree_id, kind, topic, rule_text, conds, questions)
+    tree = _Tree(tree_id, kind, rule_text, conds, questions)
     _check_tree(tree)
     return tree
 
@@ -330,9 +329,10 @@ def _make_tree(split: str, index: int, kind: str, rng: random.Random, used_topic
 # Instance emission
 # --------------------------------------------------------------------------
 #
-# Every emitter takes a stratum's tree pool and the RNG and draws in a fixed
-# order, the tree first (only _emit_more_plain rolls its fold before it): the
-# draw order is what keeps a split byte-identical for a given seed.
+# Every emitter takes a stratum's tree pool and the RNG, draws in a fixed
+# order, the tree first (only _emit_more_plain rolls its fold before it), and
+# returns the Instance, with an id that generate_split assigns: the draw order
+# is what keeps a split byte-identical for a given seed.
 
 
 def _answer(cond: _Cond, holds: bool) -> str:
@@ -348,14 +348,9 @@ def _fact(cond: _Cond, answer: str) -> str:
     return cond.fact_yes if answer == "Yes" else cond.fact_no
 
 
-@dataclass
-class _Draft:
-    tree: _Tree
-    question: str
-    scenario: str
-    history: list[DialogTurn]
-    evidence: list[DialogTurn]
-    answer: str
+def _instance(tree: _Tree, question: str, scenario: str, history: list[DialogTurn],
+              evidence: list[DialogTurn], answer: str) -> Instance:
+    return Instance("", tree.tree_id, tree.rule_text, question, scenario, history, evidence, answer)
 
 
 _Pool = Sequence[_Tree]
@@ -371,32 +366,32 @@ def _scenario_text(facts: Sequence[str], rng: random.Random) -> str:
     return " ".join(parts)
 
 
-def _emit_decided(label: ClassLabel, last: bool, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_decided(label: ClassLabel, last: bool, pool: _Pool, rng: random.Random) -> Instance:
     """Dialog decided on its final turn, by the rule's last condition or (``last`` false) a middle one."""
     tree = rng.choice(pool)
     stop = tree.depth - 1 if last else rng.randrange(1, tree.depth - 1)
     yes = label is ClassLabel.YES
     history = [_turn(cond, _answer(cond, not yes), rng) for cond in tree.conds[:stop]]
     history.append(_turn(tree.conds[stop], _answer(tree.conds[stop], yes), rng))
-    return _Draft(tree, rng.choice(tree.questions), "", history, [], label.value)
+    return _instance(tree, rng.choice(tree.questions), "", history, [], label.value)
 
 
-def _emit_cued_first(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_cued_first(label: ClassLabel, pool: _Pool, rng: random.Random) -> Instance:
     """Cued rule decided by a single follow-up (any clause short-circuits)."""
     tree = rng.choice(pool)
     cond = rng.choice(tree.conds)
     answer = _answer(cond, label is ClassLabel.YES)
-    return _Draft(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
+    return _instance(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
 
 
-def _emit_uniform(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_uniform(label: ClassLabel, pool: _Pool, rng: random.Random) -> Instance:
     """Every condition asked and every answer keeping the rule on one side."""
     tree = rng.choice(pool)
     history = [_turn(cond, _answer(cond, label is ClassLabel.YES), rng) for cond in tree.conds]
-    return _Draft(tree, rng.choice(tree.questions), "", history, [], label.value)
+    return _instance(tree, rng.choice(tree.questions), "", history, [], label.value)
 
 
-def _emit_folded_decider(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_folded_decider(label: ClassLabel, pool: _Pool, rng: random.Random) -> Instance:
     """The answer that decides the dialog lives in the scenario, not the history."""
     tree = rng.choice(pool)
     yes = label is ClassLabel.YES
@@ -411,10 +406,10 @@ def _emit_folded_decider(label: ClassLabel, pool: _Pool, rng: random.Random) -> 
             facts.append(_fact(cond, answer))
         else:
             history.append(_turn(cond, _answer(cond, not yes), rng))
-    return _Draft(tree, rng.choice(tree.questions), _scenario_text(facts, rng), history, evidence, label.value)
+    return _instance(tree, rng.choice(tree.questions), _scenario_text(facts, rng), history, evidence, label.value)
 
 
-def _emit_folded_all(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_folded_all(label: ClassLabel, pool: _Pool, rng: random.Random) -> Instance:
     """The whole dialog happened before the question: scenario only, no turns."""
     tree = rng.choice(pool)
     if tree.kind in ("udisj", "cdisj"):
@@ -425,17 +420,17 @@ def _emit_folded_all(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Dra
         answers = [_answer(c, idx != unsat_at) for idx, c in enumerate(tree.conds)]
     evidence = [_turn(cond, answer, rng) for cond, answer in zip(tree.conds, answers)]
     facts = [_fact(cond, answer) for cond, answer in zip(tree.conds, answers)]
-    return _Draft(tree, rng.choice(tree.questions), _scenario_text(facts, rng), [], evidence, label.value)
+    return _instance(tree, rng.choice(tree.questions), _scenario_text(facts, rng), [], evidence, label.value)
 
 
-def _emit_single_final(label: ClassLabel, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_single_final(label: ClassLabel, pool: _Pool, rng: random.Random) -> Instance:
     tree = rng.choice(pool)
     cond = tree.conds[0]
     answer = "Yes" if label is ClassLabel.YES else "No"
-    return _Draft(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
+    return _instance(tree, rng.choice(tree.questions), "", [_turn(cond, answer, rng)], [], label.value)
 
 
-def _emit_more_plain(k: int, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_more_plain(k: int, pool: _Pool, rng: random.Random) -> Instance:
     """Ask the first ``k`` conditions, gold answer asks condition ``k``."""
     fold = bool(k) and rng.random() < _MORE_FOLD_RATE  # drawn before the tree
     tree = rng.choice(pool)
@@ -469,10 +464,10 @@ def _emit_more_plain(k: int, pool: _Pool, rng: random.Random) -> _Draft:
     else:
         gold = rng.choice(next_cond.asks)
     scenario = _scenario_text(facts, rng) if facts else ""
-    return _Draft(tree, rng.choice(tree.questions), scenario, history, evidence, gold)
+    return _instance(tree, rng.choice(tree.questions), scenario, history, evidence, gold)
 
 
-def _emit_more_trap(pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_more_trap(pool: _Pool, rng: random.Random) -> Instance:
     """Scenario text that lexically swallows the condition left to ask."""
     tree = rng.choice(pool)
     first, middle, last = tree.conds[0], tree.conds[1:-1], tree.conds[-1]
@@ -480,20 +475,14 @@ def _emit_more_trap(pool: _Pool, rng: random.Random) -> _Draft:
     folded = _turn(first, answer, rng)
     history = [_turn(cond, _answer(cond, True), rng) for cond in middle]
     gold = rng.choice(last.asks)
-    return _Draft(
-        tree,
-        rng.choice(tree.questions),
-        _scenario_text([_fact(first, answer)], rng),
-        history,
-        [folded],
-        gold,
-    )
+    return _instance(tree, rng.choice(tree.questions), _scenario_text([_fact(first, answer)], rng), history,
+                     [folded], gold)
 
 
-def _emit_irrelevant(with_scenario: bool, pool: _Pool, rng: random.Random) -> _Draft:
+def _emit_irrelevant(with_scenario: bool, pool: _Pool, rng: random.Random) -> Instance:
     tree = rng.choice(pool)
     scenario = " ".join(rng.sample(_PERSONAS, rng.choice((1, 2)))) if with_scenario else ""
-    return _Draft(tree, rng.choice(_OFF_TOPIC_QUESTIONS), scenario, [], [], "Irrelevant")
+    return _instance(tree, rng.choice(_OFF_TOPIC_QUESTIONS), scenario, [], [], "Irrelevant")
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +495,7 @@ class _Stratum(NamedTuple):
     share: float  # of the class count, rounded by largest remainder
     kinds: tuple[str, ...]  # tree kinds in the pool
     min_depth: int  # shallowest tree in the pool
-    emit: Callable[[_Pool, random.Random], _Draft]
+    emit: Callable[[_Pool, random.Random], Instance]
 
 
 _MORE_FOLD_RATE = 0.3
@@ -570,10 +559,6 @@ class SplitSpec:
     depth_weights: dict[int, float] = field(
         default_factory=lambda: {2: 0.30, 3: 0.40, 4: 0.30}
     )
-
-    @property
-    def size(self) -> int:
-        return sum(self.class_counts.values())
 
 
 TRAIN_SPEC = SplitSpec(
@@ -643,17 +628,7 @@ def generate_split(spec: SplitSpec) -> list[Instance]:
                     raise RuntimeError(
                         f"could not fill stratum {stratum.name} for {label.value}: {made}/{want}"
                     )
-                draft = stratum.emit(pool, rng)
-                instance = Instance(
-                    utterance_id="pending",
-                    tree_id=draft.tree.tree_id,
-                    rule_text=draft.tree.rule_text,
-                    question=draft.question,
-                    scenario=draft.scenario,
-                    history=draft.history,
-                    evidence=draft.evidence,
-                    gold_answer=draft.answer,
-                )
+                instance = stratum.emit(pool, rng)
                 key = content_key(instance)
                 if key in seen:
                     continue

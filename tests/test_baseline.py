@@ -361,7 +361,7 @@ def _features(draw):
         tuple(baseline._AskableClause(ordinal, tokenize("x"), f"Ask {ordinal}?") for ordinal in range(1, clauses + 1)),
     )
     fractions = st.lists(_FRACTIONS, min_size=clauses, max_size=clauses)
-    return baseline._Features("u", plan, draw(st.booleans()), draw(_FRACTIONS),
+    return baseline._Features(plan, draw(st.booleans()), draw(_FRACTIONS),
                               draw(st.lists(st.sampled_from(["Yes", "No"]), max_size=9)), draw(fractions),
                               draw(fractions))
 

@@ -190,7 +190,7 @@ def test_loader_rejects_non_polar_history_answer(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError):
-        load_corpus(path, "strict")
+        load_corpus(path, strict=True)
 
 
 def test_loader_drops_partial_evidence_in_both_modes(tmp_path):
@@ -203,8 +203,8 @@ def test_loader_drops_partial_evidence_in_both_modes(tmp_path):
     )
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    for strictness in ("strict", "lenient"):
-        instances, audit = load_corpus_audited(path, strictness)
+    for strict in (True, False):
+        instances, audit = load_corpus_audited(path, strict=strict)
         assert len(instances[0].evidence) == 1
         assert audit.dropped_evidence_items == 1
 
@@ -214,7 +214,7 @@ def test_strict_mode_rejects_duplicate_ids(tmp_path):
     lines = [json.dumps(_record()), json.dumps(_record(question="Same id, new text?"))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="duplicate"):
-        load_corpus(path, "strict")
+        load_corpus(path, strict=True)
 
 
 def test_lenient_mode_drops_and_counts(tmp_path):
@@ -226,7 +226,7 @@ def test_lenient_mode_drops_and_counts(tmp_path):
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
-    instances, audit = load_corpus_audited(path, "lenient")
+    instances, audit = load_corpus_audited(path, strict=False)
     assert [i.utterance_id for i in instances] == ["u-1", "u-4"]
     assert audit.records_read == 4
     assert audit.duplicate_ids_dropped == 1
@@ -234,11 +234,12 @@ def test_lenient_mode_drops_and_counts(tmp_path):
     assert audit.instances_kept == 2
 
 
-def test_loader_rejects_unknown_strictness(tmp_path):
+def test_loader_takes_strict_by_keyword_only(tmp_path):
+    # an old positional "lenient" must fail loudly, not be read as strict
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(_record()) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_corpus(path, "relaxed")
+    with pytest.raises(TypeError):
+        load_corpus(path, False)
 
 
 def test_dumps_record_is_canonical(make_instance):

@@ -135,7 +135,7 @@ LOADER_ERRORS = {
 def test_strict_loader_error_messages(tmp_path, records, message):
     path = _write_lines(tmp_path, *records)
     with pytest.raises(CorpusError) as raised:
-        load_corpus_audited(path, "strict")
+        load_corpus_audited(path, strict=True)
     assert str(raised.value) == message
 
 
@@ -155,7 +155,7 @@ def test_invalid_json_line_names_the_path_and_line(tmp_path, body, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(CorpusError) as raised:
-        load_corpus_audited(path, "lenient")
+        load_corpus_audited(path, strict=False)
     assert str(raised.value) == f"{path}:{message}"
 
 
@@ -271,7 +271,7 @@ def test_lenient_audit_counts_and_reasons(tmp_path):
         _record(utterance_id="u-4", evidence=[7, _turn(answer="no")]),
         _record(utterance_id="u-5", history=[_turn(answer=" yes ")]),
     )
-    instances, audit = load_corpus_audited(path, "lenient")
+    instances, audit = load_corpus_audited(path, strict=False)
     assert [i.utterance_id for i in instances] == ["u-1", "u-3", "u-4", "u-5"]
     assert [len(i.evidence) for i in instances] == [0, 1, 1, 0]
     assert instances[2].evidence[0].follow_up_answer == "No"
@@ -307,15 +307,15 @@ _STREAM_RECORDS = {
 @pytest.mark.parametrize("layout", ["jsonl", "json-list"])
 @pytest.mark.parametrize("strictness", ["strict", "lenient"])
 def test_load_corpus_audited_is_the_streaming_reader_listed(tmp_path, strictness, layout):
-    records = _STREAM_RECORDS[strictness]
+    records, strict = _STREAM_RECORDS[strictness], strictness == "strict"
     if layout == "jsonl":
         path = _write_lines(tmp_path, *records)
     else:
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(records), encoding="utf-8")
-    instances, audit = load_corpus_audited(path, strictness)
+    instances, audit = load_corpus_audited(path, strict=strict)
     streamed_audit = LoadAudit()
-    assert list(iter_corpus(path, strictness, streamed_audit)) == instances
+    assert list(iter_corpus(path, strict=strict, audit=streamed_audit)) == instances
     assert streamed_audit == audit
     assert audit.instances_kept == 2 and audit.dropped_evidence_items >= 1
 
@@ -378,7 +378,7 @@ def test_iter_corpus_yields_each_instance_before_reading_the_next_line(tmp_path)
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(_record()) + "\n{not json\n", encoding="utf-8")
     audit = LoadAudit()
-    stream = iter_corpus(path, "strict", audit)
+    stream = iter_corpus(path, strict=True, audit=audit)
     assert next(stream).utterance_id == "u-1"
     assert audit.records_read == audit.instances_kept == 1
     with pytest.raises(CorpusError, match=f"{path}:2: invalid JSON"):

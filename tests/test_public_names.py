@@ -4,6 +4,10 @@ A name that only tests use belongs in ``tests/reference.py`` as an oracle, not i
 name, an attribute, an imported name, or a string constant other than a docstring or an ``__all__`` entry, so
 a name the benchmark binds by its string (``perfbench/tracer.py``'s ``TRACED``) counts. The benchmark's own
 tests are tests, so they are not read.
+
+Every field a private class of the package annotates is also read somewhere in ``src/`` as an attribute, so no
+value is built that nothing reads. Public dataclasses are written out whole (through ``asdict``), so they are
+exempt.
 """
 
 import ast
@@ -55,3 +59,14 @@ def test_every_public_name_is_used_outside_the_tests():
     assert len(public) > 50  # every module's __all__ was read
     unused = [f"{module}.{name}" for module, name in public if name not in used]
     assert not unused, f"public names that only tests use (move them to tests/reference.py): {unused}"
+
+
+def test_every_private_class_field_is_read_in_src():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [(cls.name, stmt.target.id) for cls in nodes if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert len(fields) > 20  # the private classes were read
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert not unread, f"private class fields that nothing in src/ reads: {unread}"

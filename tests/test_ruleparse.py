@@ -93,6 +93,13 @@ _LINE_POOL = (
     "no terminator on this line",
     "",
     "   ",
+    "crlf line.\r",
+    "  * indented bullet",
+    "   ## indented header",
+    # str.splitlines also cuts at U+2028, U+2029 and U+0085, inside what "\n" joins as one line
+    "split\u2028* here. ok",
+    "x\u2029## y",
+    "nel\x85* not a bullet",
 )
 
 
@@ -221,6 +228,14 @@ def test_load_cues_rejects_missing_phrase(tmp_path):
     path = tmp_path / "cues.txt"
     path.write_text("conj\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1:"):
+        load_cues(path)
+
+
+def test_load_cues_rejects_a_blank_phrase(tmp_path):
+    # a whitespace cue would count every space in the prose and outvote the real cues
+    path = tmp_path / "cues.txt"
+    path.write_text("conj all of\ndisj  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"cues\.txt:2: expected 'conj <phrase>' or 'disj <phrase>', got 'disj  '"):
         load_cues(path)
 
 

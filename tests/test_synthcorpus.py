@@ -39,7 +39,7 @@ def test_generate_split_hits_exact_class_counts(toy_split):
     for instance in toy_split:
         counts[instance.label] += 1
     assert counts == TOY_SPEC.class_counts
-    assert len(toy_split) == TOY_SPEC.size == 200
+    assert len(toy_split) == sum(TOY_SPEC.class_counts.values()) == 200
 
 
 def test_generate_split_ids_are_unique(toy_split):
@@ -69,14 +69,14 @@ def test_generated_labels_match_derive_label(toy_split):
 def test_generated_split_survives_strict_reload(tmp_path, toy_split):
     path = tmp_path / "toy.jsonl"
     write_corpus(path, toy_split)
-    loaded = load_corpus(path, "strict")
+    loaded = load_corpus(path, strict=True)
     assert [instance_to_record(i) for i in loaded] == [instance_to_record(i) for i in toy_split]
 
 
 def test_split_specs_are_distinct():
     assert TRAIN_SPEC.seed != DEV_SPEC.seed
-    assert TRAIN_SPEC.size == 21890
-    assert DEV_SPEC.size == 2270
+    assert sum(TRAIN_SPEC.class_counts.values()) == 21890
+    assert sum(DEV_SPEC.class_counts.values()) == 2270
 
 
 def test_toy_distribution_tracks_spec(toy_split):
