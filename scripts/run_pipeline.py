@@ -57,7 +57,7 @@ def main() -> int:
         "--out", str(work / "probe-aug.json"), "--split-name", "train-augmented",
     ])
     run(["annotate", "--in", train, "--out", str(work / "train-markers.jsonl")])
-    run(["tune", "--in", dev, "--out", str(work / "params.json")])
+    run(["tune", "--in", dev, "--out", str(work / "params.json"), "--trials", str(work / "trials.json")])
     run([
         "baseline", "--in", dev, "--params", str(work / "params.json"),
         "--out", str(work / "dev-pred.jsonl"),

@@ -31,7 +31,7 @@ from .corpus import (
     tokenize,
     write_jsonl,
 )
-from .evaluate import GoldView, evaluate
+from .evaluate import evaluate
 from .markers import content_words, coverage, jaccard
 from .ruleparse import Clause, ClauseKind, CueSet, DEFAULT_CUES, LogicType, RuleStructure, parse_rule
 
@@ -267,18 +267,6 @@ def _grid_outputs(points: Sequence[PolicyParams]) -> Callable[[_Features], tuple
     return outputs
 
 
-def _weighted(cells: Mapping[tuple[ClassLabel, Optional[str], str], int]) -> tuple[GoldView, dict[int, str]]:
-    """A gold view with one entry per (gold class, gold follow-up or None, output) cell, weighted by its count,
-    and each entry's prediction, the cell's output."""
-    labels, followups, predictions = [], [], {}
-    for k, ((label, followup, output), count) in enumerate(cells.items()):
-        labels.append((k, label, count))
-        if followup is not None:
-            followups.append((k, followup, count))
-        predictions[k] = output
-    return GoldView(frozenset(predictions), tuple(labels), tuple(followups)), predictions
-
-
 def tune(
     corpus: Iterable[Instance],
     grid: Optional[Mapping[str, Sequence]] = None,
@@ -317,7 +305,7 @@ def tune(
             for (label, followup, decided), count in tally.items():
                 cell = label, followup, decided[index]
                 cells[cell] = cells.get(cell, 0) + count
-            report = evaluate(*_weighted(cells))
+            report = evaluate(cells.items())
             score = report.combined if report.combined is not None else -1.0
             trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:

@@ -30,7 +30,7 @@ from .augment import AugmentConfig, DEFAULT_TOTAL_TARGET, build_augmented_corpus
 from .baseline import PolicyParams, load_params, load_predictions, predict_corpus, tune, write_predictions
 from .corpus import (ClassLabel, LoadAudit, Memo, iter_corpus, load_corpus, read_json, staged_writes, write_corpus,
                      write_json, write_jsonl)
-from .evaluate import evaluate, gold_view, render_report
+from .evaluate import cells, evaluate, gold_view, render_report
 from .markers import BASIC_STOPWORDS, annotate_corpus, write_markers
 from .probe import probe_corpus
 from .ruleparse import DEFAULT_CUES, load_cues
@@ -359,7 +359,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     def compute(gold, predictions):
-        report = evaluate(gold, predictions, sentence_average_bleu=args.sentence_bleu)
+        report = evaluate(cells(gold, predictions), sentence_average_bleu=args.sentence_bleu)
         write_json(args.out, asdict(report))
         return render_report(report, title=Path(args.gold).name)
 

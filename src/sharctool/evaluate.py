@@ -19,15 +19,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .corpus import PASS_KINDS, ClassLabel, Instance, derive_label, pass_memo, tokenize
+from .corpus import PASS_KINDS, ClassLabel, Instance, corpus_pass, derive_label, pass_memo, tokenize
 
 __all__ = [
     "SCORING_NOTES",
     "EvalReport",
-    "GoldView",
     "bleu",
+    "cells",
     "combined_metric",
     "evaluate",
     "gold_view",
@@ -54,45 +54,36 @@ SCORING_NOTES = (
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldView:
-    """What scoring reads from a gold corpus, in corpus order. Each entry stands for ``count`` instances that share
-    its id's prediction (one in :func:`gold_view`); scores sum integers over them, so the floats are the same."""
-
-    ids: frozenset[Hashable]
-    labels: tuple[tuple[Hashable, ClassLabel, int], ...]  # (id, gold class, count)
-    followups: tuple[tuple[Hashable, str, int], ...]  # (id, gold answer, count) of the More entries
+_Cell = tuple[tuple[ClassLabel, Optional[str], str], int]  # ((gold class, gold follow-up or None, output), count)
 
 
-def gold_view(instances: Iterable[Instance]) -> GoldView:
-    """Collect the gold ids, classes and follow-ups in one pass over a list or stream; raise on duplicate ids.
+def gold_view(instances: Iterable[Instance]) -> dict[Hashable, tuple[ClassLabel, Optional[str]]]:
+    """Each gold id's class and follow-up (None unless More), in corpus order, from one pass over a list or stream;
+    raise on duplicate ids.
 
-    Build it once and score any number of prediction sets against it.
+    Build it once and score any number of prediction sets against it through :func:`cells`.
     """
-    labels, followups = [], []
-    for inst in instances:
+    gold, count = {}, 0
+    for count, inst in enumerate(instances, start=1):
         label = inst.label
-        labels.append((inst.utterance_id, label, 1))
-        if label is ClassLabel.MORE:
-            followups.append((inst.utterance_id, inst.gold_answer, 1))
-    ids = frozenset(uid for uid, _, _ in labels)
-    if len(ids) != len(labels):
+        gold[inst.utterance_id] = label, inst.gold_answer if label is ClassLabel.MORE else None
+    if len(gold) != count:
         raise ValueError("gold corpus contains duplicate utterance ids")
-    return GoldView(ids=ids, labels=tuple(labels), followups=tuple(followups))
+    return gold
 
 
-def _confusion(gold: GoldView, predictions: Mapping[Hashable, str]) -> dict[ClassLabel, dict[ClassLabel, int]]:
-    """4x4 gold-by-predicted count matrix; raises ``ValueError`` unless the prediction ids are the gold ids."""
-    if predictions.keys() != gold.ids:
-        missing = gold.ids - predictions.keys()
+def cells(
+    gold: Mapping[Hashable, tuple[ClassLabel, Optional[str]]], predictions: Mapping[Hashable, str]
+) -> Iterator[_Cell]:
+    """One count-1 cell per gold instance, in corpus order; raises ``ValueError`` unless the prediction ids are the
+    gold ids."""
+    if predictions.keys() != gold.keys():
+        missing = gold.keys() - predictions.keys()
         if missing:
             raise ValueError(f"predictions missing {len(missing)} ids (e.g. {sorted(missing)[:3]})")
-        extra = predictions.keys() - gold.ids
+        extra = predictions.keys() - gold.keys()
         raise ValueError(f"predictions contain {len(extra)} unknown ids (e.g. {sorted(extra)[:3]})")
-    matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
-    for uid, label, count in gold.labels:
-        matrix[label][derive_label(predictions[uid])] += count
-    return matrix
+    return (((label, followup, predictions[uid]), 1) for uid, (label, followup) in gold.items())
 
 
 def micro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> float:
@@ -239,18 +230,20 @@ class EvalReport:
     confusion: dict[str, dict[str, int]]
 
 
-def evaluate(
-    gold: GoldView,
-    predictions: Mapping[Hashable, str],
-    *,
-    sentence_average_bleu: bool = False,
-) -> EvalReport:
-    """Score predictions (a {utterance_id: output text} map) against a gold view, each entry weighted by its count."""
-    matrix = _confusion(gold, predictions)
-    pairs = [(predictions[uid], reference) for uid, reference, _ in gold.followups]
-    weights = [count for _, _, count in gold.followups]
-    bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu, weights=weights)
-    bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu, weights=weights)
+def evaluate(cells: Iterable[_Cell], *, sentence_average_bleu: bool = False) -> EvalReport:
+    """Score (gold class, gold follow-up or None, output) cells, each weighted by its count: every cell's class and
+    BLEU over the cells with a follow-up, inside one pass. The scores sum integers, so merging equal cells leaves
+    every float as it is."""
+    matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
+    pairs, weights = [], []
+    for (label, followup, output), count in cells:
+        matrix[label][derive_label(output)] += count
+        if followup is not None:
+            pairs.append((output, followup))
+            weights.append(count)
+    with corpus_pass():
+        bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu, weights=weights)
+        bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu, weights=weights)
     macro = macro_accuracy(matrix)
     per_class = per_class_accuracy(matrix)
     return EvalReport(

@@ -1,7 +1,7 @@
 """Segmentation of rule snippets into clauses and coarse logic typing.
 
 Rule texts in the corpus are light markdown: ``##`` lines are section
-headers, ``*`` lines are list items, and everything else is prose. The
+headers, ``* item`` lines are list items, and everything else is prose. The
 parser cuts a snippet into clauses with exact character spans and then
 classifies how the clauses combine (all required vs. any sufficient) from
 cue words in the prose.
@@ -153,7 +153,7 @@ def classify_logic(clauses: Sequence[Clause], cues: CueSet = DEFAULT_CUES) -> Lo
 def parse_rule(rule_text: str, cues: CueSet = DEFAULT_CUES) -> RuleStructure:
     """Cut a rule snippet into clauses and classify its logic.
 
-    ``##`` lines become header clauses, ``*`` lines bullet clauses, and runs
+    ``##`` lines become header clauses, ``* item`` lines bullet clauses, and runs
     of prose lines are split into sentence clauses at ``.!?``. Empty lines
     only separate blocks. Clauses are cut in document order and each gets its
     ordinal as it is cut, so ordinals run contiguously from 1; every clause's
@@ -187,7 +187,7 @@ def parse_rule(rule_text: str, cues: CueSet = DEFAULT_CUES) -> RuleStructure:
             text = stripped.lstrip("#").strip()
             if text:
                 cut(ClauseKind.HEADER, text, offset + line.index(text))
-        elif stripped.startswith("*"):
+        elif stripped.split(maxsplit=1)[0] == "*":  # "* item", not "**bold** prose"
             flush_prose()
             text = stripped[1:].strip()
             if text:

@@ -26,7 +26,7 @@ from sharctool import baseline
 from sharctool.augment import AugmentedInstance
 from sharctool.baseline import PolicyParams, TuneResult
 from sharctool.corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, tokenize
-from sharctool.evaluate import GoldView, evaluate
+from sharctool.evaluate import evaluate
 from sharctool.markers import MARKER_PHI, lcs_match
 from sharctool.ruleparse import DEFAULT_CUES, CueSet, parse_rule
 
@@ -135,7 +135,7 @@ def escaped_row(row: tuple) -> tuple:
 
 def tune(corpus: Iterable[Instance], grid: Optional[Mapping[str, Sequence]] = None,
          cues: CueSet = DEFAULT_CUES) -> TuneResult:
-    """``baseline.tune`` scoring each grid point by one ``evaluate`` over every tally row, each row's own outputs."""
+    """``baseline.tune`` scoring each grid point by one ``evaluate`` of one unmerged cell per tally row."""
     grid = dict(baseline.DEFAULT_GRID if grid is None else grid)
     points = [replace(PolicyParams(), **dict(zip(grid, values))) for values in itertools.product(*grid.values())]
     outputs = baseline._grid_outputs(points)
@@ -145,11 +145,9 @@ def tune(corpus: Iterable[Instance], grid: Optional[Mapping[str, Sequence]] = No
         for instance, features in baseline._corpus_features(corpus, cues):
             followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
             rows[instance.label, followup, outputs(features)] += 1
-        entries = [(k, label, followup, count) for k, ((label, followup, _), count) in enumerate(rows.items())]
-        gold = GoldView(frozenset(range(len(entries))), tuple((k, label, count) for k, label, _, count in entries),
-                        tuple((k, followup, count) for k, _, followup, count in entries if followup is not None))
         for index, params in enumerate(points):
-            report = evaluate(gold, {k: row[2][index] for k, row in enumerate(rows)})
+            report = evaluate(((label, followup, decided[index]), count)
+                              for (label, followup, decided), count in rows.items())
             score = report.combined if report.combined is not None else -1.0
             trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
             if score > best_score:

@@ -21,7 +21,7 @@ from sharctool.augment import (
 )
 from sharctool.baseline import predict_corpus, tune
 from sharctool.corpus import ClassLabel, content_hash, tokenize
-from sharctool.evaluate import bleu, combined_metric, evaluate, gold_view
+from sharctool.evaluate import bleu, cells, combined_metric, evaluate, gold_view
 from sharctool.markers import annotate_corpus, lcs_match
 from sharctool.probe import probe_corpus
 
@@ -149,7 +149,7 @@ def test_criterion_06_tuned_baseline_collapses_on_augmented_dev(dev_corpus):
 
     def _score(corpus):
         rows, _ = predict_corpus(corpus, result.best_params)
-        return evaluate(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows})
+        return evaluate(cells(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows}))
 
     original = _score(dev_corpus)
     config = AugmentConfig(

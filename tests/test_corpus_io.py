@@ -33,7 +33,7 @@ from sharctool.corpus import (
     write_json,
     write_jsonl,
 )
-from sharctool.evaluate import evaluate, gold_view
+from sharctool.evaluate import cells, evaluate, gold_view
 from sharctool.markers import MARKER_PHI, write_markers
 from sharctool.probe import probe_corpus
 from sharctool.synthcorpus import SplitSpec, generate_split
@@ -487,7 +487,7 @@ def test_report_bytes_are_pinned(tmp_path):
 def reports():
     corpus = generate_split(PIN_SPEC)[:40]
     return {
-        "EvalReport": evaluate(gold_view(corpus), {instance.utterance_id: "Yes" for instance in corpus}),
+        "EvalReport": evaluate(cells(gold_view(corpus), {instance.utterance_id: "Yes" for instance in corpus})),
         "TuneResult": tune(corpus, grid={"tau_irr": (0.2,), "rho": (0.6,), "rho_s": (0.6,), "l_max": (3, 5)}),
         "PolicyParams": PolicyParams(),
         "LoadAudit": LoadAudit(reasons={"missing answer": 2, "bad history": 1}),

@@ -1,6 +1,7 @@
 """Scoring: confusion counts, accuracies, corpus BLEU, combined metric."""
 
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -10,6 +11,7 @@ from sharctool.corpus import ClassLabel, read_json, write_json
 from sharctool.evaluate import (
     EvalReport,
     bleu,
+    cells,
     combined_metric,
     evaluate,
     gold_view,
@@ -43,7 +45,7 @@ def _toy_eval(make_instance, turn):
 
 def test_confusion_matrix_counts(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    matrix = evaluate(gold_view(gold), predictions).confusion
+    matrix = evaluate(cells(gold_view(gold), predictions)).confusion
     assert matrix[ClassLabel.YES][ClassLabel.YES] == 2
     assert matrix[ClassLabel.NO][ClassLabel.MORE] == 1
     assert matrix[ClassLabel.NO][ClassLabel.NO] == 0
@@ -53,17 +55,17 @@ def test_confusion_matrix_counts(make_instance, turn):
 
 def test_confusion_matrix_requires_exact_id_cover(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    with pytest.raises(ValueError, match="missing"):
-        evaluate(gold_view(gold), {k: v for k, v in predictions.items() if k != "y1"})
-    with pytest.raises(ValueError, match="unknown"):
-        evaluate(gold_view(gold), {**predictions, "ghost": "Yes"})
+    with pytest.raises(ValueError, match=r"^predictions missing 1 ids \(e\.g\. \['y1'\]\)$"):
+        evaluate(cells(gold_view(gold), {k: v for k, v in predictions.items() if k != "y1"}))
+    with pytest.raises(ValueError, match=r"^predictions contain 1 unknown ids \(e\.g\. \['ghost'\]\)$"):
+        evaluate(cells(gold_view(gold), {**predictions, "ghost": "Yes"}))
     with pytest.raises(ValueError, match="duplicate"):
         gold_view(gold + [gold[0]])
 
 
 def test_accuracies(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    matrix = evaluate(gold_view(gold), predictions).confusion
+    matrix = evaluate(cells(gold_view(gold), predictions)).confusion
     assert micro_accuracy(matrix) == pytest.approx(75.0)
     recalls = per_class_accuracy(matrix)
     assert recalls[ClassLabel.YES] == pytest.approx(100.0)
@@ -158,7 +160,7 @@ def test_combined_metric_products():
 
 def test_evaluate_end_to_end(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    report = evaluate(gold_view(gold), predictions)
+    report = evaluate(cells(gold_view(gold), predictions))
     assert report.instance_count == 4
     assert report.micro_accuracy == pytest.approx(75.0)
     assert report.macro_accuracy == pytest.approx(200.0 / 3.0)
@@ -174,7 +176,7 @@ def test_evaluate_without_followups_leaves_bleu_undefined(make_instance):
         make_instance(utterance_id="y1", gold_answer="Yes"),
         make_instance(utterance_id="n1", gold_answer="No"),
     ]
-    report = evaluate(gold_view(gold), {"y1": "Yes", "n1": "No"})
+    report = evaluate(cells(gold_view(gold), {"y1": "Yes", "n1": "No"}))
     assert report.micro_accuracy == pytest.approx(100.0)
     assert report.bleu1 is None
     assert report.bleu4 is None
@@ -182,9 +184,31 @@ def test_evaluate_without_followups_leaves_bleu_undefined(make_instance):
     assert report.bleu_instance_count == 0
 
 
+_CELLS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([ClassLabel.YES, ClassLabel.NO, ClassLabel.IRRELEVANT]).map(lambda label: (label, None)),
+            st.sampled_from(["Do you live in England?", "Are you over 60?"]).map(lambda f: (ClassLabel.MORE, f)),
+        ),
+        st.sampled_from(["Yes", "no", "IRRELEVANT", "Do you live in England?", "are you over 60", "?"]),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda rows: [((label, followup, output), count) for (label, followup), output, count in rows])
+
+
+@given(_CELLS)
+def test_merging_equal_cells_leaves_every_score_as_it_is(drawn):
+    merged = Counter()
+    for cell, count in drawn:
+        merged[cell] += count
+    assert asdict(evaluate(drawn)) == asdict(evaluate(merged.items()))
+
+
 def test_render_report_smoke(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    text = render_report(evaluate(gold_view(gold), predictions), title="toy")
+    text = render_report(evaluate(cells(gold_view(gold), predictions)), title="toy")
     assert "== toy (4 instances) ==" in text
     assert "micro" in text and "combined" in text
     assert "recall --" in text  # the Irrelevant row is undefined
@@ -192,7 +216,7 @@ def test_render_report_smoke(make_instance, turn):
 
 def test_report_round_trip(tmp_path, make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    report = evaluate(gold_view(gold), predictions)
+    report = evaluate(cells(gold_view(gold), predictions))
     path = tmp_path / "report.json"
     write_json(path, asdict(report))
     payload = read_json(path)
@@ -204,7 +228,7 @@ def test_report_round_trip(tmp_path, make_instance, turn):
 
 def test_a_report_takes_its_fields_by_keyword_only(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    fields = asdict(evaluate(gold_view(gold), predictions))
-    assert EvalReport(**fields) == evaluate(gold_view(gold), predictions)
+    fields = asdict(evaluate(cells(gold_view(gold), predictions)))
+    assert EvalReport(**fields) == evaluate(cells(gold_view(gold), predictions))
     with pytest.raises(TypeError):
         EvalReport(*fields.values())

@@ -6,10 +6,10 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from sharctool import baseline
+from sharctool import baseline, evaluate as evaluate_module
 from sharctool.baseline import PolicyParams, predict_corpus, tune
 from sharctool.corpus import PASS_KINDS, ClassLabel, Memo, corpus_pass, pass_memo, tokenize
-from sharctool.evaluate import bleu, evaluate, gold_view
+from sharctool.evaluate import bleu, cells, evaluate, gold_view
 from sharctool.markers import (
     BASIC_STOPWORDS,
     annotate_corpus,
@@ -76,7 +76,7 @@ def test_every_kind_computes_each_entry_once_in_a_pass_over_the_corpus(corpus, m
         annotate_corpus(corpus)
         rows, _ = predict_corpus(corpus)
         tune(corpus, grid=SMALL_GRID)
-        evaluate(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows})
+        evaluate(cells(gold_view(corpus), {utterance_id: output for utterance_id, output, _, _ in rows}))
         tables = {kind: pass_memo(kind) for kind in KINDS}
     assert all(isinstance(table, Memo) for table in tables.values())
     assert {kind: len(table) for kind, table in tables.items()} == computed
@@ -199,7 +199,7 @@ def test_tune_matches_evaluate_outside_a_pass(corpus):
     for trial in result.trials:
         params = PolicyParams(**trial["params"])
         outputs = {i.utterance_id: decide(i, params)[0] for i in corpus}
-        report = evaluate(gold, outputs)
+        report = evaluate(cells(gold, outputs))
         assert (trial["combined"], trial["micro"]) == (report.combined, report.micro_accuracy)
 
 
@@ -237,9 +237,9 @@ def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
         for gold, view in golds:
             outputs = {i.utterance_id: decide(i, params)[0] for i in gold}
             runs.append((gold, view, outputs))
-    outside = [asdict(evaluate(gold_view(gold), outputs)) for gold, _, outputs in runs]
+    outside = [asdict(evaluate(cells(gold_view(gold), outputs))) for gold, _, outputs in runs]
     with corpus_pass():
-        inside = [asdict(evaluate(view, outputs)) for _, view, outputs in runs]
+        inside = [asdict(evaluate(cells(view, outputs))) for _, view, outputs in runs]
     assert inside == outside
     assert _memo_is_empty()
 
@@ -247,6 +247,24 @@ def test_evaluate_reads_one_gold_view_per_corpus_in_a_pass(corpus):
 # --------------------------------------------------------------------------
 # BLEU statistics
 # --------------------------------------------------------------------------
+
+
+def test_one_evaluate_outside_a_pass_counts_each_distinct_pair_once(corpus, monkeypatch):
+    calls = []
+
+    def counted(candidate, reference, max_order):
+        calls.append((candidate, reference))
+        return pair_stats(candidate, reference, max_order)
+
+    pair_stats = evaluate_module._pair_stats
+    monkeypatch.setattr(evaluate_module, "_pair_stats", counted)
+    outputs = {instance.utterance_id: decide(instance)[0] for instance in corpus}
+    drawn = list(cells(gold_view(corpus), outputs))
+    report = evaluate(drawn)
+    pairs = [(output, followup) for (_, followup, output), _ in drawn if followup is not None]
+    assert len(set(pairs)) < len(pairs) == report.bleu_instance_count
+    assert sorted(calls) == sorted(set(pairs))
+    assert _memo_is_empty()
 
 _TEXTS = st.one_of(
     st.sampled_from(["", " ", "?", "## *", "...", "Do you live in England?", "do you live in england"]),

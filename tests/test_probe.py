@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sharctool.corpus import ClassLabel, DialogTurn, Instance
-from sharctool.evaluate import evaluate, gold_view
+from sharctool.evaluate import cells, evaluate, gold_view
 from sharctool.probe import (
     AgreementStat,
     IrrelevantContextStats,
@@ -390,5 +390,5 @@ def test_a_one_shot_stream_gives_what_the_list_gives(rows):
     assert probe_corpus(instance for instance in corpus) == probe_corpus(corpus)
     # Every third prediction echoes the gold answer; the rest say Yes.
     outputs = {inst.utterance_id: inst.gold_answer if i % 3 else "Yes" for i, inst in enumerate(corpus)}
-    streamed = asdict(evaluate(gold_view(instance for instance in corpus), outputs))
-    assert streamed == asdict(evaluate(gold_view(corpus), outputs))
+    streamed = asdict(evaluate(cells(gold_view(instance for instance in corpus), outputs)))
+    assert streamed == asdict(evaluate(cells(gold_view(corpus), outputs)))

@@ -76,6 +76,16 @@ def test_parse_rule_skips_empty_markers():
     assert [(c.kind, c.text) for c in structure.clauses] == [(ClauseKind.BULLET, "real item")]
 
 
+def test_parse_rule_reads_a_bold_line_as_prose():
+    text = "You qualify if all of the following apply:\n\n**Note:** you must live in England.\n* you are over 60"
+    clauses = parse_rule(text).clauses
+    assert [(c.kind, c.text, c.char_span) for c in clauses[1:]] == [
+        (ClauseKind.SENTENCE, "**Note:** you must live in England.", (44, 79)),
+        (ClauseKind.BULLET, "you are over 60", (82, 97)),
+    ]
+    assert [text[start:end] for start, end in (c.char_span for c in clauses)] == [c.text for c in clauses]
+
+
 def test_parse_rule_empty_text():
     structure = parse_rule("")
     assert structure.clauses == []
@@ -88,6 +98,7 @@ _LINE_POOL = (
     "* you are over 60",
     "* you live in England",
     "*",
+    "**Note:** you must live in England.",
     "You can claim if all of the following apply:",
     "You may apply. It helps!  Really?",
     "no terminator on this line",
