@@ -506,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .corpus import ClassLabel, Instance
@@ -123,11 +124,10 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and values[order[end]] == values[order[start]]:
-            end += 1
-        for position in order[start:end]:
+    for _, group in groupby(order, key=values.__getitem__):
+        tied = list(group)
+        end = start + len(tied)
+        for position in tied:
             ranks[position] = (start + end + 1) / 2
         start = end
     return ranks

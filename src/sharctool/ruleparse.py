@@ -99,27 +99,8 @@ def load_cues(path: str | Path) -> CueSet:
     return CueSet(conjunctive=tuple(conj), disjunctive=tuple(disj))
 
 
-_SENTENCE_END_RE = re.compile(r"[.!?]+")
-
-
-def _split_sentences(block: str, offset: int) -> list[tuple[str, int]]:
-    """Split a prose block at sentence terminators into ``(sentence, source offset)`` pairs."""
-    pieces: list[tuple[str, int]] = []
-    cursor = 0
-    for match in _SENTENCE_END_RE.finditer(block):
-        pieces.append((block[cursor : match.end()], cursor))
-        cursor = match.end()
-    if cursor < len(block):
-        pieces.append((block[cursor:], cursor))
-    out = []
-    for text, start in pieces:
-        trimmed = text.strip()
-        if not trimmed:
-            continue
-        lead = len(text) - len(text.lstrip())
-        begin = offset + start + lead
-        out.append((trimmed, begin))
-    return out
+# One match per sentence: up to and including a run of ``.!?``, or to the scan's endpos.
+_SENTENCE_RE = re.compile(r"[^.!?]*(?:[.!?]+|$)")
 
 
 def classify_logic(clauses: Sequence[Clause], cues: CueSet = DEFAULT_CUES) -> LogicType:
@@ -171,9 +152,11 @@ def parse_rule(rule_text: str, cues: CueSet = DEFAULT_CUES) -> RuleStructure:
         nonlocal prose_start
         if prose_start is None:
             return
-        block = rule_text[prose_start:prose_end]
-        for text, start in _split_sentences(block, prose_start):
-            cut(ClauseKind.SENTENCE, text, start)
+        for match in _SENTENCE_RE.finditer(rule_text, prose_start, prose_end):
+            piece = match.group()
+            text = piece.strip()
+            if text:
+                cut(ClauseKind.SENTENCE, text, match.start() + len(piece) - len(piece.lstrip()))
         prose_start = None
 
     offset = 0

@@ -13,7 +13,9 @@ form. ``baseline.predict_corpus`` decides inside one corpus pass;
 :func:`decide` decides one instance outside any pass. ``baseline.tune``
 scores each grid point over its merged cells; :func:`tune` scores it over
 every tally row. ``markers.lcs_pairs`` walks a bit-parallel table;
-:func:`lcs_pairs` walks the plain suffix-length table.
+:func:`lcs_pairs` walks the plain suffix-length table. ``ruleparse.parse_rule``
+cuts a prose block's sentences in one regex scan; :func:`sentences` cuts them
+one character at a time.
 """
 
 import itertools
@@ -180,3 +182,26 @@ def lcs_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
             column += 1
         i += 1
     return pairs
+
+
+def sentences(block: str) -> list[tuple[str, tuple[int, int]]]:
+    """A prose block's sentence clauses as ``(text, char_span)``, cut one character at a time.
+
+    A sentence ends after the last character of a run of ``.!?``, or at the
+    end of the block. Each piece loses its leading and trailing whitespace,
+    and a piece that is all whitespace gives no sentence.
+    """
+    out = []
+    begin = 0
+    for i, char in enumerate(block):
+        if i + 1 < len(block) and (char not in ".!?" or block[i + 1] in ".!?"):
+            continue
+        start, end = begin, i + 1
+        while start < end and block[start].isspace():
+            start += 1
+        while end > start and block[end - 1].isspace():
+            end -= 1
+        if start < end:
+            out.append((block[start:end], (start, end)))
+        begin = i + 1
+    return out

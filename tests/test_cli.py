@@ -477,6 +477,16 @@ def test_failing_replace_keeps_the_old_probe_report_and_no_temp_file(corpus_file
     assert os.listdir(tmp_path) == ["probe.json"]
 
 
+def test_a_key_error_is_a_bug_and_keeps_its_traceback(corpus_file, tmp_path, monkeypatch):
+    # No input reaches a KeyError: every dict read keyed by input is checked first. So one can only be a bug.
+    def broken(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "probe_corpus", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["probe", "--in", str(corpus_file), "--out", str(tmp_path / "probe.json")])
+
+
 def test_bad_params_file_is_one_error_line(corpus_file, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text('{"rho": 0.5, "bogus": 1}', encoding="utf-8")

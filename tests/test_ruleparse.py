@@ -1,7 +1,7 @@
 """Clause segmentation and logic typing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sharctool.ruleparse import (
     Clause,
@@ -13,6 +13,8 @@ from sharctool.ruleparse import (
     load_cues,
     parse_rule,
 )
+
+from reference import sentences
 
 BULLETED = """## Carer's Grant
 
@@ -126,6 +128,29 @@ def test_parse_rule_invariants_hold_for_any_document(lines):
         previous_end = end
         assert clause.ordinal == i
         assert clause.text == clause.text.strip()
+
+
+# A prose line opens with a letter, so it is neither a header nor a bullet, and holds no
+# character that str.splitlines cuts at; "\n" joins such lines into one prose block.
+_PROSE_LINE = st.builds(
+    str.__add__,
+    st.sampled_from("aZ\u00e9"),
+    st.lists(st.sampled_from(("b", "word", " ", "  ", "\t", "\u00a0", "\u3000", ".", "!", "?", "...", "?!")),
+             max_size=10).map("".join),
+)
+
+
+@given(st.lists(_PROSE_LINE, min_size=1, max_size=4))
+@example(["First part. second part without a full stop"])
+@example(["Wait... Really?! Yes"])
+@example(["Done.   ", "Next one!  "])
+@example(["One.\u00a0Two.\u00a0"])
+@example(["You can claim", "if you are over 60. Apply online."])
+def test_parse_rule_cuts_sentences_where_the_reference_does(lines):
+    text = "\n".join(lines)
+    clauses = parse_rule(text).clauses
+    assert all(c.kind is ClauseKind.SENTENCE for c in clauses)
+    assert [(c.text, c.char_span) for c in clauses] == sentences(text)
 
 
 # --------------------------------------------------------------------------
