@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import operator
 import random
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -75,7 +76,7 @@ class AugmentConfig:
         """Raise ``ValueError`` naming the ``augment`` flag of the first setting that cannot hold."""
         if set(self.class_targets) != set(ClassLabel):
             raise ValueError("--targets must name all four classes")
-        total_pct = sum(self.class_targets.values())
+        total_pct = functools.reduce(operator.add, self.class_targets.values(), 0)  # as sum() added before 3.12
         if abs(total_pct - 100.0) > 0.05:
             raise ValueError(f"--targets sum to {total_pct}, expected 100 ± 0.05")
         if self.keep_original and self.total_target < corpus_size:

@@ -5,7 +5,9 @@ and reports micro accuracy plus macro-averaged per-class recall. The
 generation side scores predicted follow-up questions against gold ones with
 corpus-level BLEU over instances whose gold answer is a follow-up; a
 prediction that is actually a class word still enters the pool literally
-(and scores near zero), so dodging follow-ups is not free.
+(and scores near zero), so dodging follow-ups is not free. Float means add
+left to right, as ``sum`` did before Python 3.12 compensated it, so every
+supported Python gives the same floats.
 
 This scorer is self-contained and is not bit-compatible with any official
 ShARC scoring script; the deviations are spelled out in
@@ -17,8 +19,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .corpus import PASS_KINDS, ClassLabel, Instance, corpus_pass, derive_label, pass_memo, tokenize
@@ -31,9 +34,6 @@ __all__ = [
     "combined_metric",
     "evaluate",
     "gold_view",
-    "macro_accuracy",
-    "micro_accuracy",
-    "per_class_accuracy",
     "render_report",
 ]
 
@@ -86,32 +86,6 @@ def cells(
     return (((label, followup, predictions[uid]), 1) for uid, (label, followup) in gold.items())
 
 
-def micro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> float:
-    total = sum(sum(row.values()) for row in matrix.values())
-    if not total:
-        raise ValueError("empty confusion matrix")
-    correct = sum(matrix[label][label] for label in matrix)
-    return 100.0 * correct / total
-
-
-def per_class_accuracy(
-    matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]
-) -> dict[ClassLabel, Optional[float]]:
-    """Per-class recall in percent; None for classes absent from the gold set."""
-    out: dict[ClassLabel, Optional[float]] = {}
-    for label in LABEL_ORDER:
-        row_total = sum(matrix[label].values())
-        out[label] = 100.0 * matrix[label][label] / row_total if row_total else None
-    return out
-
-
-def macro_accuracy(matrix: Mapping[ClassLabel, Mapping[ClassLabel, int]]) -> float:
-    recalls = [r for r in per_class_accuracy(matrix).values() if r is not None]
-    if not recalls:
-        raise ValueError("empty confusion matrix")
-    return sum(recalls) / len(recalls)
-
-
 # --------------------------------------------------------------------------
 # BLEU
 # --------------------------------------------------------------------------
@@ -125,28 +99,25 @@ def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
-# Orders kept per pair in a pass's BLEU memo: enough for BLEU-1 and BLEU-4.
-_MEMO_ORDERS = 4
-PASS_KINDS["bleu"] = lambda pair: _pair_stats(*pair, _MEMO_ORDERS)
+def _pair_stats(pair: tuple[str, str]) -> tuple[int, ...]:
+    """Sufficient statistics of one (candidate, reference) pair for corpus BLEU of orders 1 to 4.
 
-
-def _pair_stats(candidate_text: str, reference_text: str, max_order: int) -> tuple[int, ...]:
-    """Sufficient statistics of one pair for corpus BLEU.
-
-    ``(cand_len, ref_len, match_1, total_1, ..., match_n, total_n)``: the
+    ``(cand_len, ref_len, match_1, total_1, ..., match_4, total_4)``: the
     token lengths, then per order the clipped n-gram matches and the
     candidate n-gram count. Corpus BLEU sums these over pairs, so a pair's
-    statistics can be computed once and reused for any lower order.
+    statistics serve every order.
     """
-    candidate = _bleu_tokens(candidate_text)
-    reference = _bleu_tokens(reference_text)
+    candidate, reference = map(_bleu_tokens, pair)
     stats = [len(candidate), len(reference)]
-    for order in range(1, max_order + 1):
+    for order in range(1, 5):
         cand_ngrams = _ngram_counts(candidate, order)
         ref_ngrams = _ngram_counts(reference, order)
         stats.append(sum(min(count, ref_ngrams[gram]) for gram, count in cand_ngrams.items()))
         stats.append(sum(cand_ngrams.values()))
     return tuple(stats)
+
+
+PASS_KINDS["bleu"] = _pair_stats
 
 
 def bleu(
@@ -156,7 +127,7 @@ def bleu(
     sentence_average: bool = False,
     weights: Optional[Sequence[int]] = None,
 ) -> Optional[float]:
-    """Corpus-level BLEU in [0, 100]; None when the pair set is empty.
+    """Corpus-level BLEU of order ``max_order``, 1 to 4, in [0, 100]; None when the pair set is empty.
 
     Modified n-gram precisions are pooled over all pairs and combined by a
     geometric mean with equal weights, times the brevity penalty
@@ -173,18 +144,17 @@ def bleu(
     statistics are computed once; the pooled counts are integers, so the
     score is the same float either way.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= 4:
+        raise ValueError("max_order must be 1 to 4")
     if not candidates_and_references:
         return None
     weights = [1] * len(candidates_and_references) if weights is None else weights
     if sentence_average:
         scores = [weight * bleu([pair], max_order) for pair, weight in zip(candidates_and_references, weights)]
-        return sum(scores) / sum(weights)
+        return reduce(add, scores) / sum(weights)
 
-    memo = pass_memo("bleu") if max_order <= _MEMO_ORDERS else None
-    rows = [_pair_stats(candidate, reference, max_order) if memo is None else memo[candidate, reference]
-            for candidate, reference in candidates_and_references]
+    memo = pass_memo("bleu")
+    rows = map(_pair_stats if memo is None else memo.__getitem__, candidates_and_references)
     cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in islice(zip(*rows), 2 + 2 * max_order)]
 
     if cand_len == 0:
@@ -199,7 +169,7 @@ def bleu(
     if not log_precisions:
         return 0.0
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
-    return 100.0 * brevity * math.exp(sum(log_precisions) / len(log_precisions))
+    return 100.0 * brevity * math.exp(reduce(add, log_precisions) / len(log_precisions))
 
 
 def combined_metric(macro: Optional[float], bleu4: Optional[float]) -> Optional[float]:
@@ -241,20 +211,27 @@ def evaluate(cells: Iterable[_Cell], *, sentence_average_bleu: bool = False) -> 
         if followup is not None:
             pairs.append((output, followup))
             weights.append(count)
+    total = sum(sum(row.values()) for row in matrix.values())
+    if not total:
+        raise ValueError("empty confusion matrix")
+    per_class: dict[str, Optional[float]] = {}
+    for label in LABEL_ORDER:
+        row_total = sum(matrix[label].values())
+        per_class[label.value] = 100.0 * matrix[label][label] / row_total if row_total else None
+    recalls = [recall for recall in per_class.values() if recall is not None]
+    macro = reduce(add, recalls) / len(recalls)  # over the classes present in the gold set
     with corpus_pass():
         bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu, weights=weights)
         bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu, weights=weights)
-    macro = macro_accuracy(matrix)
-    per_class = per_class_accuracy(matrix)
     return EvalReport(
-        micro_accuracy=micro_accuracy(matrix),
+        micro_accuracy=100.0 * sum(matrix[label][label] for label in LABEL_ORDER) / total,
         macro_accuracy=macro,
-        per_class_accuracy={label.value: per_class[label] for label in LABEL_ORDER},
+        per_class_accuracy=per_class,
         bleu1=bleu1,
         bleu4=bleu4,
         combined=combined_metric(macro, bleu4),
         bleu_instance_count=sum(weights),
-        instance_count=sum(sum(row.values()) for row in matrix.values()),
+        instance_count=total,
         confusion={g.value: {p.value: matrix[g][p] for p in LABEL_ORDER} for g in LABEL_ORDER},
     )
 

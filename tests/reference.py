@@ -15,11 +15,14 @@ scores each grid point over its merged cells; :func:`tune` scores it over
 every tally row. ``markers.lcs_pairs`` walks a bit-parallel table;
 :func:`lcs_pairs` walks the plain suffix-length table. ``ruleparse.parse_rule``
 cuts a prose block's sentences in one regex scan; :func:`sentences` cuts them
-one character at a time.
+one character at a time. ``evaluate`` and ``augment`` add float totals left to
+right; :func:`compensated_sum` is ``sum`` as Python 3.12 and later add floats.
 """
 
+import builtins
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, replace
 from typing import Iterable, Mapping, Optional, Sequence
@@ -31,6 +34,14 @@ from sharctool.corpus import ClassLabel, DialogTurn, Instance, TokenizedText, co
 from sharctool.evaluate import evaluate
 from sharctool.markers import MARKER_PHI, lcs_match
 from sharctool.ruleparse import DEFAULT_CUES, CueSet, parse_rule
+
+
+def compensated_sum(iterable, start=0):
+    """``math.fsum`` of float items, which may round otherwise than a left-to-right fold; ``sum`` of any other."""
+    items = list(iterable)
+    if any(isinstance(item, float) for item in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
 
 
 def dumps_record(record) -> str:

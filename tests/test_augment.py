@@ -22,7 +22,7 @@ from sharctool.augment import (
 )
 from sharctool.corpus import ClassLabel, DialogTurn, Instance, content_hash, content_key, iter_corpus, read_jsonl
 
-from reference import augmented_to_record
+from reference import augmented_to_record, compensated_sum
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +211,23 @@ def test_config_validation_errors():
     bad_perms = AugmentConfig(seed=1, total_target=100, max_permutations_per_instance=0)
     with pytest.raises(ValueError, match="at least 1"):
         bad_perms.validate(10)
+
+
+def _targets_message(targets):
+    with pytest.raises(ValueError, match="^--targets sum to ") as raised:
+        AugmentConfig(seed=1, class_targets=targets).validate(10)
+    return str(raised.value)
+
+
+def test_targets_total_adds_left_to_right_whatever_sum_does(monkeypatch):
+    # The error prints the total, so it must not change with Python 3.12's compensated float sum().
+    rng = random.Random(0)
+    target_sets = [{label: rng.randint(0, 5000) / 100 for label in ClassLabel} for _ in range(100)]
+    left_to_right = [_targets_message(targets) for targets in target_sets]
+    assert _targets_message(dict(zip(ClassLabel, (9.65, 40.58, 36.82, 38.68)))) == (
+        "--targets sum to 125.72999999999999, expected 100 ± 0.05")  # math.fsum gives 125.73
+    monkeypatch.setattr(augment, "sum", compensated_sum, raising=False)
+    assert [_targets_message(targets) for targets in target_sets] == left_to_right
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scoring: confusion counts, accuracies, corpus BLEU, combined metric."""
 
 import math
+import random
 from collections import Counter
 from dataclasses import asdict
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sharctool.corpus import ClassLabel, read_json, write_json
+from sharctool import evaluate as evaluate_module
 from sharctool.evaluate import (
     EvalReport,
     bleu,
@@ -15,11 +17,10 @@ from sharctool.evaluate import (
     combined_metric,
     evaluate,
     gold_view,
-    macro_accuracy,
-    micro_accuracy,
-    per_class_accuracy,
     render_report,
 )
+
+from reference import compensated_sum
 
 
 def _toy_eval(make_instance, turn):
@@ -65,15 +66,20 @@ def test_confusion_matrix_requires_exact_id_cover(make_instance, turn):
 
 def test_accuracies(make_instance, turn):
     gold, predictions = _toy_eval(make_instance, turn)
-    matrix = evaluate(cells(gold_view(gold), predictions)).confusion
-    assert micro_accuracy(matrix) == pytest.approx(75.0)
-    recalls = per_class_accuracy(matrix)
-    assert recalls[ClassLabel.YES] == pytest.approx(100.0)
-    assert recalls[ClassLabel.NO] == pytest.approx(0.0)
-    assert recalls[ClassLabel.MORE] == pytest.approx(100.0)
-    assert recalls[ClassLabel.IRRELEVANT] is None
+    report = evaluate(cells(gold_view(gold), predictions))
+    assert report.micro_accuracy == pytest.approx(75.0)
+    recalls = report.per_class_accuracy
+    assert recalls["Yes"] == pytest.approx(100.0)
+    assert recalls["No"] == pytest.approx(0.0)
+    assert recalls["More"] == pytest.approx(100.0)
+    assert recalls["Irrelevant"] is None
     # macro averages only over classes present in the gold set
-    assert macro_accuracy(matrix) == pytest.approx(200.0 / 3.0)
+    assert report.macro_accuracy == pytest.approx(200.0 / 3.0)
+
+
+def test_an_empty_cell_set_is_an_error():
+    with pytest.raises(ValueError, match="^empty confusion matrix$"):
+        evaluate([])
 
 
 # --------------------------------------------------------------------------
@@ -122,8 +128,9 @@ def test_bleu_pools_counts_across_pairs():
 
 
 def test_bleu_rejects_bad_order():
-    with pytest.raises(ValueError):
-        bleu([("a", "a")], max_order=0)
+    for order in (0, 5):
+        with pytest.raises(ValueError, match="^max_order must be 1 to 4$"):
+            bleu([("a", "a")], max_order=order)
 
 
 _SENTENCES = st.lists(
@@ -204,6 +211,42 @@ def test_merging_equal_cells_leaves_every_score_as_it_is(drawn):
     for cell, count in drawn:
         merged[cell] += count
     assert asdict(evaluate(drawn)) == asdict(evaluate(merged.items()))
+
+
+_WORDS = "do you live in england are over 60 have a car or house ?".split()
+
+
+def _random_cells(rng):
+    """Up to 24 cells, half of them with a follow-up, each output a class word, random words, or the follow-up
+    itself, with a word changed or with its first word cut; so recalls, precisions and pair scores vary."""
+    drawn = []
+    for _ in range(rng.randint(1, 24)):
+        label = rng.choice([*ClassLabel, ClassLabel.MORE, ClassLabel.MORE])
+        followup = None
+        outputs = ["Yes", "No", "Irrelevant", " ".join(rng.choices(_WORDS, k=rng.randint(1, 10)))]
+        if label is ClassLabel.MORE:
+            words = rng.choices(_WORDS, k=rng.randint(2, 10))
+            followup = " ".join(words)
+            changed = list(words)
+            changed[rng.randrange(len(changed))] = rng.choice(_WORDS)
+            outputs += [followup, " ".join(changed), " ".join(words[1:])]
+        drawn.append(((label, followup, rng.choice(outputs)), rng.randint(1, 50)))
+    return drawn
+
+
+def test_float_means_add_left_to_right_whatever_sum_does(monkeypatch):
+    # Python 3.12 made sum() of floats compensated. The scores must not change with it, or trials.json would differ
+    # between interpreters; so with sum() patched to the compensated one, every report stays as it is.
+    rng = random.Random(0)
+    cell_sets = [_random_cells(rng) for _ in range(300)]
+
+    def reports():
+        return [asdict(evaluate(drawn, sentence_average_bleu=average))
+                for drawn in cell_sets for average in (False, True)]
+
+    left_to_right = reports()
+    monkeypatch.setattr(evaluate_module, "sum", compensated_sum, raising=False)
+    assert reports() == left_to_right
 
 
 def test_render_report_smoke(make_instance, turn):
