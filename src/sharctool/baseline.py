@@ -283,19 +283,19 @@ def tune(
     cells and is scored by one :func:`~sharctool.evaluate.evaluate` of them, weighted by their counts, all
     inside one pass, so each distinct (output, gold) pair's BLEU statistics are counted once. The scores sum
     integers, so they are the floats a per-instance evaluation gives. Ties keep the first grid point in
-    iteration order.
+    iteration order. Raises ``ValueError`` before scoring when no gold answer is a follow-up: combined is undefined.
     """
     grid = dict(DEFAULT_GRID if grid is None else grid)
     points = [replace(PolicyParams(), **dict(zip(grid, values))) for values in itertools.product(*grid.values())]
     outputs = _grid_outputs(points)
     rows: Counter[tuple[ClassLabel, Optional[str], tuple[str, ...]]] = Counter()
-    best: Optional[PolicyParams] = None
-    best_score = float("-inf")
     trials: list[dict] = []
     with corpus_pass():
         for instance, features in _corpus_features(corpus, cues):
             label = instance.label
             rows[label, instance.gold_answer if label is ClassLabel.MORE else None, outputs(features)] += 1
+        if all(followup is None for _, followup, _ in rows):
+            raise ValueError("no gold answer is a follow-up question, so the combined metric is undefined")
         words = Memo(lambda output: derive_label(output).value)
         tally: Counter[tuple[ClassLabel, Optional[str], tuple[str, ...]]] = Counter()
         for (label, followup, decided), count in rows.items():
@@ -306,15 +306,11 @@ def tune(
                 cell = label, followup, decided[index]
                 cells[cell] = cells.get(cell, 0) + count
             report = evaluate(cells.items())
-            score = report.combined if report.combined is not None else -1.0
-            trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
-            if score > best_score:
-                best = params
-                best_score = score
-    assert best is not None, "empty parameter grid"
+            trials.append({"params": asdict(params), "combined": report.combined, "micro": report.micro_accuracy})
+    best = max(range(len(trials)), key=lambda index: trials[index]["combined"])  # the first of equal scores
     return TuneResult(
-        best_params=best,
-        best_combined=best_score,
+        best_params=points[best],
+        best_combined=trials[best]["combined"],
         instance_count=sum(rows.values()),
         trials=trials,
     )

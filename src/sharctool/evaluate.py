@@ -6,12 +6,12 @@ generation side scores predicted follow-up questions against gold ones with
 corpus-level BLEU over instances whose gold answer is a follow-up; a
 prediction that is actually a class word still enters the pool literally
 (and scores near zero), so dodging follow-ups is not free. Float means add
-left to right, as ``sum`` did before Python 3.12 compensated it, so every
-supported Python gives the same floats.
+left to right, as ``sum`` did before Python 3.12, or exactly in fractions,
+so every supported Python gives the same floats.
 
 This scorer is self-contained and is not bit-compatible with any official
-ShARC scoring script; the deviations are spelled out in
-:data:`SCORING_NOTES` and repeated in every report.
+ShARC scoring script; the deviations are spelled out in the notes of the
+BLEU mode in force (:data:`SCORING_NOTES` when pooled) in every report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import add, mul
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -47,6 +46,9 @@ SCORING_NOTES = (
     "macro accuracy averages per-class recall over classes present in the gold set",
     "combined = macro/100 * BLEU-4; undefined (null) when the gold set has no follow-ups",
 )
+_SENTENCE_NOTES = (SCORING_NOTES[0], "BLEU is sentence-averaged (diagnostic): each pair scored alone, then the mean",
+                   SCORING_NOTES[2], "orders with no candidate n-gram in a pair are dropped from its geometric mean",
+                   *SCORING_NOTES[4:])
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +122,22 @@ def _pair_stats(pair: tuple[str, str]) -> tuple[int, ...]:
 PASS_KINDS["bleu"] = _pair_stats
 
 
+def _score(stats: Sequence[int]) -> float:
+    """BLEU of one row ``(cand_len, ref_len, match_1, total_1, ...)`` of :func:`_pair_stats`, up to its order."""
+    cand_len, ref_len, *counts = stats
+    log_precisions = []
+    for match, total in zip(counts[0::2], counts[1::2]):
+        if total == 0:
+            continue  # vacuous order: no candidate was long enough
+        if match == 0:
+            return 0.0
+        log_precisions.append(math.log(match / total))
+    if not log_precisions:  # every order vacuous: the candidates are empty
+        return 0.0
+    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
+    return 100.0 * brevity * math.exp(reduce(add, log_precisions) / len(log_precisions))
+
+
 def bleu(
     candidates_and_references: Sequence[tuple[str, str]],
     max_order: int = 4,
@@ -136,40 +154,23 @@ def bleu(
     corpus of exact matches scores 100 even when every pair is shorter than
     ``max_order``. A zero precision at any contributing order gives 0.
 
-    ``sentence_average`` instead scores each pair alone and returns the
-    arithmetic mean — useful for diagnostics, never for headline numbers.
-    ``weights``, one integer per pair, counts each pair that many times.
-
-    Inside a :func:`~sharctool.corpus.corpus_pass`, each distinct pair's
-    statistics are computed once; the pooled counts are integers, so the
-    score is the same float either way.
+    ``sentence_average`` instead returns the mean of each pair's ``bleu([pair])``, taken exactly in fractions, for
+    diagnostics only. ``weights``, one integer per pair, counts each pair that many times, so merging equal pairs
+    changes neither mode. Both score one table of the pairs' statistics, one row per pair, each distinct pair's
+    computed once inside a :func:`~sharctool.corpus.corpus_pass`.
     """
     if not 1 <= max_order <= 4:
         raise ValueError("max_order must be 1 to 4")
     if not candidates_and_references:
         return None
     weights = [1] * len(candidates_and_references) if weights is None else weights
-    if sentence_average:
-        scores = [weight * bleu([pair], max_order) for pair, weight in zip(candidates_and_references, weights)]
-        return reduce(add, scores) / sum(weights)
-
     memo = pass_memo("bleu")
-    rows = map(_pair_stats if memo is None else memo.__getitem__, candidates_and_references)
-    cand_len, ref_len, *counts = [sum(map(mul, column, weights)) for column in islice(zip(*rows), 2 + 2 * max_order)]
-
-    if cand_len == 0:
-        return 0.0
-    log_precisions = []
-    for match, total in zip(counts[0::2], counts[1::2]):
-        if total == 0:
-            continue  # vacuous order: no candidate was long enough
-        if match == 0:
-            return 0.0
-        log_precisions.append(math.log(match / total))
-    if not log_precisions:
-        return 0.0
-    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
-    return 100.0 * brevity * math.exp(reduce(add, log_precisions) / len(log_precisions))
+    stats = _pair_stats if memo is None else memo.__getitem__
+    table = [row[: 2 + 2 * max_order] for row in map(stats, candidates_and_references)]
+    if sentence_average:
+        from fractions import Fraction  # here, as every command imports this module and few take this path
+        return float(sum(map(mul, map(Fraction, map(_score, table)), weights)) / sum(weights))
+    return _score([sum(map(mul, column, weights)) for column in zip(*table)])
 
 
 def combined_metric(macro: Optional[float], bleu4: Optional[float]) -> Optional[float]:
@@ -188,7 +189,7 @@ def combined_metric(macro: Optional[float], bleu4: Optional[float]) -> Optional[
 class EvalReport:
     """The scores of one run, fields in ``eval.json``'s key order."""
 
-    notes: tuple[str, ...] = SCORING_NOTES
+    notes: tuple[str, ...]
     instance_count: int
     micro_accuracy: float
     macro_accuracy: float
@@ -202,8 +203,8 @@ class EvalReport:
 
 def evaluate(cells: Iterable[_Cell], *, sentence_average_bleu: bool = False) -> EvalReport:
     """Score (gold class, gold follow-up or None, output) cells, each weighted by its count: every cell's class and
-    BLEU over the cells with a follow-up, inside one pass. The scores sum integers, so merging equal cells leaves
-    every float as it is."""
+    BLEU over the cells with a follow-up, inside one pass, with the notes of the BLEU mode in force. Merging equal
+    cells leaves every score as it is, as neither the counts nor either BLEU mode depend on how cells split."""
     matrix = {g: {p: 0 for p in LABEL_ORDER} for g in LABEL_ORDER}
     pairs, weights = [], []
     for (label, followup, output), count in cells:
@@ -224,6 +225,7 @@ def evaluate(cells: Iterable[_Cell], *, sentence_average_bleu: bool = False) -> 
         bleu1 = bleu(pairs, max_order=1, sentence_average=sentence_average_bleu, weights=weights)
         bleu4 = bleu(pairs, max_order=4, sentence_average=sentence_average_bleu, weights=weights)
     return EvalReport(
+        notes=_SENTENCE_NOTES if sentence_average_bleu else SCORING_NOTES,
         micro_accuracy=100.0 * sum(matrix[label][label] for label in LABEL_ORDER) / total,
         macro_accuracy=macro,
         per_class_accuracy=per_class,
@@ -247,7 +249,8 @@ def render_report(report: EvalReport, title: str = "evaluation") -> str:
         f"micro {_fmt(report.micro_accuracy)}  macro {_fmt(report.macro_accuracy)}  "
         f"bleu1 {_fmt(report.bleu1)}  bleu4 {_fmt(report.bleu4)}  combined {_fmt(report.combined)}"
     )
-    lines.append(f"bleu pool: {report.bleu_instance_count} follow-up instances")
+    mode = "sentence average" if report.notes == _SENTENCE_NOTES else "pool"
+    lines.append(f"bleu {mode}: {report.bleu_instance_count} follow-up instances")
     header = "gold \\ pred" + "".join(f"{label.value:>12}" for label in LABEL_ORDER)
     lines.append(header)
     for gold_label in LABEL_ORDER:

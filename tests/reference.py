@@ -17,6 +17,8 @@ every tally row. ``markers.lcs_pairs`` walks a bit-parallel table;
 cuts a prose block's sentences in one regex scan; :func:`sentences` cuts them
 one character at a time. ``evaluate`` and ``augment`` add float totals left to
 right; :func:`compensated_sum` is ``sum`` as Python 3.12 and later add floats.
+``evaluate.bleu`` scores a pair set's statistics table in one go;
+:func:`sentence_bleu` averages one ``bleu`` call per pair.
 """
 
 import builtins
@@ -25,13 +27,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, replace
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from sharctool import baseline
 from sharctool.augment import AugmentedInstance
 from sharctool.baseline import PolicyParams, TuneResult
 from sharctool.corpus import ClassLabel, DialogTurn, Instance, TokenizedText, corpus_pass, tokenize
-from sharctool.evaluate import evaluate
+from sharctool.evaluate import bleu, evaluate
 from sharctool.markers import MARKER_PHI, lcs_match
 from sharctool.ruleparse import DEFAULT_CUES, CueSet, parse_rule
 
@@ -42,6 +45,12 @@ def compensated_sum(iterable, start=0):
     if any(isinstance(item, float) for item in items):
         return math.fsum([start, *items])
     return builtins.sum(items, start)
+
+
+def sentence_bleu(pairs: Sequence[tuple[str, str]], max_order: int, weights: Sequence[int]) -> float:
+    """The mean of each pair's ``bleu([pair], max_order)``, weighted by its count, in exact fractions."""
+    total = sum(Fraction(bleu([pair], max_order)) * weight for pair, weight in zip(pairs, weights))
+    return float(total / sum(weights))
 
 
 def dumps_record(record) -> str:
@@ -148,7 +157,8 @@ def escaped_row(row: tuple) -> tuple:
 
 def tune(corpus: Iterable[Instance], grid: Optional[Mapping[str, Sequence]] = None,
          cues: CueSet = DEFAULT_CUES) -> TuneResult:
-    """``baseline.tune`` scoring each grid point by one ``evaluate`` of one unmerged cell per tally row."""
+    """``baseline.tune`` scoring each grid point by one ``evaluate`` of one unmerged cell per tally row, and
+    keeping the first point whose combined score beats every earlier one."""
     grid = dict(baseline.DEFAULT_GRID if grid is None else grid)
     points = [replace(PolicyParams(), **dict(zip(grid, values))) for values in itertools.product(*grid.values())]
     outputs = baseline._grid_outputs(points)
@@ -158,13 +168,14 @@ def tune(corpus: Iterable[Instance], grid: Optional[Mapping[str, Sequence]] = No
         for instance, features in baseline._corpus_features(corpus, cues):
             followup = instance.gold_answer if instance.label is ClassLabel.MORE else None
             rows[instance.label, followup, outputs(features)] += 1
+        if ClassLabel.MORE not in {label for label, _, _ in rows}:
+            raise ValueError("no gold answer is a follow-up question, so the combined metric is undefined")
         for index, params in enumerate(points):
             report = evaluate(((label, followup, decided[index]), count)
                               for (label, followup, decided), count in rows.items())
-            score = report.combined if report.combined is not None else -1.0
-            trials.append({"params": asdict(params), "combined": score, "micro": report.micro_accuracy})
-            if score > best_score:
-                best, best_score = params, score
+            trials.append({"params": asdict(params), "combined": report.combined, "micro": report.micro_accuracy})
+            if report.combined > best_score:
+                best, best_score = params, report.combined
     return TuneResult(best_params=best, best_combined=best_score, instance_count=sum(rows.values()), trials=trials)
 
 

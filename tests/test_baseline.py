@@ -402,6 +402,12 @@ _CORPORA = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(grid=_GRIDS, corpus=_CORPORA)
 def test_tune_over_merged_cells_equals_scoring_every_tally_row(grid, corpus):
+    if all(instance.label is not ClassLabel.MORE for instance in corpus):
+        # BLEU-4, and so the combined metric, is undefined at every grid point: both refuse to pick one
+        for run in (tune, reference_tune):
+            with pytest.raises(ValueError, match="^no gold answer is a follow-up question, so the combined metric"):
+                run(corpus, grid=grid)
+        return
     result = tune(corpus, grid=grid)
     expected = reference_tune(corpus, grid=grid)
     assert (result.trials, result.best_params, result.best_combined) == (

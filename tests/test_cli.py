@@ -682,6 +682,14 @@ def test_tune_with_a_directory_as_trials_writes_nothing(corpus_file, tmp_path, c
     assert not (tmp_path / "p2.json").exists()
 
 
+def test_tune_on_gold_without_follow_ups_writes_nothing(dev_corpus, tmp_path, capsys):
+    dev = tmp_path / "dev-no-more.jsonl"
+    write_corpus(dev, [instance for instance in dev_corpus if instance.label is not ClassLabel.MORE])
+    argv = ["tune", "--in", str(dev), "--out", str(tmp_path / "params.json"), "--trials", str(tmp_path / "trials.json")]
+    err = _fails_and_changes_nothing(argv, tmp_path, capsys)
+    assert err == "error: no gold answer is a follow-up question, so the combined metric is undefined\n"
+
+
 def test_output_in_a_missing_directory_writes_nothing(corpus_file, tmp_path, capsys):
     (tmp_path / "probe.json").write_text("old report\n", encoding="utf-8")
     argv = ["probe", "--in", str(corpus_file), "--out", str(tmp_path / "missing" / "probe.json")]

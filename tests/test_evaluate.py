@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from sharctool.corpus import ClassLabel, read_json, write_json
 from sharctool import evaluate as evaluate_module
 from sharctool.evaluate import (
+    SCORING_NOTES,
     EvalReport,
     bleu,
     cells,
@@ -20,7 +21,7 @@ from sharctool.evaluate import (
     render_report,
 )
 
-from reference import compensated_sum
+from reference import compensated_sum, sentence_bleu
 
 
 def _toy_eval(make_instance, turn):
@@ -148,6 +149,13 @@ def test_bleu_is_invariant_under_pair_duplication(pairs):
     assert bleu(pairs + pairs) == pytest.approx(bleu(pairs))
 
 
+@given(st.lists(st.tuples(_SENTENCES, _SENTENCES, st.integers(1, 50)), min_size=1, max_size=12), st.integers(1, 4))
+def test_sentence_bleu_is_the_exact_weighted_mean_of_each_pairs_bleu(drawn, order):
+    pairs = [(candidate, reference) for candidate, reference, _ in drawn]
+    weights = [weight for _, _, weight in drawn]
+    assert bleu(pairs, order, sentence_average=True, weights=weights) == sentence_bleu(pairs, order, weights)
+
+
 # --------------------------------------------------------------------------
 # combined metric
 # --------------------------------------------------------------------------
@@ -234,6 +242,30 @@ def _random_cells(rng):
     return drawn
 
 
+def test_splitting_cells_into_shuffled_count_one_cells_changes_no_report():
+    # Neither BLEU mode may depend on how equal cells are split or ordered; a sentence average that added
+    # weight * score per cell in list order moved on 204 of these 300 sets.
+    rng = random.Random(1)
+    for drawn in (_random_cells(rng) for _ in range(300)):
+        split = [(cell, 1) for cell, count in drawn for _ in range(count)]
+        rng.shuffle(split)
+        for average in (False, True):
+            assert asdict(evaluate(split, sentence_average_bleu=average)) == asdict(
+                evaluate(drawn, sentence_average_bleu=average))
+
+
+def test_cells_in_the_sentence_average_are_scored_by_the_exact_mean():
+    rng = random.Random(1)
+    for drawn in (_random_cells(rng) for _ in range(300)):
+        followups = [((output, followup), count) for (_, followup, output), count in drawn if followup is not None]
+        report = evaluate(drawn, sentence_average_bleu=True)
+        if not followups:
+            assert report.bleu1 is report.bleu4 is None
+            continue
+        pairs, weights = zip(*followups)
+        assert (report.bleu1, report.bleu4) == (sentence_bleu(pairs, 1, weights), sentence_bleu(pairs, 4, weights))
+
+
 def test_float_means_add_left_to_right_whatever_sum_does(monkeypatch):
     # Python 3.12 made sum() of floats compensated. The scores must not change with it, or trials.json would differ
     # between interpreters; so with sum() patched to the compensated one, every report stays as it is.
@@ -247,6 +279,18 @@ def test_float_means_add_left_to_right_whatever_sum_does(monkeypatch):
     left_to_right = reports()
     monkeypatch.setattr(evaluate_module, "sum", compensated_sum, raising=False)
     assert reports() == left_to_right
+
+
+def test_each_report_carries_the_notes_of_its_bleu_mode(make_instance, turn):
+    gold, predictions = _toy_eval(make_instance, turn)
+    pooled = evaluate(cells(gold_view(gold), predictions))
+    averaged = evaluate(cells(gold_view(gold), predictions), sentence_average_bleu=True)
+    assert pooled.notes == SCORING_NOTES
+    assert "bleu pool: 1 follow-up instances" in render_report(pooled)
+    assert not any("pooled" in note for note in averaged.notes)
+    assert any("sentence-averaged" in note for note in averaged.notes)
+    assert "bleu sentence average: 1 follow-up instances" in render_report(averaged)
+    assert "pool" not in render_report(averaged)
 
 
 def test_render_report_smoke(make_instance, turn):
